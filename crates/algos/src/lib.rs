@@ -32,8 +32,8 @@ pub use engine::{AnyEngine, Engine, EngineKind};
 pub use hits::{hits, HitsScores};
 pub use indegree::{indegree, indegree_iterated, spmv};
 pub use pagerank::{
-    pagerank, pagerank_adaptive, pagerank_fingerprint_extra, pagerank_supervised,
-    pagerank_supervised_resume, pagerank_until, PageRankOpts, PageRankStream,
+    pagerank, pagerank_fingerprint_extra, pagerank_supervised, pagerank_supervised_resume,
+    pagerank_until, PageRankOpts, PageRankStream,
 };
 pub use ranking::{kendall_tau, kendall_tau_sampled, top_k, top_k_overlap};
 pub use salsa::{salsa, SalsaScores};

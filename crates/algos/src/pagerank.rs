@@ -235,41 +235,6 @@ pub fn pagerank_supervised_resume(
     Ok((scores, report))
 }
 
-/// Adaptive PageRank on the Mixen engine (the delta-iteration extension):
-/// nodes stop propagating once their rank moves by at most `epsilon` per
-/// round. Returns scores and the engine's [`mixen_core::DeltaStats`].
-pub fn pagerank_adaptive(
-    g: &Graph,
-    engine: &mixen_core::MixenEngine,
-    opts: PageRankOpts,
-    epsilon: f32,
-    max_iters: usize,
-) -> (Vec<f32>, mixen_core::DeltaStats) {
-    assert!(
-        !opts.redistribute,
-        "adaptive mode does not support dangling redistribution"
-    );
-    let n = g.n().max(1) as f32;
-    let d = opts.damping;
-    let base = (1.0 - d) / n;
-    let out_deg: Vec<u32> = (0..nid(g.n()))
-        .map(|v| nid(g.out_degree(v).max(1)))
-        .collect();
-    let in_zero: Vec<bool> = (0..nid(g.n())).map(|v| g.in_degree(v) == 0).collect();
-    let init = |v: NodeId| {
-        let rank0 = if in_zero[v as usize] { base } else { 1.0 / n };
-        rank0 / out_deg[v as usize] as f32
-    };
-    let apply = |v: NodeId, sum: f32| (base + d * sum) / out_deg[v as usize] as f32;
-    let (vals, stats) = engine.iterate_delta(init, apply, epsilon, max_iters);
-    let scores = vals
-        .iter()
-        .zip(&out_deg)
-        .map(|(&p, &odeg)| p * odeg as f32)
-        .collect();
-    (scores, stats)
-}
-
 /// Incremental PageRank for long-lived services: keeps the chain's state
 /// between calls so a serving loop can advance a few iterations, publish a
 /// snapshot of the current scores, and continue — following exactly the
@@ -530,40 +495,6 @@ mod tests {
         );
         assert!(iters < 100);
         assert!((total_mass(&scores) - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn adaptive_matches_fixed_iteration_pagerank() {
-        let g = Graph::from_pairs(
-            7,
-            &[
-                (0, 1),
-                (1, 2),
-                (2, 0),
-                (3, 0),
-                (3, 2),
-                (1, 4),
-                (2, 5),
-                (4, 5),
-            ],
-        );
-        let engine = MixenEngine::new(&g, MixenOpts::default());
-        let (scores, stats) = pagerank_adaptive(&g, &engine, PageRankOpts::default(), 0.0, 25);
-        let dense = pagerank(&g, &engine, PageRankOpts::default(), stats.iterations);
-        for (a, b) in scores.iter().zip(&dense) {
-            assert!((a - b).abs() < 1e-5, "{scores:?} vs {dense:?}");
-        }
-    }
-
-    #[test]
-    fn adaptive_converges_with_epsilon() {
-        let g = Graph::from_pairs(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let engine = MixenEngine::new(&g, MixenOpts::default());
-        let (scores, stats) = pagerank_adaptive(&g, &engine, PageRankOpts::default(), 1e-9, 500);
-        assert!(stats.converged);
-        for &sc in &scores {
-            assert!((sc - 0.25).abs() < 1e-4);
-        }
     }
 
     #[test]

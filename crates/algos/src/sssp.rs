@@ -7,14 +7,16 @@
 //! trick used by connected components. Convergence takes at most
 //! "longest shortest path in hops" rounds.
 
-use mixen_core::WMixenEngine;
+use mixen_core::{MixenEngine, Weighted};
 use mixen_graph::{MinF32, NodeId, PropValue, WGraph};
 
 use mixen_baselines::WPullEngine;
 
 /// Shortest-path distances from `root` over non-negative edge weights,
-/// computed on the weighted Mixen engine. `f32::INFINITY` = unreachable.
-pub fn sssp(engine: &WMixenEngine, root: NodeId, max_iters: usize) -> Vec<f32> {
+/// computed on a weighted Mixen engine (an unweighted one does not
+/// type-check here: with `⊗` erased every reachable node would read 0).
+/// `f32::INFINITY` = unreachable.
+pub fn sssp(engine: &MixenEngine<Weighted>, root: NodeId, max_iters: usize) -> Vec<f32> {
     let (dist, _) = engine.iterate_until(sssp_init(root), sssp_apply(root), 0.0, max_iters);
     dist.into_iter().map(|MinF32(d)| d).collect()
 }
@@ -27,7 +29,7 @@ pub fn sssp_pull(wg: &WGraph, root: NodeId, max_iters: usize) -> Vec<f32> {
 }
 
 /// One weighted SpMV, `y[v] = Σ w(u,v) · x[u]`, on the weighted engine.
-pub fn weighted_spmv(engine: &WMixenEngine, x: &[f32]) -> Vec<f32> {
+pub fn weighted_spmv(engine: &MixenEngine<Weighted>, x: &[f32]) -> Vec<f32> {
     engine.iterate(|v: NodeId| x[v as usize], |_, sum| sum, 1)
 }
 
@@ -123,7 +125,7 @@ mod tests {
     #[test]
     fn matches_dijkstra_on_toy() {
         let wg = toy();
-        let engine = WMixenEngine::new(&wg, MixenOpts::default());
+        let engine = MixenEngine::try_weighted(&wg, MixenOpts::default()).unwrap();
         let got = sssp(&engine, 0, 50);
         let want = dijkstra(&wg, 0);
         assert_eq!(got, want);
@@ -136,7 +138,7 @@ mod tests {
     fn pull_and_mixen_agree_on_random_weighted_graph() {
         let g = Dataset::Rmat.generate(Scale::Tiny, 33);
         let wg = WGraph::with_hash_weights(&g, 1.0, 10.0, 5);
-        let engine = WMixenEngine::new(&wg, MixenOpts::default());
+        let engine = MixenEngine::try_weighted(&wg, MixenOpts::default()).unwrap();
         let root = (0..g.n() as u32).max_by_key(|&v| g.out_degree(v)).unwrap();
         let a = sssp(&engine, root, 200);
         let b = sssp_pull(&wg, root, 200);
@@ -160,7 +162,7 @@ mod tests {
     #[test]
     fn weighted_spmv_is_linear() {
         let wg = toy();
-        let engine = WMixenEngine::new(&wg, MixenOpts::default());
+        let engine = MixenEngine::try_weighted(&wg, MixenOpts::default()).unwrap();
         let xa: Vec<f32> = (0..wg.n()).map(|i| i as f32).collect();
         let xb: Vec<f32> = (0..wg.n()).map(|i| (i * i) as f32 * 0.1).collect();
         let sum: Vec<f32> = xa.iter().zip(&xb).map(|(a, b)| a + b).collect();
@@ -175,7 +177,7 @@ mod tests {
     #[test]
     fn sssp_from_unreachable_root() {
         let wg = toy();
-        let engine = WMixenEngine::new(&wg, MixenOpts::default());
+        let engine = MixenEngine::try_weighted(&wg, MixenOpts::default()).unwrap();
         let d = sssp(&engine, 5, 20);
         assert_eq!(d[5], 0.0);
         assert!(d[..5].iter().all(|x| x.is_infinite()));

@@ -7,14 +7,13 @@
 //! partition metadata the kernels iterate:
 //!
 //! * **naive** — `load_balance`, `gather_balance` and `skip_empty_blocks`
-//!   all off plus `kernel_width = 1` and `prefetch_distance = 0`: one
-//!   fixed-height task per block-row, one task per block-column, skip
-//!   lists that enumerate *every* block, and strictly scalar inner loops —
-//!   the pre-tuning walk.
+//!   all off: one fixed-height task per block-row, one task per
+//!   block-column, skip lists that enumerate *every* block.
 //! * **tuned** — `MixenOpts::default()`: §4.2 nnz-proportional scatter-row
-//!   splits and gather-column chunks, nonempty-block skip lists, the
-//!   unrolled SIMD-width copy/combine kernels and software prefetch at the
-//!   default distance.
+//!   splits and gather-column chunks, nonempty-block skip lists.
+//!
+//! The inner loops (4-wide unroll, one-entry prefetch look-ahead) are
+//! constants of `scga.rs`, the same on both sides.
 //!
 //! Per dataset and kernel the table reports naive and tuned seconds per
 //! call, the ratio, and the achieved bin bandwidth in GB/s (streamed bin
@@ -25,8 +24,8 @@
 //! against the Scatter-time accuracy budget. The JSON sidecar
 //! (`results/kernels_small.json`) is the committed regression baseline
 //! that CI parses for schema drift. The `identical` flag asserts the two
-//! variants produced bit-for-bit equal SpMV outputs — scheduling, width
-//! and prefetch changes must never leak into the numerics.
+//! variants produced bit-for-bit equal SpMV outputs — scheduling changes
+//! must never leak into the numerics.
 
 use std::sync::atomic::{AtomicI32, Ordering};
 
@@ -267,8 +266,6 @@ fn main() {
             load_balance: false,
             gather_balance: false,
             skip_empty_blocks: false,
-            kernel_width: 1,
-            prefetch_distance: 0,
             ..tuned_opts
         };
         let filtered = FilteredGraph::with_ordering(&g, tuned_opts.ordering);

@@ -14,9 +14,9 @@
 
 use mixen_graph::nid;
 use mixen_graph::{Csr, GraphError, PropValue};
-use rayon::prelude::*;
 
 use crate::block::BlockedSubgraph;
+use crate::weights::{Unweighted, WeightRun};
 
 /// Value encoding of the dynamic bins.
 ///
@@ -154,8 +154,9 @@ pub fn f16_from_f32(v: f32) -> u16 {
     sign | rounded as u16
 }
 
-/// Decodes IEEE binary16 bits to `f32` (arithmetic path; exact).
-fn f16_to_f32_arith(bits: u16) -> f32 {
+/// Decodes IEEE binary16 bits to `f32` (exact).
+#[inline]
+pub fn f16_to_f32(bits: u16) -> f32 {
     // lint: allow(truncation) reason=widening u16 bit-field extractions, not ids
     let sign = ((bits as u32) & 0x8000) << 16;
     // lint: allow(truncation) reason=widening u16 bit-field extractions, not ids
@@ -176,25 +177,6 @@ fn f16_to_f32_arith(bits: u16) -> f32 {
         _ => sign | ((exp + 127 - 15) << 23) | (man << 13),
     };
     f32::from_bits(out)
-}
-
-/// Decodes IEEE binary16 bits to `f32`.
-///
-/// With the `f16-bins` feature a 64 Ki-entry lookup table (built once from
-/// the arithmetic path, so the two are bit-identical by construction)
-/// replaces the bit manipulation — a worthwhile trade on gather-bound
-/// runs, where the table stays resident next to the streams it decodes.
-#[inline]
-pub fn f16_to_f32(bits: u16) -> f32 {
-    #[cfg(feature = "f16-bins")]
-    {
-        static TABLE: std::sync::OnceLock<Vec<f32>> = std::sync::OnceLock::new();
-        let table =
-            TABLE.get_or_init(|| (0..=u16::MAX).map(f16_to_f32_arith).collect::<Vec<f32>>());
-        table[bits as usize]
-    }
-    #[cfg(not(feature = "f16-bins"))]
-    f16_to_f32_arith(bits)
 }
 
 /// The per-Scatter codec of a compressed bin round: encoding plus the Q16
@@ -475,7 +457,8 @@ impl<V: PropValue> DynamicBins<V> {
 
 impl<V: PropValue> TaskBins<V> {
     /// The full-width value stream for block-column `j` (empty under a
-    /// compressed encoding — the kernels then read [`TaskBins::packed_col`]).
+    /// compressed encoding — the kernels then read the crate-private
+    /// packed stream).
     #[inline]
     pub fn col(&self, j: usize) -> &[V] {
         &self.per_col[j]
@@ -518,34 +501,72 @@ pub struct StaticBin<V> {
     vals: Vec<V>,
 }
 
+/// Seed-row parts per pool lane in [`StaticBin::compute`]; more than one so
+/// that work-stealing can even out seeds of unequal degree. The part
+/// boundaries fix the combine order, so for a given lane count the bin is
+/// reproducible bit for bit.
+const PRE_PARTS_PER_LANE: usize = 4;
+
 impl<V: PropValue> StaticBin<V> {
     /// Pre-Phase: pushes every seed's value along its seed→regular edges and
-    /// accumulates per destination. Parallelized as a fold over seed-row
-    /// chunks with a tree reduction.
+    /// accumulates per destination. Seed rows are split into
+    /// [`PRE_PARTS_PER_LANE`] contiguous parts per pool lane, each part
+    /// accumulates into a vector of its own, and the parts are combined per
+    /// destination in part order.
     pub fn compute(seed_csr: &Csr, seed_vals: &[V], r: usize) -> Self {
+        Self::compute_weighted(seed_csr, seed_vals, r, Unweighted)
+    }
+
+    /// [`StaticBin::compute`] under an edge-weight run aligned with
+    /// `seed_csr.idx()`: caches `⊕ seed ⊗ w`.
+    pub(crate) fn compute_weighted(
+        seed_csr: &Csr,
+        seed_vals: &[V],
+        r: usize,
+        w: impl WeightRun,
+    ) -> Self {
         assert_eq!(seed_csr.n_rows(), seed_vals.len());
         assert_eq!(seed_csr.n_cols(), r);
-        let vals = (0..nid(seed_csr.n_rows()))
-            .into_par_iter()
-            .fold(
-                || vec![V::identity(); r],
-                |mut acc, s| {
-                    let v = seed_vals[s as usize];
-                    for &d in seed_csr.neighbors(s) {
-                        acc[d as usize].combine(v);
-                    }
-                    acc
-                },
-            )
-            .reduce(
-                || vec![V::identity(); r],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
+        let n = seed_csr.n_rows();
+        let lanes = mixen_pool::current_num_threads();
+        let parts = if lanes <= 1 {
+            1
+        } else {
+            (lanes * PRE_PARTS_PER_LANE).min(n.max(1))
+        };
+        // All accumulators come from the calling thread's allocator. A pool
+        // worker allocating its own `r`-length vector takes it from that
+        // thread's malloc arena, and whether the arena maps and unmaps a
+        // sub-heap for it on every call depends on what the worker happened
+        // to allocate earlier: the same call then costs 1x or 2x from one
+        // process to the next (`results/e2e_ab_pr12.txt`, "Reading").
+        let mut accs: Vec<Vec<V>> = (0..parts).map(|_| vec![V::identity(); r]).collect();
+        let ptr = seed_csr.ptr();
+        mixen_pool::par_chunks_mut(&mut accs, 1, |part, acc| {
+            let acc = &mut acc[0];
+            for s in n * part / parts..n * (part + 1) / parts {
+                let v = seed_vals[s];
+                let base = ptr[s];
+                for (i, &d) in seed_csr.neighbors(nid(s)).iter().enumerate() {
+                    acc[d as usize].combine(w.scale(v, base + i));
+                }
+            }
+        });
+        let mut accs = accs.into_iter();
+        let mut vals = accs.next().unwrap_or_default();
+        let rest: Vec<Vec<V>> = accs.collect();
+        if !rest.is_empty() {
+            // Parts ascending for every destination, so a value's bits do
+            // not depend on how the destinations are chunked.
+            let chunk = r.div_ceil(parts).max(1);
+            mixen_pool::par_chunks_mut(&mut vals, chunk, |c, out| {
+                for acc in &rest {
+                    for (x, &y) in out.iter_mut().zip(&acc[c * chunk..]) {
                         x.combine(y);
                     }
-                    a
-                },
-            );
+                }
+            });
+        }
         Self { vals }
     }
 
@@ -640,6 +661,48 @@ mod tests {
         assert_eq!(sta.values(), &[[0.0, 0.0], [1.0, 2.0]]);
     }
 
+    /// Pins the combine order: seed rows in order within a part, parts
+    /// ascending per destination.
+    #[test]
+    fn static_bin_bits_are_the_ordered_part_fold() {
+        let (n, r) = (1003usize, 97usize);
+        let mut seed = 0x9e37_79b9u32;
+        let mut next = || {
+            seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            seed >> 8
+        };
+        let mut edges = Vec::new();
+        for s in 0..n {
+            for _ in 0..next() % 7 {
+                edges.push((nid(s), next() % nid(r)));
+            }
+        }
+        let seed_csr = Csr::from_edges_rect(n, r, &edges);
+        let vals: Vec<[f32; 2]> = (0..n)
+            .map(|_| [next() as f32 / 3.0e6, 1.0 / (1 + next() % 1000) as f32])
+            .collect();
+        for lanes in [1usize, 2, 3] {
+            let got = mixen_pool::with_threads(lanes, || StaticBin::compute(&seed_csr, &vals, r));
+            let parts = if lanes == 1 { 1 } else { lanes * 4 };
+            let mut want = vec![<[f32; 2]>::identity(); r];
+            for part in 0..parts {
+                let mut acc = vec![<[f32; 2]>::identity(); r];
+                for s in n * part / parts..n * (part + 1) / parts {
+                    for &d in seed_csr.neighbors(nid(s)) {
+                        acc[d as usize].combine(vals[s]);
+                    }
+                }
+                for (x, y) in want.iter_mut().zip(acc) {
+                    x.combine(y);
+                }
+            }
+            let bits = |v: &[[f32; 2]]| -> Vec<[u32; 2]> {
+                v.iter().map(|x| x.map(f32::to_bits)).collect()
+            };
+            assert_eq!(bits(got.values()), bits(&want), "lanes {lanes}");
+        }
+    }
+
     #[test]
     fn f16_round_trip_is_exact_for_representable_values() {
         // Values with <= 10 mantissa bits and in-range exponents survive
@@ -716,19 +779,5 @@ mod tests {
             assert_eq!(BinEncoding::parse(enc.name()), Some(enc));
         }
         assert_eq!(BinEncoding::parse("brotli"), None);
-    }
-
-    /// The LUT decode path (feature `f16-bins`) is built from the arithmetic
-    /// path, so the two must agree bit-for-bit on every possible pattern.
-    #[test]
-    fn f16_decode_paths_agree_on_all_bit_patterns() {
-        for bits in 0..=u16::MAX {
-            let lut = f16_to_f32(bits);
-            let arith = f16_to_f32_arith(bits);
-            assert!(
-                lut.to_bits() == arith.to_bits() || (lut.is_nan() && arith.is_nan()),
-                "bits {bits:#06x}: lut {lut} vs arith {arith}"
-            );
-        }
     }
 }

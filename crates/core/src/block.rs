@@ -157,17 +157,14 @@ pub struct ChunkIndex {
     /// Per-block destination runs, `d` ascending within each block.
     pub runs: Box<[DestRun]>,
     /// Per edge: the message slot (streamed-bin value index) it draws
-    /// from, grouped by run, in run order.
+    /// from, grouped by run, in run order. A weighted engine aligns its
+    /// chunk weights with this array.
     pub slots: Box<[u32]>,
-    /// Per edge, parallel to `slots`: its absolute position in the
-    /// block's `dests` — the per-edge weight index for the weighted
-    /// engine, whose weights sit parallel to `dests`.
-    pub wpos: Box<[u32]>,
 }
 
 impl ChunkIndex {
     /// The destination runs of the `bi`-th nonempty block-row of the
-    /// task's column. `slots`/`wpos` entries for these runs follow the
+    /// task's column. `slots` entries for these runs follow the
     /// walk order (blocks outer, runs inner), so kernels keep one running
     /// cursor across the whole task.
     #[inline]
@@ -226,10 +223,6 @@ pub struct BlockedSubgraph {
     /// chunk of its column (full-column tasks filter nothing).
     chunk_indexes: Vec<Option<ChunkIndex>>,
     split_stats: SplitStats,
-    /// Inner-loop unroll width the SCGA kernels run at (1, 2, 4 or 8).
-    kernel_width: usize,
-    /// Software-prefetch look-ahead of the kernels (0 disables).
-    prefetch_distance: usize,
 }
 
 impl BlockedSubgraph {
@@ -257,12 +250,6 @@ impl BlockedSubgraph {
             reg_csr.n_rows(),
             reg_csr.n_cols(),
             "regular CSR must be square"
-        );
-        assert!(
-            crate::opts::KERNEL_WIDTHS.contains(&opts.kernel_width),
-            "kernel_width {} is not one of {:?}",
-            opts.kernel_width,
-            crate::opts::KERNEL_WIDTHS
         );
         let r = reg_csr.n_rows();
         let hub_end = num_hub.min(r);
@@ -314,23 +301,7 @@ impl BlockedSubgraph {
             gather_tasks,
             chunk_indexes,
             split_stats,
-            kernel_width: opts.kernel_width,
-            prefetch_distance: opts.prefetch_distance,
         }
-    }
-
-    /// Inner-loop unroll width of the SCGA kernels over this partition
-    /// ([`MixenOpts::kernel_width`]; bit-for-bit identical across widths).
-    #[inline]
-    pub fn kernel_width(&self) -> usize {
-        self.kernel_width
-    }
-
-    /// Software-prefetch look-ahead of the SCGA kernels
-    /// ([`MixenOpts::prefetch_distance`]; 0 disables).
-    #[inline]
-    pub fn prefetch_distance(&self) -> usize {
-        self.prefetch_distance
     }
 
     /// End of the pinned hub domain (`0` when no domain was declared).
@@ -626,10 +597,7 @@ impl BlockedSubgraph {
             let matches = match (got, want) {
                 (None, None) => true,
                 (Some(g), Some(w)) => {
-                    g.block_ptr == w.block_ptr
-                        && g.runs == w.runs
-                        && g.slots == w.slots
-                        && g.wpos == w.wpos
+                    g.block_ptr == w.block_ptr && g.runs == w.runs && g.slots == w.slots
                 }
                 _ => false,
             };
@@ -639,11 +607,6 @@ impl BlockedSubgraph {
                 ));
             }
         }
-        // Kernel-width identity: the configured unroll width must walk the
-        // partition bit-for-bit like the scalar path — the contract the
-        // unchecked SIMD-width loops in `scga` cite in their SAFETY
-        // comments.
-        crate::scga::width_identity_check(self)?;
         Ok(())
     }
 }
@@ -874,7 +837,6 @@ fn build_chunk_indexes(
             block_ptr.push(0u32);
             let mut runs = Vec::new();
             let mut slots = Vec::new();
-            let mut wpos = Vec::new();
             let mut cnt = vec![0u32; w];
             for &ti in list.iter() {
                 let blk = &rows[ti as usize].blocks[j];
@@ -904,19 +866,15 @@ fn build_chunk_indexes(
                     }
                 }
                 slots.resize(base_out + total as usize, 0);
-                wpos.resize(base_out + total as usize, 0);
                 // Pass 2: place each edge, slots ascending per destination
                 // because `k` ascends.
                 for k in 0..blk.msg_count() {
-                    let base = blk.dest_ptr[k] as usize;
                     let run = blk.dests_of(k);
                     let a = run.partition_point(|&d| d < t.d_lo);
                     let b = run.partition_point(|&d| d < t.d_hi);
-                    for (p, &d) in run[a..b].iter().enumerate() {
+                    for &d in &run[a..b] {
                         let slot = &mut off[(d - t.d_lo) as usize];
-                        let out = base_out + *slot as usize;
-                        slots[out] = nid(k);
-                        wpos[out] = nid(base + a + p);
+                        slots[base_out + *slot as usize] = nid(k);
                         *slot += 1;
                     }
                 }
@@ -926,7 +884,6 @@ fn build_chunk_indexes(
                 block_ptr: block_ptr.into_boxed_slice(),
                 runs: runs.into_boxed_slice(),
                 slots: slots.into_boxed_slice(),
-                wpos: wpos.into_boxed_slice(),
             })
         })
         .collect()
@@ -1268,22 +1225,17 @@ mod tests {
                     chunked += 1;
                     assert!(!t.is_full_column(width));
                     assert_eq!(ci.block_ptr.len(), b.nonempty_rows(j).len() + 1);
-                    assert_eq!(ci.wpos.len(), ci.slots.len());
                     // Runs hold exactly the task's nnz, every run sits in
                     // the task's range, and every contribution points back
-                    // at a real (slot, dests-position) edge of its block.
+                    // at a message slot of its block that reaches `run.d`.
                     let mut cursor = 0usize;
                     for (bi, &ti) in b.nonempty_rows(j).iter().enumerate() {
                         let blk = &b.rows()[ti as usize].blocks[j];
                         for run in ci.runs_of(bi) {
                             assert!(t.d_lo <= run.d && run.d < t.d_hi);
                             assert!(run.len > 0);
-                            let span = cursor..cursor + run.len as usize;
-                            for (&k, &p) in ci.slots[span.clone()].iter().zip(&ci.wpos[span]) {
-                                assert_eq!(blk.dests[p as usize], run.d);
-                                let (k, p) = (k as usize, p as usize);
-                                assert!((blk.dest_ptr[k] as usize..blk.dest_ptr[k + 1] as usize)
-                                    .contains(&p));
+                            for &k in &ci.slots[cursor..cursor + run.len as usize] {
+                                assert!(blk.dests_of(k as usize).contains(&run.d));
                             }
                             cursor += run.len as usize;
                         }

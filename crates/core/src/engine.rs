@@ -20,6 +20,9 @@
 //!   bit-comparable to a conventional engine running the same number of
 //!   synchronous iterations.
 //!
+//! Edge weights are a parameter of this pipeline, not a second one: see
+//! [`crate::weights`] and [`MixenEngine::try_weighted`].
+//!
 //! BFS (a non-link-analysis control in the paper) runs on the same blocked
 //! structure with frontier-sparse scatter and a dense fallback; it gains
 //! nothing from the Cache step, as the paper notes.
@@ -27,15 +30,16 @@
 use mixen_graph::nid;
 use std::sync::atomic::{AtomicI32, Ordering};
 
-use mixen_graph::{Classification, Graph, GraphError, NodeId, PropValue};
+use mixen_graph::{Classification, Graph, GraphError, NodeId, PropValue, WGraph};
 use rayon::prelude::*;
 
-use crate::bins::{DynamicBins, StaticBin};
+use crate::bins::{BinEncoding, DynamicBins, StaticBin};
 use crate::block::BlockedSubgraph;
 use crate::filter::FilteredGraph;
 use crate::model::PerfModel;
 use crate::obs::{Json, Metrics, Span};
 use crate::opts::MixenOpts;
+use crate::weights::{Unweighted, WeightRun, Weighted, Weights};
 
 /// Wall-clock breakdown of one [`MixenEngine::iterate_with_stats`] run,
 /// following the paper's phase vocabulary (§4.3).
@@ -92,11 +96,17 @@ impl PhaseStats {
     }
 }
 
-/// The Mixen engine: preprocessed state plus iteration drivers.
+/// The Mixen engine: preprocessed state plus the iteration driver.
+///
+/// `W` is the edge-weight parameter (see [`crate::weights`]): the default
+/// [`Unweighted`] is zero-sized and compiles `⊗` away, [`Weighted`] carries
+/// the `f32` weights of a [`WGraph`] and computes
+/// `x'[v] = apply(v, ⊕_{u→v} x[u] ⊗ w(u,v))`.
 #[derive(Clone, Debug)]
-pub struct MixenEngine {
+pub struct MixenEngine<W = Unweighted> {
     filtered: FilteredGraph,
     blocked: BlockedSubgraph,
+    weights: W,
     opts: MixenOpts,
     filter_seconds: f64,
     partition_seconds: f64,
@@ -151,31 +161,17 @@ impl MixenEngine {
                 panic!("strict-invariants: {e}");
             }
         }
-        let metrics = Metrics::default();
-        let stats = blocked.split_stats();
-        metrics.tasks_split.set(stats.tasks_split());
-        metrics.max_task_nnz.set(stats.max_task_nnz());
-        metrics.reorder_policy.set(opts.ordering.policy_id());
-        metrics
-            .relabel_micros
-            // lint: allow(truncation) reason=guarded: non-negative wall-clock micros far below 2^53
-            .set((filtered.relabel_seconds() * 1e6) as u64);
-        metrics.hub_domain_side.set(blocked.block_side() as u64);
-        metrics.kernel_width.set(blocked.kernel_width() as u64);
-        metrics
-            .prefetch_distance
-            .set(blocked.prefetch_distance() as u64);
-        // Stamps the *requested* encoding; runs re-stamp the effective one
-        // (which depends on the property type V).
-        metrics.bin_encoding.set(opts.bin_encoding.encoding_id());
-        Self {
+        let engine = Self {
             filtered,
             blocked,
+            weights: Unweighted,
             opts,
             filter_seconds,
             partition_seconds,
-            metrics,
-        }
+            metrics: Metrics::default(),
+        };
+        engine.stamp_gauges(opts.bin_encoding);
+        engine
     }
 
     /// Like [`MixenEngine::new`], but validates the options and the
@@ -191,16 +187,56 @@ impl MixenEngine {
                 opts.balance_factor
             )));
         }
-        if !crate::opts::KERNEL_WIDTHS.contains(&opts.kernel_width) {
-            return Err(GraphError::Invariant(format!(
-                "kernel_width must be one of {:?}, got {}",
-                crate::opts::KERNEL_WIDTHS,
-                opts.kernel_width
-            )));
-        }
         let engine = Self::new(g, opts);
         engine.validate()?;
         Ok(engine)
+    }
+}
+
+impl MixenEngine<Weighted> {
+    /// Preprocesses a weighted graph: [`MixenEngine::try_new`] over its
+    /// topology (same option checks and invariant validation), then the
+    /// weights are aligned with every static sub-structure. The alignment
+    /// time is part of [`MixenEngine::partition_seconds`].
+    pub fn try_weighted(wg: &WGraph, opts: MixenOpts) -> Result<Self, GraphError> {
+        let base = MixenEngine::try_new(wg.topology(), opts)?;
+        let mut align_seconds = 0.0;
+        let weights = {
+            let _span = Span::new(&mut align_seconds);
+            Weighted::align(wg, &base.filtered, &base.blocked)?
+        };
+        Ok(Self {
+            filtered: base.filtered,
+            blocked: base.blocked,
+            weights,
+            opts: base.opts,
+            filter_seconds: base.filter_seconds,
+            partition_seconds: base.partition_seconds + align_seconds,
+            metrics: base.metrics,
+        })
+    }
+}
+
+impl<W: Weights> MixenEngine<W> {
+    /// Stamps the gauges that describe the (unchanging) partition and
+    /// relabel policy, plus `encoding` — the requested bin encoding at
+    /// construction, the effective one for the property type at each run.
+    /// Runs re-stamp so a per-run `metrics().reset()` does not lose them.
+    fn stamp_gauges(&self, encoding: BinEncoding) {
+        let split = self.blocked.split_stats();
+        self.metrics.tasks_split.set(split.tasks_split());
+        self.metrics.max_task_nnz.set(split.max_task_nnz());
+        self.metrics
+            .reorder_policy
+            .set(self.opts.ordering.policy_id());
+        self.metrics
+            .relabel_micros
+            // lint: allow(truncation) reason=guarded: non-negative wall-clock micros far below 2^53
+            .set((self.filtered.relabel_seconds() * 1e6) as u64);
+        self.metrics
+            .hub_domain_side
+            .set(self.blocked.block_side() as u64);
+        self.metrics.bin_encoding.set(encoding.encoding_id());
     }
 
     /// Cross-checks the preprocessing invariants the iteration drivers rely
@@ -269,42 +305,19 @@ impl MixenEngine {
     }
 
     /// Runs `iters` synchronous iterations of
-    /// `x'[v] = apply(v, Σ_{u→v} x[u])` and returns the final values in
-    /// original-ID order. `init` provides iteration-0 values; both closures
-    /// receive original node IDs.
+    /// `x'[v] = apply(v, ⊕_{u→v} x[u] ⊗ w(u,v))` and returns the final
+    /// values in original-ID order. `init` provides iteration-0 values;
+    /// both closures receive original node IDs.
     ///
     /// Panics if a compressed bin encoding rejects the value range;
-    /// fallible callers use [`MixenEngine::try_iterate`].
+    /// fallible callers use [`MixenEngine::try_run`].
     pub fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
     where
         V: PropValue,
         FI: Fn(NodeId) -> V + Sync,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        self.try_iterate(init, apply, iters).unwrap_or_else(|e| {
-            // lint: allow(panic) reason=infallible under the default F32 bins; compressed encodings surface budget violations through try_iterate
-            panic!("iterate: {e}")
-        })
-    }
-
-    /// Fallible [`MixenEngine::iterate`]: a compressed bin encoding whose
-    /// measured accuracy budget is violated surfaces as
-    /// [`GraphError::Numeric`] (stamped with the failing iteration) instead
-    /// of panicking. Infallible under the default `F32` encoding.
-    pub fn try_iterate<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        iters: usize,
-    ) -> Result<Vec<V>, GraphError>
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        Ok(self
-            .try_run(init, apply, iters, None, &mut PhaseStats::default())?
-            .0)
+        self.run(init, apply, iters, None).0
     }
 
     /// Like [`MixenEngine::iterate`], additionally returning the per-phase
@@ -320,15 +333,7 @@ impl MixenEngine {
         FI: Fn(NodeId) -> V + Sync,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        let mut stats = PhaseStats::default();
-        let (vals, performed) = self
-            .try_run(init, apply, iters, None, &mut stats)
-            .unwrap_or_else(|e| {
-                // lint: allow(panic) reason=infallible under the default F32 bins; compressed encodings surface budget violations through try_iterate
-                panic!("iterate_with_stats: {e}")
-            });
-        stats.iterations = performed;
-        (vals, stats)
+        self.run(init, apply, iters, None)
     }
 
     /// Iterates until the regular nodes' values change by at most `tol`
@@ -346,44 +351,46 @@ impl MixenEngine {
         FI: Fn(NodeId) -> V + Sync,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        self.try_iterate_until(init, apply, tol, max_iters)
-            .unwrap_or_else(|e| {
-                // lint: allow(panic) reason=infallible under the default F32 bins; compressed encodings surface budget violations through try_iterate_until
-                panic!("iterate_until: {e}")
-            })
+        let (vals, stats) = self.run(init, apply, max_iters, Some(tol));
+        (vals, stats.iterations)
     }
 
-    /// Fallible [`MixenEngine::iterate_until`]; see
-    /// [`MixenEngine::try_iterate`] for the error contract.
-    pub fn try_iterate_until<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        tol: f64,
-        max_iters: usize,
-    ) -> Result<(Vec<V>, usize), GraphError>
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        self.try_run(
-            init,
-            apply,
-            max_iters,
-            Some(tol),
-            &mut PhaseStats::default(),
-        )
-    }
-
-    fn try_run<V, FI, FA>(
+    /// [`MixenEngine::try_run`] for the infallible fronts.
+    fn run<V, FI, FA>(
         &self,
         init: FI,
         apply: FA,
         max_iters: usize,
         tol: Option<f64>,
-        stats: &mut PhaseStats,
-    ) -> Result<(Vec<V>, usize), GraphError>
+    ) -> (Vec<V>, PhaseStats)
+    where
+        V: PropValue,
+        FI: Fn(NodeId) -> V + Sync,
+        FA: Fn(NodeId, V) -> V + Sync,
+    {
+        self.try_run(init, apply, max_iters, tol)
+            .unwrap_or_else(|e| {
+                // lint: allow(panic) reason=infallible under the default F32 bins; compressed encodings surface budget violations through try_run
+                panic!("mixen run: {e}")
+            })
+    }
+
+    /// The one Pre→Main→Post driver: at most `max_iters` iterations,
+    /// stopping early once the regular nodes' values change by at most
+    /// `tol` (max-norm) when one is given. Returns the values in
+    /// original-ID order and the per-phase breakdown
+    /// ([`PhaseStats::iterations`] is the number performed).
+    ///
+    /// A compressed bin encoding whose measured accuracy budget is violated
+    /// surfaces as [`GraphError::Numeric`] stamped with the failing
+    /// iteration; infallible under the default `F32` encoding.
+    pub fn try_run<V, FI, FA>(
+        &self,
+        init: FI,
+        apply: FA,
+        max_iters: usize,
+        tol: Option<f64>,
+    ) -> Result<(Vec<V>, PhaseStats), GraphError>
     where
         V: PropValue,
         FI: Fn(NodeId) -> V + Sync,
@@ -393,9 +400,10 @@ impl MixenEngine {
         let n = f.n();
         let r = f.num_regular();
         let s = f.num_seed();
+        let mut stats = PhaseStats::default();
 
         if max_iters == 0 {
-            return Ok(((0..nid(n)).into_par_iter().map(&init).collect(), 0));
+            return Ok(((0..nid(n)).into_par_iter().map(&init).collect(), stats));
         }
 
         // Seed values are constant for the whole run.
@@ -409,8 +417,7 @@ impl MixenEngine {
         let sta: StaticBin<V> = {
             let _span = Span::new(&mut stats.pre_seconds);
             if self.opts.cache_step {
-                self.metrics.static_bin_recomputes.inc();
-                StaticBin::compute(f.seed_csr(), &seed_vals, r)
+                self.seed_push(&seed_vals)
             } else {
                 StaticBin::zero(r)
             }
@@ -425,39 +432,14 @@ impl MixenEngine {
             .collect();
         let mut y: Vec<V> = vec![V::identity(); r];
         self.prime(&mut y, &sta, &seed_vals);
-        let mut bins: DynamicBins<V> = DynamicBins::with_encoding(&self.blocked, self.opts.bin_encoding);
+        let mut bins: DynamicBins<V> =
+            DynamicBins::with_encoding(&self.blocked, self.opts.bin_encoding);
         self.metrics
             .dynamic_bin_slots
             .set(self.blocked.total_msg_slots() as u64);
-        // Re-stamp the partition and reorder gauges: a per-run
-        // `metrics().reset()` must not lose metadata that describes the
-        // (unchanged) partition and relabel policy.
-        let split = self.blocked.split_stats();
-        self.metrics.tasks_split.set(split.tasks_split());
-        self.metrics.max_task_nnz.set(split.max_task_nnz());
-        self.metrics
-            .reorder_policy
-            .set(self.opts.ordering.policy_id());
-        self.metrics
-            .relabel_micros
-            // lint: allow(truncation) reason=guarded: non-negative wall-clock micros far below 2^53
-            .set((self.filtered.relabel_seconds() * 1e6) as u64);
-        self.metrics
-            .hub_domain_side
-            .set(self.blocked.block_side() as u64);
-        self.metrics
-            .kernel_width
-            .set(self.blocked.kernel_width() as u64);
-        self.metrics
-            .prefetch_distance
-            .set(self.blocked.prefetch_distance() as u64);
-        // The *effective* encoding for this run's property type V.
-        self.metrics
-            .bin_encoding
-            .set(bins.encoding().encoding_id());
+        self.stamp_gauges(bins.encoding());
         let mut prev: Vec<V> = if tol.is_some() { x.clone() } else { Vec::new() };
 
-        let mut performed = 0usize;
         for t in 0..max_iters {
             let last_fixed = tol.is_none() && t + 1 == max_iters;
             if tol.is_some() {
@@ -486,15 +468,14 @@ impl MixenEngine {
             if !last_fixed && !self.opts.cache_step {
                 // Ablation: redo the seed push and re-prime x by hand, the
                 // redundant traffic Mixen normally avoids.
-                self.metrics.static_bin_recomputes.inc();
-                let fresh = StaticBin::compute(f.seed_csr(), &seed_vals, r);
-                x.copy_from_slice(fresh.values());
+                x.copy_from_slice(self.seed_push(&seed_vals).values());
             }
             // Gather + Apply (parallel over block-columns).
             {
                 let _span = Span::new(&mut stats.gather_seconds);
-                crate::scga::gather_with(
+                crate::scga::gather_weighted(
                     &self.blocked,
+                    &self.weights,
                     &bins,
                     &mut y,
                     |new, sum| apply(f.to_old(new), sum),
@@ -502,7 +483,7 @@ impl MixenEngine {
                 );
             }
             std::mem::swap(&mut x, &mut y);
-            performed += 1;
+            stats.iterations += 1;
             if let Some(tol) = tol {
                 let diff = mixen_graph::max_diff(&x, &prev);
                 // Re-prime the (now dead) y for the next round.
@@ -520,7 +501,19 @@ impl MixenEngine {
             let _span = Span::new(&mut stats.post_seconds);
             self.assemble(&x, x_prev, &seed_vals, &apply)
         };
-        Ok((out, performed))
+        Ok((out, stats))
+    }
+
+    /// The seed push `⊕ seed ⊗ w` into a fresh static bin: once per run in
+    /// the Pre-Phase, or redundantly wherever the Cache step is ablated.
+    fn seed_push<V: PropValue>(&self, seed_vals: &[V]) -> StaticBin<V> {
+        self.metrics.static_bin_recomputes.inc();
+        StaticBin::compute_weighted(
+            self.filtered.seed_csr(),
+            seed_vals,
+            self.filtered.num_regular(),
+            self.weights.seed(),
+        )
     }
 
     /// Primes an accumulator with the static-bin contents (or recomputes the
@@ -530,9 +523,7 @@ impl MixenEngine {
             self.metrics.static_bin_reuses.inc();
             y.copy_from_slice(sta.values());
         } else {
-            self.metrics.static_bin_recomputes.inc();
-            let fresh = StaticBin::compute(self.filtered.seed_csr(), seed_vals, y.len());
-            y.copy_from_slice(fresh.values());
+            y.copy_from_slice(self.seed_push(seed_vals).values());
         }
     }
 
@@ -549,17 +540,20 @@ impl MixenEngine {
         let sink_base = r + s;
 
         // Post-Phase: sinks pull from the final propagated values.
+        let sink_ptr = f.sink_csc().ptr();
+        let w = self.weights.sink();
         let sink_vals: Vec<V> = (0..nid(f.num_sink()))
             .into_par_iter()
             .map(|k| {
                 let mut sum = V::identity();
-                for &v in f.sink_csc().neighbors(k) {
+                let base = sink_ptr[k as usize];
+                for (i, &v) in f.sink_csc().neighbors(k).iter().enumerate() {
                     let msg = if (v as usize) < r {
                         x_prev[v as usize]
                     } else {
                         seed_vals[v as usize - r]
                     };
-                    sum.combine(msg);
+                    sum.combine(w.scale(msg, base + i));
                 }
                 apply(f.to_old(nid(sink_base) + k), sum)
             })
@@ -704,7 +698,6 @@ fn stamp_iteration(e: GraphError, t: usize) -> GraphError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixen_graph::Graph;
 
     /// Serial reference: x'[v] = apply(v, Σ_{u→v} x[u]).
     fn reference<V: PropValue>(
@@ -990,6 +983,163 @@ mod tests {
         let e = MixenEngine::new(&mixed_graph(), small_opts());
         assert!(e.filter_seconds() >= 0.0);
         assert!(e.partition_seconds() >= 0.0);
+    }
+
+    // ---- Weighted parameter ----
+
+    /// Serial weighted reference.
+    fn weighted_reference<V: PropValue>(
+        wg: &WGraph,
+        init: impl Fn(NodeId) -> V,
+        apply: impl Fn(NodeId, V) -> V,
+        iters: usize,
+    ) -> Vec<V> {
+        let n = wg.n();
+        let mut x: Vec<V> = (0..n as NodeId).map(&init).collect();
+        for _ in 0..iters {
+            x = (0..n as NodeId)
+                .map(|v| {
+                    let mut sum = V::identity();
+                    for (u, w) in wg.in_edges(v) {
+                        sum.combine(x[u as usize].scale_edge(w));
+                    }
+                    apply(v, sum)
+                })
+                .collect();
+        }
+        x
+    }
+
+    fn weighted_toy() -> WGraph {
+        // regular 0,1,2; seed 3; sink 4.
+        WGraph::from_triples(
+            5,
+            &[
+                (0, 1, 2.0),
+                (1, 2, 0.5),
+                (2, 0, 1.5),
+                (3, 0, 4.0),
+                (3, 4, 1.0),
+                (1, 4, 3.0),
+            ],
+        )
+    }
+
+    fn weighted(wg: &WGraph) -> MixenEngine<Weighted> {
+        MixenEngine::try_weighted(wg, small_opts()).unwrap()
+    }
+
+    #[test]
+    fn weighted_spmv_matches_reference() {
+        let wg = weighted_toy();
+        let e = weighted(&wg);
+        // Seed-fixed-point contract: in-degree-0 nodes start at apply(v, 0).
+        let g = wg.topology().clone();
+        let apply = |_: NodeId, s: f32| 0.5 * s + 1.0;
+        let init = move |v: NodeId| {
+            if g.in_degree(v) == 0 {
+                1.0
+            } else {
+                (v + 1) as f32
+            }
+        };
+        for iters in 0..5 {
+            let got = e.iterate::<f32, _, _>(&init, apply, iters);
+            let want = weighted_reference::<f32>(&wg, &init, apply, iters);
+            for (a, b) in got.iter().zip(&want) {
+                assert!((a - b).abs() < 1e-4, "iters {iters}: {got:?} vs {want:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_shot_weighted_spmv_by_hand() {
+        let wg = weighted_toy();
+        let e = weighted(&wg);
+        let y = e.iterate::<f32, _, _>(|v| (v + 1) as f32, |_, s| s, 1);
+        // y[0] = 1.5*x[2] + 4*x[3] = 4.5 + 16 = 20.5
+        // y[1] = 2*x[0] = 2; y[2] = 0.5*x[1] = 1
+        // y[4] = 1*x[3] + 3*x[1] = 4 + 6 = 10
+        assert_eq!(y, vec![20.5, 2.0, 1.0, 0.0, 10.0]);
+    }
+
+    #[test]
+    fn tropical_semiring_gives_shortest_paths() {
+        use mixen_graph::MinF32;
+        let wg = weighted_toy();
+        let e = weighted(&wg);
+        let root = 3u32;
+        let init = |v: NodeId| {
+            if v == root {
+                MinF32(0.0)
+            } else {
+                MinF32::identity()
+            }
+        };
+        let apply = move |v: NodeId, s: MinF32| {
+            let mut out = s;
+            out.combine(if v == root {
+                MinF32(0.0)
+            } else {
+                MinF32::identity()
+            });
+            out
+        };
+        let (dist, _) = e.iterate_until(init, apply, 0.0, 50);
+        // 3->0 = 4; 3->0->1 = 6; ->2 = 6.5; 3->4 = 1 (vs 3->0->1->4 = 9).
+        assert_eq!(dist[3].0, 0.0);
+        assert_eq!(dist[0].0, 4.0);
+        assert_eq!(dist[1].0, 6.0);
+        assert_eq!(dist[2].0, 6.5);
+        assert_eq!(dist[4].0, 1.0);
+    }
+
+    #[test]
+    fn weighted_phase_stats_and_metrics_are_recorded() {
+        let wg = weighted_toy();
+        let e = weighted(&wg);
+        let (vals, stats) = e.iterate_with_stats::<f32, _, _>(|v| (v + 1) as f32, |_, s| s, 3);
+        assert_eq!(stats.iterations, 3);
+        assert!(stats.pre_seconds >= 0.0);
+        assert!(stats.main_seconds() >= 0.0);
+        assert!(stats.post_seconds >= 0.0);
+        let plain = e.iterate::<f32, _, _>(|v| (v + 1) as f32, |_, s| s, 3);
+        assert_eq!(vals, plain);
+        let snap = e.metrics().snapshot();
+        let reg_nnz = e.filtered().reg_csr().nnz() as u64;
+        // Two runs of 3 iterations each hit the gather kernel 6 times.
+        assert_eq!(snap.get("edges_gathered"), 6 * reg_nnz);
+        assert_eq!(snap.get("edges_scattered"), 6 * reg_nnz);
+        // One weighted static-bin build per run entry.
+        assert_eq!(snap.get("static_bin_recomputes"), 2);
+    }
+
+    #[test]
+    fn weighted_zero_iterations_and_empty_graph() {
+        let wg = WGraph::from_triples(0, &[]);
+        let e = weighted(&wg);
+        assert!(e.iterate::<f32, _, _>(|_| 1.0, |_, s| s, 3).is_empty());
+        let wg = weighted_toy();
+        let e = weighted(&wg);
+        let got = e.iterate::<f32, _, _>(|v| v as f32, |_, _| f32::NAN, 0);
+        assert_eq!(got, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn try_weighted_validates_options_like_try_new() {
+        let wg = weighted_toy();
+        let zero_side = MixenOpts {
+            block_side: 0,
+            ..small_opts()
+        };
+        let bad_factor = MixenOpts {
+            balance_factor: f64::NAN,
+            ..small_opts()
+        };
+        for opts in [zero_side, bad_factor] {
+            let err = MixenEngine::try_weighted(&wg, opts).unwrap_err();
+            assert_eq!(err.kind_name(), "invariant");
+        }
     }
 
     #[test]

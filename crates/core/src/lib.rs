@@ -19,6 +19,10 @@
 //! 4. [`model`] provides the paper's §5 analytic memory-traffic and
 //!    random-access models.
 //!
+//! Edge weights are a parameter of that one pipeline ([`weights`]):
+//! `MixenEngine::try_weighted` runs the same three phases over a
+//! `WGraph` under any `PropValue` semiring.
+//!
 //! # Quick start
 //!
 //! ```
@@ -35,7 +39,6 @@
 
 pub mod bins;
 pub mod block;
-pub mod delta;
 pub mod engine;
 pub mod filter;
 pub mod model;
@@ -45,7 +48,7 @@ pub mod reorder;
 pub mod runner;
 pub mod scga;
 pub mod snap;
-pub mod wengine;
+pub mod weights;
 
 /// Atomics facade for the concurrency-audited sites (the SCGA claim flags
 /// and the watchdog handshake): under `model-check` these route through the
@@ -73,13 +76,12 @@ pub mod mc {
     pub use crate::scga::mc::SegProbe;
 }
 
+pub use bins::BinEncoding;
 pub use block::BlockedSubgraph;
-pub use delta::DeltaStats;
 pub use engine::{MixenEngine, PhaseStats};
 pub use filter::FilteredGraph;
 pub use model::PerfModel;
 pub use obs::{Json, Metrics, MetricsSnapshot, Span};
-pub use bins::BinEncoding;
 pub use opts::{MixenOpts, RegularOrdering};
 pub use reorder::{ReorderChoice, ReorderPolicy};
 pub use runner::{
@@ -87,4 +89,4 @@ pub use runner::{
     RunnerOpts, ValueCheck,
 };
 pub use snap::SnapCell;
-pub use wengine::WMixenEngine;
+pub use weights::{Unweighted, Weighted, Weights};

@@ -37,12 +37,11 @@
 //!   (Scatter side; the Gather drain saves the same amount again but the
 //!   counter tracks the written stream once per round so the ratio
 //!   `saved / (saved + streamed_scatter_half)` stays interpretable).
-//! * `kernel_width` / `prefetch_distance` / `bin_encoding` are gauges
-//!   mirroring the raw-speed knobs the engine was built with
-//!   (`MixenOpts::{kernel_width, prefetch_distance, bin_encoding}`; the
-//!   encoding gauge stamps `BinEncoding::encoding_id` — the *effective*
-//!   one per run, which falls back to 0/F32 for property types that cannot
-//!   compress).
+//! * `bin_encoding` is a gauge stamping `BinEncoding::encoding_id` of
+//!   `MixenOpts::bin_encoding` — the *effective* one per run, which falls
+//!   back to 0/F32 for property types that cannot compress. (The unroll
+//!   width and prefetch look-ahead of the kernels are constants of
+//!   `scga.rs`, not knobs, so they have no gauge.)
 //! * `tasks_split` / `max_task_nnz` are gauges describing the §4.2
 //!   nnz-proportional task split of the current partition: how many extra
 //!   tasks the balancer carved beyond the base grid (scatter-row splits +
@@ -141,7 +140,7 @@ impl Gauge {
 /// `mixen-serve` request path: the server keeps its own [`Metrics`] registry
 /// and exposes it at `/metrics`, merged with the resident engine's kernel
 /// counters (which use the same catalogue, so the merge is by name).
-pub const COUNTER_NAMES: [&str; 35] = [
+pub const COUNTER_NAMES: [&str; 33] = [
     "edges_scattered",
     "edges_gathered",
     "bin_bytes_streamed",
@@ -152,8 +151,6 @@ pub const COUNTER_NAMES: [&str; 35] = [
     "reorder_policy",
     "relabel_micros",
     "hub_domain_side",
-    "kernel_width",
-    "prefetch_distance",
     "bin_encoding",
     "static_bin_entries",
     "static_bin_reuses",
@@ -210,10 +207,6 @@ pub struct Metrics {
     /// Effective block side after GRASP hub-domain pinning, in nodes
     /// (equals the plain effective side when pinning is disengaged).
     pub hub_domain_side: Gauge,
-    /// Inner-loop unroll width of the SCGA kernels (1, 2, 4 or 8).
-    pub kernel_width: Gauge,
-    /// Software-prefetch look-ahead of the SCGA kernels (0 = disabled).
-    pub prefetch_distance: Gauge,
     /// Effective dynamic-bin value encoding
     /// (`BinEncoding::encoding_id`: 0 f32, 1 f16, 2 q16).
     pub bin_encoding: Gauge,
@@ -276,8 +269,6 @@ impl Metrics {
             ("reorder_policy", self.reorder_policy.get()),
             ("relabel_micros", self.relabel_micros.get()),
             ("hub_domain_side", self.hub_domain_side.get()),
-            ("kernel_width", self.kernel_width.get()),
-            ("prefetch_distance", self.prefetch_distance.get()),
             ("bin_encoding", self.bin_encoding.get()),
             ("static_bin_entries", self.static_bin_entries.get()),
             ("static_bin_reuses", self.static_bin_reuses.get()),
@@ -310,8 +301,6 @@ impl Metrics {
         self.reorder_policy.set(0);
         self.relabel_micros.set(0);
         self.hub_domain_side.set(0);
-        self.kernel_width.set(0);
-        self.prefetch_distance.set(0);
         self.bin_encoding.set(0);
         self.static_bin_entries.set(0);
         self.static_bin_reuses.set(0);
@@ -345,8 +334,6 @@ impl Clone for Metrics {
         m.reorder_policy.set(self.reorder_policy.get());
         m.relabel_micros.set(self.relabel_micros.get());
         m.hub_domain_side.set(self.hub_domain_side.get());
-        m.kernel_width.set(self.kernel_width.get());
-        m.prefetch_distance.set(self.prefetch_distance.get());
         m.bin_encoding.set(self.bin_encoding.get());
         m.static_bin_entries.set(self.static_bin_entries.get());
         m.static_bin_reuses.set(self.static_bin_reuses.get());

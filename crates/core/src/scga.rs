@@ -18,6 +18,18 @@ use rayon::prelude::*;
 use crate::bins::{plan_codec, BinCodec, DynamicBins};
 use crate::block::{Block, BlockedSubgraph, ChunkIndex};
 use crate::obs::Metrics;
+use crate::weights::{Unweighted, WeightRun, Weights};
+
+/// Unroll width of the value-stream inner loops: `UNROLL` independent
+/// front-loaded loads, then strictly sequential combines in slot order, so
+/// the walk is bit-for-bit the scalar one (pinned by the scalar-oracle
+/// property test `kernels_match_a_scalar_slot_order_walk_bit_for_bit`).
+const UNROLL: usize = 4;
+
+/// Software-prefetch look-ahead of the streaming kernels, in entries: the
+/// next dynamic-bin segment on Scatter and on the Gather column walk, the
+/// next destination run inside a chunk task.
+const PREFETCH_AHEAD: usize = 1;
 
 /// Best-effort read prefetch of the cache line holding `p`. Compiles to a
 /// single `prefetcht0` on x86-64 and to nothing elsewhere (aarch64's
@@ -110,52 +122,29 @@ pub fn scatter<V: PropValue>(
     bins: &mut DynamicBins<V>,
     prime: Option<&[V]>,
 ) {
-    scatter_with(blocked, x, bins, prime, None);
-}
-
-/// [`scatter`] with optional metrics: advances `edges_scattered` by the
-/// subgraph's edge count, `bin_bytes_streamed` by the compressed slot
-/// bytes actually written (2 per slot under a 16-bit encoding), and
-/// `bin_bytes_saved` by the traffic a compressed encoding avoided relative
-/// to full-width slots. Every nonempty block streams its full slot list
-/// per call, so these per-call totals are exact.
-pub fn scatter_with<V: PropValue>(
-    blocked: &BlockedSubgraph,
-    x: &mut [V],
-    bins: &mut DynamicBins<V>,
-    prime: Option<&[V]>,
-    metrics: Option<&Metrics>,
-) {
-    try_scatter_with(blocked, x, bins, prime, metrics).unwrap_or_else(|e| {
+    try_scatter_with(blocked, x, bins, prime, None).unwrap_or_else(|e| {
         // lint: allow(panic) reason=infallible for full-width bins; compressed encodings surface budget violations through try_scatter_with
         panic!("scatter: {e}")
     });
 }
 
-/// Fallible [`scatter_with`]: under a compressed bin encoding the round's
-/// codec is planned against `x` first ([`plan_codec`]) and a violated
-/// accuracy budget surfaces as [`GraphError::Numeric`] before anything is
-/// streamed. Full-width bins never fail.
+/// Fallible [`scatter`] with optional metrics. Under a compressed bin
+/// encoding the round's codec is planned against `x` first ([`plan_codec`])
+/// and a violated accuracy budget surfaces as [`GraphError::Numeric`]
+/// before anything is streamed; full-width bins never fail.
+///
+/// `metrics` advances `edges_scattered` by the subgraph's edge count,
+/// `bin_bytes_streamed` by the compressed slot bytes actually written (2
+/// per slot under a 16-bit encoding), and `bin_bytes_saved` by the traffic
+/// a compressed encoding avoided relative to full-width slots. Every
+/// nonempty block streams its full slot list per call, so these per-call
+/// totals are exact.
 pub fn try_scatter_with<V: PropValue>(
     blocked: &BlockedSubgraph,
     x: &mut [V],
     bins: &mut DynamicBins<V>,
     prime: Option<&[V]>,
     metrics: Option<&Metrics>,
-) -> Result<(), GraphError> {
-    try_scatter_at_width(blocked, x, bins, prime, metrics, blocked.kernel_width())
-}
-
-/// Width-pinned [`try_scatter_with`], backing [`width_identity_check`] and
-/// the cross-width identity tests. Production callers go through the
-/// partition's configured [`BlockedSubgraph::kernel_width`].
-pub fn try_scatter_at_width<V: PropValue>(
-    blocked: &BlockedSubgraph,
-    x: &mut [V],
-    bins: &mut DynamicBins<V>,
-    prime: Option<&[V]>,
-    metrics: Option<&Metrics>,
-    width: usize,
 ) -> Result<(), GraphError> {
     let codec = plan_codec::<V>(bins.encoding(), x)?;
     bins.set_codec(codec);
@@ -170,7 +159,6 @@ pub fn try_scatter_at_width<V: PropValue>(
         }
     }
     let packed = bins.encoding().is_compressed();
-    let dist = blocked.prefetch_distance();
     let rows = blocked.rows();
     let segs = split_by_rows(x, blocked);
     segs.par_iter()
@@ -181,18 +169,16 @@ pub fn try_scatter_at_width<V: PropValue>(
             let xseg = unsafe { xseg.as_slice_mut() };
             let cols = &row.nonempty_cols;
             for (i, &j) in cols.iter().enumerate() {
-                if dist > 0 {
-                    if let Some(&ja) = cols.get(i + dist) {
-                        // Touch the bin stream this task will fill `dist`
-                        // blocks from now, hiding its first-write miss.
-                        prefetch_read(task.col_prefetch_ptr(ja as usize));
-                    }
+                if let Some(&ja) = cols.get(i + PREFETCH_AHEAD) {
+                    // Touch the bin stream this task fills next, hiding
+                    // its first-write miss.
+                    prefetch_read(task.col_prefetch_ptr(ja as usize));
                 }
                 let blk = &row.blocks[j as usize];
                 if packed {
-                    stream_block_packed(blk, xseg, task.packed_col_mut(j as usize), codec, width);
+                    stream_block_packed(blk, xseg, task.packed_col_mut(j as usize), codec);
                 } else {
-                    stream_block_full(blk, xseg, task.col_mut(j as usize), width);
+                    stream_block_full(blk, xseg, task.col_mut(j as usize));
                 }
             }
             if let Some(p) = prime {
@@ -203,15 +189,16 @@ pub fn try_scatter_at_width<V: PropValue>(
 }
 
 /// Streams one block's source values into its full-width bin slots:
-/// `vals[k] = xseg[src_ids[k]]`, at unroll width `width`.
+/// `vals[k] = xseg[src_ids[k]]`.
 ///
 /// When the block's active sources form a contiguous run (common in the
 /// hub-dense front columns after relocation), the loop collapses to a
-/// straight `copy_from_slice` — a memcpy the compiler vectorizes
-/// regardless of the configured width. The general path is a `width`-wide
-/// chunked unchecked gather ([`copy_slots`]).
+/// straight `copy_from_slice`. The general path is [`UNROLL`]-wide chunks
+/// of independent unchecked loads feeding one contiguous store, plus a
+/// checked scalar tail; copies are element-wise, so the unroll can never
+/// change the stored values.
 #[inline]
-fn stream_block_full<V: PropValue>(blk: &Block, xseg: &[V], vals: &mut [V], width: usize) {
+fn stream_block_full<V: PropValue>(blk: &Block, xseg: &[V], vals: &mut [V]) {
     let ids = &blk.src_ids;
     debug_assert_eq!(vals.len(), ids.len());
     debug_assert!(ids.iter().all(|&s| (s as usize) < xseg.len()));
@@ -225,35 +212,17 @@ fn stream_block_full<V: PropValue>(blk: &Block, xseg: &[V], vals: &mut [V], widt
         vals.copy_from_slice(&xseg[first as usize..first as usize + len]);
         return;
     }
-    match width {
-        1 => copy_slots::<V, 1>(ids, xseg, vals),
-        2 => copy_slots::<V, 2>(ids, xseg, vals),
-        4 => copy_slots::<V, 4>(ids, xseg, vals),
-        _ => copy_slots::<V, 8>(ids, xseg, vals),
-    }
-}
-
-/// The general scatter copy at unroll width `W`: explicit `W`-wide chunks
-/// of independent unchecked loads feeding one contiguous store, plus a
-/// checked scalar tail. Copies are element-wise, so the width can never
-/// change the stored values — `width_identity_check` pins every width
-/// bit-for-bit against the scalar walk.
-#[inline]
-fn copy_slots<V: PropValue, const W: usize>(ids: &[u32], xseg: &[V], vals: &mut [V]) {
-    let len = ids.len();
-    debug_assert_eq!(vals.len(), len);
     let mut k = 0;
-    while k + W <= len {
+    while k + UNROLL <= len {
         // SAFETY: `BlockedSubgraph` construction guarantees (and
-        // `debug_validate` re-checks, together with its width-identity
-        // check) that every `src_ids` entry is below the block-row height,
-        // which is exactly `xseg.len()`; `k + W <= len` keeps the id reads
-        // in bounds.
-        let loaded: [V; W] = std::array::from_fn(|i| unsafe {
-            *xseg.get_unchecked(*ids.get_unchecked(k + i) as usize) // width: W independent loads under the chunk bound k + W <= len
+        // `debug_validate` re-checks) that every `src_ids` entry is below
+        // the block-row height, which is exactly `xseg.len()`;
+        // `k + UNROLL <= len` keeps the id reads in bounds.
+        let loaded: [V; UNROLL] = std::array::from_fn(|i| unsafe {
+            *xseg.get_unchecked(*ids.get_unchecked(k + i) as usize) // width: UNROLL independent loads under the chunk bound k + UNROLL <= len
         });
-        vals[k..k + W].copy_from_slice(&loaded);
-        k += W;
+        vals[k..k + UNROLL].copy_from_slice(&loaded);
+        k += UNROLL;
     }
     for i in k..len {
         vals[i] = xseg[ids[i] as usize];
@@ -263,54 +232,26 @@ fn copy_slots<V: PropValue, const W: usize>(ids: &[u32], xseg: &[V], vals: &mut 
 /// [`stream_block_full`] for the 16-bit compressed representation: values
 /// are encoded through the Scatter round's codec on the way into the
 /// stream. No memcpy fast path exists across representations, so the
-/// contiguous-run case goes through the same chunked encode.
+/// contiguous-run case goes through the same chunked encode. Encoding is
+/// per-element, so the unroll cannot change the stored words.
 #[inline]
-fn stream_block_packed<V: PropValue>(
-    blk: &Block,
-    xseg: &[V],
-    out: &mut [u16],
-    codec: BinCodec,
-    width: usize,
-) {
+fn stream_block_packed<V: PropValue>(blk: &Block, xseg: &[V], out: &mut [u16], codec: BinCodec) {
     let ids = &blk.src_ids;
-    debug_assert_eq!(out.len(), ids.len());
-    debug_assert!(ids.iter().all(|&s| (s as usize) < xseg.len()));
-    if ids.is_empty() {
-        return; // Empty block (only reachable with skip lists disabled).
-    }
-    match width {
-        1 => encode_slots::<V, 1>(ids, xseg, out, codec),
-        2 => encode_slots::<V, 2>(ids, xseg, out, codec),
-        4 => encode_slots::<V, 4>(ids, xseg, out, codec),
-        _ => encode_slots::<V, 8>(ids, xseg, out, codec),
-    }
-}
-
-/// [`copy_slots`] through a 16-bit codec: `W` independent unchecked loads
-/// are encoded and stored as one contiguous chunk, plus a checked scalar
-/// tail. Encoding is per-element, so the width cannot change the stored
-/// words.
-#[inline]
-fn encode_slots<V: PropValue, const W: usize>(
-    ids: &[u32],
-    xseg: &[V],
-    out: &mut [u16],
-    codec: BinCodec,
-) {
     let len = ids.len();
     debug_assert_eq!(out.len(), len);
+    debug_assert!(ids.iter().all(|&s| (s as usize) < xseg.len()));
     let mut k = 0;
-    while k + W <= len {
-        // SAFETY: same bounds proof as `copy_slots` — validated `src_ids`
-        // below `xseg.len()`, id reads under the chunk bound.
-        let enc: [u16; W] = std::array::from_fn(|i| {
+    while k + UNROLL <= len {
+        // SAFETY: same bounds proof as `stream_block_full` — validated
+        // `src_ids` below `xseg.len()`, id reads under the chunk bound.
+        let enc: [u16; UNROLL] = std::array::from_fn(|i| {
             codec.encode(
-                unsafe { *xseg.get_unchecked(*ids.get_unchecked(k + i) as usize) } // SAFETY: ids validated below xseg.len(); width: W loads under the chunk bound k + W <= len
+                unsafe { *xseg.get_unchecked(*ids.get_unchecked(k + i) as usize) } // SAFETY: ids validated below xseg.len(); width: UNROLL loads under the chunk bound k + UNROLL <= len
                     .to_stream_f32(),
             )
         });
-        out[k..k + W].copy_from_slice(&enc);
-        k += W;
+        out[k..k + UNROLL].copy_from_slice(&enc);
+        k += UNROLL;
     }
     for i in k..len {
         out[i] = codec.encode(xseg[ids[i] as usize].to_stream_f32());
@@ -334,14 +275,6 @@ where
 /// destinations, so the drained-edge total per call is exact) and
 /// `bin_bytes_streamed` by the compressed slot bytes drained — the counter
 /// tracks bin traffic in *both* directions, see `obs.rs`.
-///
-/// Work is scheduled over [`BlockedSubgraph::gather_tasks`]: one task per
-/// block-column, except columns the §4.2 balancer chunked into destination
-/// sub-ranges. Tasks tile `0..r` contiguously, so each owns a disjoint
-/// `y` segment and the per-destination combine order (block-rows ascending,
-/// sources ascending within a block) is identical to the unchunked walk —
-/// results are bit-for-bit independent of the split, and — enforced by
-/// [`width_identity_check`] — of the kernel width.
 pub fn gather_with<V, F>(
     blocked: &BlockedSubgraph,
     bins: &DynamicBins<V>,
@@ -352,21 +285,23 @@ pub fn gather_with<V, F>(
     V: PropValue,
     F: Fn(NodeId, V) -> V + Sync,
 {
-    gather_at_width(blocked, bins, y, finish, metrics, blocked.kernel_width());
+    gather_weighted(blocked, &Unweighted, bins, y, finish, metrics);
 }
 
-/// Width-pinned [`gather_with`], backing [`width_identity_check`] and the
-/// cross-width identity tests.
-pub fn gather_at_width<V, F>(
+/// [`gather_with`] under the engine's edge-weight parameter: every combine
+/// is `y[d] ⊕= value ⊗ w(edge)`, which monomorphises to the plain combine
+/// for [`Unweighted`].
+pub(crate) fn gather_weighted<V, F, W>(
     blocked: &BlockedSubgraph,
+    weights: &W,
     bins: &DynamicBins<V>,
     y: &mut [V],
     finish: F,
     metrics: Option<&Metrics>,
-    width: usize,
 ) where
     V: PropValue,
     F: Fn(NodeId, V) -> V + Sync,
+    W: Weights,
 {
     if let Some(m) = metrics {
         m.edges_gathered.add(blocked.nnz() as u64);
@@ -376,28 +311,41 @@ pub fn gather_at_width<V, F>(
     let bin_tasks = bins.tasks();
     if bins.encoding().is_compressed() {
         let codec = bins.codec();
-        gather_impl(blocked, y, finish, width, |ti, j| PackedRead {
+        gather_walk(blocked, weights, y, finish, |ti, j| PackedRead {
             data: bin_tasks[ti].packed_col(j),
             codec,
         });
     } else {
-        gather_impl(blocked, y, finish, width, |ti, j| FullRead(bin_tasks[ti].col(j)));
+        gather_walk(blocked, weights, y, finish, |ti, j| {
+            FullRead(bin_tasks[ti].col(j))
+        });
     }
 }
 
-/// The gather scheduling skeleton, generic over the bin representation
-/// (`mk(task, col)` builds the stream reader) with the inner loops
-/// dispatched once per block to the const-width kernels.
-fn gather_impl<V, F, R, MK>(blocked: &BlockedSubgraph, y: &mut [V], finish: F, width: usize, mk: MK)
-where
+/// The gather task walk, generic over the bin representation (`mk(task,
+/// col)` builds the stream reader) and the edge-weight parameter.
+///
+/// Work is scheduled over [`BlockedSubgraph::gather_tasks`]: one task per
+/// block-column, except columns the §4.2 balancer chunked into destination
+/// sub-ranges. Tasks tile `0..r` contiguously, so each owns a disjoint
+/// `y` segment and the per-destination combine order (block-rows ascending,
+/// sources ascending within a block) is identical to the unchunked walk —
+/// results are bit-for-bit independent of the split.
+fn gather_walk<V, F, W, R, MK>(
+    blocked: &BlockedSubgraph,
+    weights: &W,
+    y: &mut [V],
+    finish: F,
+    mk: MK,
+) where
     V: PropValue,
     F: Fn(NodeId, V) -> V + Sync,
+    W: Weights,
     R: BinRead<V>,
     MK: Fn(usize, usize) -> R + Sync,
 {
     let rows = blocked.rows();
     let c = blocked.block_side();
-    let dist = blocked.prefetch_distance();
     let tasks = blocked.gather_tasks();
     let mut segs: Vec<&mut [V]> = Vec::with_capacity(tasks.len());
     let mut rest = y;
@@ -409,30 +357,26 @@ where
     let idxs = blocked.chunk_indexes();
     segs.par_iter_mut()
         .zip(tasks.par_iter().zip(idxs.par_iter()))
-        .for_each(|(yseg, (t, idx))| {
+        .enumerate()
+        .for_each(|(task, (yseg, (t, idx)))| {
             let j = t.col as usize;
             let list = blocked.nonempty_rows(j);
+            // Touch the bin stream drained next — the following
+            // dynamic-bin segment of this column walk.
+            let prefetch_next = |i: usize| {
+                if let Some(&ta) = list.get(i + PREFETCH_AHEAD) {
+                    prefetch_read(mk(ta as usize, j).base_ptr());
+                }
+            };
             match idx {
                 // Full-column task: drain every run whole.
                 None => {
                     for (i, &ti) in list.iter().enumerate() {
-                        if dist > 0 {
-                            if let Some(&ta) = list.get(i + dist) {
-                                // Touch the bin stream drained `dist`
-                                // blocks from now — the next dynamic-bin
-                                // segment of this column walk.
-                                prefetch_read(mk(ta as usize, j).base_ptr());
-                            }
-                        }
+                        prefetch_next(i);
                         let blk = &rows[ti as usize].blocks[j];
                         let r = mk(ti as usize, j);
                         debug_assert_eq!(r.len(), blk.msg_count());
-                        match width {
-                            1 => drain_full::<V, R, 1>(blk, r, yseg),
-                            2 => drain_full::<V, R, 2>(blk, r, yseg),
-                            4 => drain_full::<V, R, 4>(blk, r, yseg),
-                            _ => drain_full::<V, R, 8>(blk, r, yseg),
-                        }
+                        drain_full(blk, r, weights.block(ti as usize, j), yseg);
                     }
                 }
                 // Chunk task: destination-major walk over the prebuilt
@@ -440,23 +384,13 @@ where
                 // owns, not to the column's message count (which every
                 // chunk of a hub column would otherwise re-scan).
                 Some(ci) => {
-                    // Hoisted out of the unchecked run loop: the chunk base
-                    // is invariant across the whole task.
-                    let d_lo = t.d_lo;
+                    let w = weights.chunk(task);
                     let mut cursor = 0usize;
                     for (bi, &ti) in list.iter().enumerate() {
-                        if dist > 0 {
-                            if let Some(&ta) = list.get(bi + dist) {
-                                prefetch_read(mk(ta as usize, j).base_ptr());
-                            }
-                        }
-                        let r = mk(ti as usize, j);
-                        match width {
-                            1 => drain_chunk::<V, R, 1>(ci, bi, r, yseg, d_lo, &mut cursor, dist),
-                            2 => drain_chunk::<V, R, 2>(ci, bi, r, yseg, d_lo, &mut cursor, dist),
-                            4 => drain_chunk::<V, R, 4>(ci, bi, r, yseg, d_lo, &mut cursor, dist),
-                            _ => drain_chunk::<V, R, 8>(ci, bi, r, yseg, d_lo, &mut cursor, dist),
-                        }
+                        prefetch_next(bi);
+                        // `d_lo` is hoisted out of the unchecked run loop:
+                        // the chunk base is invariant across the task.
+                        drain_chunk(ci, bi, mk(ti as usize, j), w, yseg, t.d_lo, &mut cursor);
                     }
                 }
             }
@@ -467,125 +401,93 @@ where
         });
 }
 
-/// Drains one block's full message stream into the column's `y` segment at
-/// unroll width `W`: the next `W` streamed values are loaded up front,
-/// then fanned out to their destination runs in slot order — exactly the
-/// scalar walk's per-destination combine order, so results are bit-for-bit
-/// width-independent (enforced by [`width_identity_check`]).
+/// Drains one block's full message stream into the column's `y` segment:
+/// the next [`UNROLL`] streamed values are loaded up front, then fanned out
+/// to their destination runs in slot order — exactly the scalar walk's
+/// per-destination combine order.
 #[inline]
-fn drain_full<V: PropValue, R: BinRead<V>, const W: usize>(blk: &Block, r: R, yseg: &mut [V]) {
+fn drain_full<V: PropValue, R: BinRead<V>>(blk: &Block, r: R, w: impl WeightRun, yseg: &mut [V]) {
+    // One slot's fan-out; `w` is aligned with `blk.dests`.
+    let mut fan_out = |k: usize, v: V| {
+        let base = blk.dest_ptr[k] as usize;
+        for (i, &d) in blk.dests_of(k).iter().enumerate() {
+            // SAFETY: `debug_validate` guarantees every local destination
+            // is below the column width, which is exactly `yseg.len()` on
+            // the full-column path.
+            // width: fan-out in ascending slot order, destinations below the column width
+            unsafe { yseg.get_unchecked_mut(d as usize) }.combine(w.scale(v, base + i));
+        }
+    };
     let n = r.len();
     let mut k = 0;
-    while k + W <= n {
-        // SAFETY: `k + W <= n` keeps every front-loaded read below the
-        // stream length (the `BinRead::get` contract).
-        let vals: [V; W] = std::array::from_fn(|i| unsafe { r.get(k + i) });
+    while k + UNROLL <= n {
+        // SAFETY: `k + UNROLL <= n` keeps every front-loaded read below
+        // the stream length (the `BinRead::get` contract).
+        let vals: [V; UNROLL] = std::array::from_fn(|i| unsafe { r.get(k + i) });
         for (i, v) in vals.into_iter().enumerate() {
-            for &d in blk.dests_of(k + i) {
-                // SAFETY: `debug_validate` guarantees every local
-                // destination is below the column width, which is exactly
-                // `yseg.len()` on the full-column path; its width-identity
-                // check additionally pins this walk bit-for-bit to the
-                // scalar combine order.
-                unsafe { yseg.get_unchecked_mut(d as usize) }.combine(v); // width: W-slot fan-out in ascending slot order, same as scalar
-            }
+            fan_out(k + i, v);
         }
-        k += W;
+        k += UNROLL;
     }
     for i in k..n {
         // SAFETY: `i < n` — scalar tail of the same walk.
-        let v = unsafe { r.get(i) };
-        for &d in blk.dests_of(i) {
-            // SAFETY: same destination bound proof as the chunked loop above.
-            unsafe { yseg.get_unchecked_mut(d as usize) }.combine(v); // width: scalar tail, destinations below the column width
-        }
+        fan_out(i, unsafe { r.get(i) });
     }
 }
 
-/// Drains one block's runs of a chunk task at unroll width `W`. Each run
-/// combines into a single destination accumulator strictly sequentially —
-/// the `W`-wide part only front-loads slot reads — so the width never
-/// changes the combine order (enforced by [`width_identity_check`]).
+/// Drains one block's runs of a chunk task. Each run combines into a single
+/// destination accumulator strictly sequentially — the [`UNROLL`]-wide part
+/// only front-loads slot reads — so the unroll never changes the combine
+/// order. `w` is aligned with `ci.slots`, so `cursor` addresses both.
 #[inline]
-fn drain_chunk<V: PropValue, R: BinRead<V>, const W: usize>(
+fn drain_chunk<V: PropValue, R: BinRead<V>>(
     ci: &ChunkIndex,
     bi: usize,
     r: R,
+    w: impl WeightRun,
     yseg: &mut [V],
     d_lo: u32,
     cursor: &mut usize,
-    dist: usize,
 ) {
     let runs = ci.runs_of(bi);
     for (ri, run) in runs.iter().enumerate() {
-        if dist > 0 {
-            if let Some(ahead) = runs.get(ri + dist) {
-                // Touch the destination of the run `dist` ahead — the
-                // y side is the random access of a chunk walk.
-                if let Some(slot) = yseg.get((ahead.d - d_lo) as usize) {
-                    prefetch_read(slot);
-                }
+        if let Some(ahead) = runs.get(ri + PREFETCH_AHEAD) {
+            // Touch the next run's destination — the y side is the random
+            // access of a chunk walk.
+            if let Some(slot) = yseg.get((ahead.d - d_lo) as usize) {
+                prefetch_read(slot);
             }
         }
         // Hoisted invariants: the run's destination and length are loop
-        // constants for the inner slot walk (`d_lo` is hoisted one level
-        // further, being task-invariant).
+        // constants for the inner slot walk.
         let rl = run.len as usize;
-        let span = &ci.slots[*cursor..*cursor + rl];
+        let at = *cursor;
+        let span = &ci.slots[at..at + rl];
         // SAFETY: `debug_validate` rebuilds the chunk index from the
         // blocks and compares exactly, so `run.d` lies in `[d_lo, d_hi)`
-        // and the shifted index is below `yseg.len()`; its width-identity
-        // check additionally pins every width to the scalar combine order.
+        // and the shifted index is below `yseg.len()`.
         let y = unsafe { yseg.get_unchecked_mut((run.d - d_lo) as usize) }; // width: run destination, invariant across the run (hoisted load)
         let mut i = 0;
-        while i + W <= rl {
-            // SAFETY: `i + W <= rl` keeps the span reads in bounds, and
-            // every slot is a valid message index of this block (same
+        while i + UNROLL <= rl {
+            // SAFETY: `i + UNROLL <= rl` keeps the span reads in bounds,
+            // and every slot is a valid message index of this block (same
             // rebuild check).
-            let vals: [V; W] = std::array::from_fn(|p| unsafe {
-                r.get(*span.get_unchecked(i + p) as usize) // width: W front-loaded slot reads under the chunk bound i + W <= rl
+            let vals: [V; UNROLL] = std::array::from_fn(|p| unsafe {
+                r.get(*span.get_unchecked(i + p) as usize) // width: UNROLL front-loaded slot reads under the chunk bound i + UNROLL <= rl
             });
             // Strictly sequential fold — the exact scalar combine order.
-            for v in vals {
-                y.combine(v);
+            for (p, v) in vals.into_iter().enumerate() {
+                y.combine(w.scale(v, at + i + p));
             }
-            i += W;
+            i += UNROLL;
         }
         for p in i..rl {
             // SAFETY: `p < rl` — scalar tail over the same validated span.
-            y.combine(unsafe { r.get(*span.get_unchecked(p) as usize) }); // width: scalar tail under the span bound
+            // width: scalar tail under the span bound
+            y.combine(w.scale(unsafe { r.get(*span.get_unchecked(p) as usize) }, at + p));
         }
         *cursor += rl;
     }
-}
-
-/// Runs one `f32` scatter+gather round over `blocked` at the scalar width
-/// and at its configured kernel width, and verifies the two outputs are
-/// bit-for-bit identical — the invariant every `// width:` annotated
-/// unchecked loop in this module cites. Wired into
-/// [`BlockedSubgraph::debug_validate`] (strict-invariants builds and
-/// tests), never the hot path.
-pub fn width_identity_check(blocked: &BlockedSubgraph) -> Result<(), GraphError> {
-    let w = blocked.kernel_width();
-    if w == 1 || blocked.r() == 0 {
-        return Ok(());
-    }
-    let run = |width: usize| -> Result<Vec<f32>, GraphError> {
-        let mut bins: DynamicBins<f32> = DynamicBins::new(blocked);
-        let mut x: Vec<f32> = (0..blocked.r())
-            .map(|i| (i as f32).mul_add(1e-3, 1.0).sin())
-            .collect();
-        let mut y = vec![0.0f32; blocked.r()];
-        try_scatter_at_width(blocked, &mut x, &mut bins, None, None, width)?;
-        gather_at_width(blocked, &bins, &mut y, |_, s| s, None, width);
-        Ok(y)
-    };
-    if run(1)? != run(w)? {
-        return Err(GraphError::Invariant(format!(
-            "kernel width {w} diverged bit-for-bit from the scalar walk"
-        )));
-    }
-    Ok(())
 }
 
 /// One sparse BFS level over the blocked structure: merge-join the sorted
@@ -1066,64 +968,6 @@ mod tests {
         edges.push((0, 20));
         edges.push((9, 31));
         Csr::from_edges(32, &edges)
-    }
-
-    #[test]
-    fn every_kernel_width_is_bitwise_identical_to_scalar() {
-        let csr = skewed_csr();
-        let x: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).cos()).collect();
-        let reference = spmv_reference(&csr, &x);
-        for &w in &crate::opts::KERNEL_WIDTHS {
-            let o = MixenOpts {
-                block_side: 8,
-                min_tasks_per_thread: 1,
-                kernel_width: w,
-                ..MixenOpts::default()
-            };
-            let y = spmv_under(&csr, &o, &x);
-            assert_eq!(y, spmv_reference(&csr, &x), "width {w} broke the numerics");
-            assert_eq!(y, reference, "width {w} diverged from width 1");
-        }
-    }
-
-    #[test]
-    fn width_identity_check_passes_on_real_partitions() {
-        let csr = skewed_csr();
-        for &w in &crate::opts::KERNEL_WIDTHS {
-            let o = MixenOpts {
-                block_side: 8,
-                min_tasks_per_thread: 1,
-                kernel_width: w,
-                ..MixenOpts::default()
-            };
-            let b = BlockedSubgraph::new(&csr, &o, 1);
-            width_identity_check(&b).unwrap();
-        }
-    }
-
-    #[test]
-    fn prefetch_distance_never_affects_results() {
-        let csr = skewed_csr();
-        let x: Vec<f32> = (0..32).map(|i| (i as f32 * 0.11).sin()).collect();
-        let base = spmv_under(
-            &csr,
-            &MixenOpts {
-                block_side: 8,
-                min_tasks_per_thread: 1,
-                prefetch_distance: 0,
-                ..MixenOpts::default()
-            },
-            &x,
-        );
-        for dist in [1usize, 3, 16] {
-            let o = MixenOpts {
-                block_side: 8,
-                min_tasks_per_thread: 1,
-                prefetch_distance: dist,
-                ..MixenOpts::default()
-            };
-            assert_eq!(spmv_under(&csr, &o, &x), base, "distance {dist} changed y");
-        }
     }
 
     /// One compressed scatter+gather round; returns `y` or the budget error.

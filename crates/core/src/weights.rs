@@ -1,0 +1,226 @@
+//! Edge weights as a parameter of the one SCGA pipeline.
+//!
+//! The engine computes `x'[v] = apply(v, ⊕_{u→v} x[u] ⊗ w(u,v))`, where `⊗`
+//! is [`PropValue::scale_edge`]. With `(+, ×)` that is weighted SpMV (the
+//! general matrix the paper's §1 SpMV formulation implies); with the
+//! tropical `(min, +)` it is shortest-path relaxation; with the zero-sized
+//! [`Unweighted`] parameter `⊗` is erased at monomorphisation and the
+//! pipeline is the paper's unweighted one.
+//!
+//! Weights ride along the *static* side of the data path, so all of Mixen's
+//! machinery carries over unchanged:
+//! * filtering/relabeling only looks at topology,
+//! * dynamic bins still stream one (unweighted) value per source per block
+//!   — the edge weight is applied at Gather time from a weight array
+//!   aligned with each block's destination list (or, for a chunked hub
+//!   column, with the chunk's destination-major slot order), preserving the
+//!   edge compression,
+//! * the static bin caches `⊕ seed ⊗ w` — weighted seed contributions are
+//!   just as constant as unweighted ones,
+//! * the Post-Phase pulls `x ⊗ w` for sinks once.
+
+use mixen_graph::nid;
+use mixen_graph::{GraphError, NodeId, PropValue, WGraph};
+use rayon::prelude::*;
+
+use crate::block::BlockedSubgraph;
+use crate::filter::FilteredGraph;
+
+/// One run of edge weights aligned with a static edge array (a block's
+/// `dests`, a chunk's `slots`, the seed CSR or the sink CSC).
+pub trait WeightRun: Copy + Send + Sync {
+    /// `v ⊗ w`, with `w` the weight at position `edge` of the aligned array.
+    fn scale<V: PropValue>(self, v: V, edge: usize) -> V;
+}
+
+/// The edge-weight parameter of [`crate::MixenEngine`]: where each static
+/// sub-structure finds its aligned weights. Implemented by [`Unweighted`]
+/// and [`Weighted`].
+pub trait Weights: Send + Sync {
+    /// Weights aligned with the `dests` of block `(row, col)`.
+    fn block(&self, row: usize, col: usize) -> impl WeightRun + '_;
+    /// Weights aligned with the `slots` of chunked gather task `task`.
+    fn chunk(&self, task: usize) -> impl WeightRun + '_;
+    /// Weights aligned with `FilteredGraph::seed_csr().idx()`.
+    fn seed(&self) -> impl WeightRun + '_;
+    /// Weights aligned with `FilteredGraph::sink_csc().idx()`.
+    fn sink(&self) -> impl WeightRun + '_;
+}
+
+/// Every edge weighs the semiring's multiplicative unit: `v ⊗ w = v`.
+/// Zero-sized, and its own [`WeightRun`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Unweighted;
+
+impl WeightRun for Unweighted {
+    #[inline(always)]
+    fn scale<V: PropValue>(self, v: V, _edge: usize) -> V {
+        v
+    }
+}
+
+impl Weights for Unweighted {
+    #[inline(always)]
+    fn block(&self, _row: usize, _col: usize) -> impl WeightRun + '_ {
+        Unweighted
+    }
+
+    #[inline(always)]
+    fn chunk(&self, _task: usize) -> impl WeightRun + '_ {
+        Unweighted
+    }
+
+    #[inline(always)]
+    fn seed(&self) -> impl WeightRun + '_ {
+        Unweighted
+    }
+
+    #[inline(always)]
+    fn sink(&self) -> impl WeightRun + '_ {
+        Unweighted
+    }
+}
+
+impl WeightRun for &[f32] {
+    #[inline(always)]
+    fn scale<V: PropValue>(self, v: V, edge: usize) -> V {
+        v.scale_edge(self[edge])
+    }
+}
+
+/// The `f32` weights of a [`WGraph`], aligned once at construction with
+/// every static sub-structure of the preprocessed engine.
+#[derive(Clone, Debug)]
+pub struct Weighted {
+    /// Per (block-row, block-column): weights aligned with the block's
+    /// `dests`. Empty for chunked columns, which read `chunks` instead.
+    blocks: Vec<Vec<Box<[f32]>>>,
+    /// Per gather task: weights aligned with the task's `ChunkIndex::slots`
+    /// (empty for full-column tasks).
+    chunks: Vec<Box<[f32]>>,
+    seed: Box<[f32]>,
+    sink: Box<[f32]>,
+}
+
+impl Weighted {
+    /// Looks up the weight of every edge of `filtered` / `blocked` (which
+    /// must have been built from `wg.topology()`) in the order its kernel
+    /// walks it.
+    pub(crate) fn align(
+        wg: &WGraph,
+        filtered: &FilteredGraph,
+        blocked: &BlockedSubgraph,
+    ) -> Result<Self, GraphError> {
+        let weight_of = |new_src: NodeId, new_dst: NodeId| -> Result<f32, GraphError> {
+            let (u, v) = (filtered.to_old(new_src), filtered.to_old(new_dst));
+            wg.weight(u, v).ok_or_else(|| {
+                GraphError::Invariant(format!(
+                    "edge {u} -> {v} of the filtered structure has no weight in the graph"
+                ))
+            })
+        };
+        let c = blocked.block_side();
+        let rows = blocked.rows();
+        let tasks = blocked.gather_tasks();
+        let indexes = blocked.chunk_indexes();
+
+        let mut chunked_col = vec![false; blocked.n_col_blocks()];
+        for (t, idx) in tasks.iter().zip(indexes) {
+            chunked_col[t.col as usize] = idx.is_some();
+        }
+
+        let blocks = rows
+            .par_iter()
+            .map(|row| {
+                row.blocks
+                    .iter()
+                    .enumerate()
+                    .map(|(j, blk)| {
+                        if chunked_col[j] {
+                            return Ok(Box::default());
+                        }
+                        let col_base = nid(j * c);
+                        let mut w = Vec::with_capacity(blk.dests.len());
+                        for (k, &src) in blk.src_ids.iter().enumerate() {
+                            for &d in blk.dests_of(k) {
+                                w.push(weight_of(row.src_start + src, col_base + d)?);
+                            }
+                        }
+                        Ok(w.into_boxed_slice())
+                    })
+                    .collect::<Result<Vec<_>, GraphError>>()
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+
+        let chunks = tasks
+            .par_iter()
+            .zip(indexes.par_iter())
+            .map(|(t, idx)| {
+                let Some(ci) = idx else {
+                    return Ok(Box::default());
+                };
+                let j = t.col as usize;
+                let col_base = nid(j * c);
+                let mut w = Vec::with_capacity(ci.slots.len());
+                for (bi, &ti) in blocked.nonempty_rows(j).iter().enumerate() {
+                    let row = &rows[ti as usize];
+                    let src_ids = &row.blocks[j].src_ids;
+                    for run in ci.runs_of(bi) {
+                        for &k in &ci.slots[w.len()..w.len() + run.len as usize] {
+                            let src = row.src_start + src_ids[k as usize];
+                            w.push(weight_of(src, col_base + run.d)?);
+                        }
+                    }
+                }
+                Ok(w.into_boxed_slice())
+            })
+            .collect::<Vec<Result<Box<[f32]>, GraphError>>>()
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+
+        let r = nid(filtered.num_regular());
+        let mut seed = Vec::with_capacity(filtered.seed_csr().nnz());
+        for s in 0..nid(filtered.num_seed()) {
+            for &dst in filtered.seed_csr().neighbors(s) {
+                seed.push(weight_of(r + s, dst)?);
+            }
+        }
+        let sink_base = r + nid(filtered.num_seed());
+        let mut sink = Vec::with_capacity(filtered.sink_csc().nnz());
+        for k in 0..nid(filtered.num_sink()) {
+            for &src in filtered.sink_csc().neighbors(k) {
+                sink.push(weight_of(src, sink_base + k)?);
+            }
+        }
+        Ok(Self {
+            blocks,
+            chunks,
+            seed: seed.into_boxed_slice(),
+            sink: sink.into_boxed_slice(),
+        })
+    }
+}
+
+impl Weights for Weighted {
+    #[inline]
+    fn block(&self, row: usize, col: usize) -> impl WeightRun + '_ {
+        &*self.blocks[row][col]
+    }
+
+    #[inline]
+    fn chunk(&self, task: usize) -> impl WeightRun + '_ {
+        &*self.chunks[task]
+    }
+
+    #[inline]
+    fn seed(&self) -> impl WeightRun + '_ {
+        &*self.seed
+    }
+
+    #[inline]
+    fn sink(&self) -> impl WeightRun + '_ {
+        &*self.sink
+    }
+}

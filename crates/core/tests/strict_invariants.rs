@@ -7,7 +7,7 @@
 //! feature the file is empty.
 #![cfg(feature = "strict-invariants")]
 
-use mixen_core::{MixenEngine, MixenOpts, RegularOrdering, WMixenEngine};
+use mixen_core::{MixenEngine, MixenOpts, RegularOrdering};
 use mixen_graph::gen::{kronecker, uniform};
 use mixen_graph::{Graph, WGraph};
 
@@ -97,6 +97,6 @@ fn weighted_engine_validates() {
             ..MixenOpts::default()
         };
         // Construction alone triggers both validators.
-        let _ = WMixenEngine::new(&wg, opts);
+        MixenEngine::try_weighted(&wg, opts).unwrap();
     }
 }

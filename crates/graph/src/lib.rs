@@ -32,12 +32,17 @@ pub mod csr;
 /// [`csr`]-internal `SliceWriter` claim bytes): under `model-check` these
 /// route through the `mixen-check` instrumented types so schedule
 /// exploration sees every access; otherwise they are plain
-/// `std::sync::atomic` re-exports with identical codegen.
+/// `std::sync::atomic` re-exports with identical codegen. The claim bytes
+/// exist only under `debug_assertions` / `race-detector`, so the plain
+/// re-export is gated the same way.
 #[cfg(feature = "model-check")]
 pub(crate) mod msync {
     pub(crate) use mixen_check::sync::atomic;
 }
-#[cfg(not(feature = "model-check"))]
+#[cfg(all(
+    not(feature = "model-check"),
+    any(debug_assertions, feature = "race-detector")
+))]
 pub(crate) mod msync {
     pub(crate) use std::sync::atomic;
 }

@@ -7,8 +7,7 @@
 //! per-lane streams on the core that warmed them.
 //!
 //! Pinning is **off by default** and never required for correctness — it is
-//! a measurement/performance knob, exactly like `kernel_width`. Two ways to
-//! turn it on:
+//! a measurement/performance knob. Two ways to turn it on:
 //!
 //! * the `MIXEN_AFFINITY` environment variable, read lazily when the first
 //!   pool worker spawns: `auto` (lane *i* → CPU *i* mod ncpus) or an

@@ -8,7 +8,7 @@
 //! ```
 
 use mixen_algos::{dijkstra, sssp, weighted_spmv};
-use mixen_core::{MixenOpts, WMixenEngine};
+use mixen_core::{MixenEngine, MixenOpts};
 use mixen_graph::{Dataset, Scale, WGraph};
 use std::time::Instant;
 
@@ -23,7 +23,8 @@ fn main() {
     );
 
     let t = Instant::now();
-    let engine = WMixenEngine::new(&roads, MixenOpts::default());
+    let engine = MixenEngine::try_weighted(&roads, MixenOpts::default())
+        .expect("a generated road network preprocesses cleanly");
     println!("weighted preprocessing: {:.3}s", t.elapsed().as_secs_f64());
 
     // Depot = a busy junction; compute travel times to everywhere.
@@ -73,7 +74,8 @@ fn main() {
     // Weighted influence: one weighted SpMV spreads depot capacity along
     // road quality (1/time as conductance).
     let conductance = WGraph::from_graph(&g, |u, v| 1.0 / roads.weight(u, v).unwrap_or(1.0));
-    let engine2 = WMixenEngine::new(&conductance, MixenOpts::default());
+    let engine2 = MixenEngine::try_weighted(&conductance, MixenOpts::default())
+        .expect("same topology, so preprocessing succeeds again");
     let mut x = vec![0.0f32; roads.n()];
     x[depot as usize] = 100.0;
     let spread = weighted_spmv(&engine2, &x);

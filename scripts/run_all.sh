@@ -41,7 +41,7 @@ finish() {
   done
 }
 
-for b in table1 table2 table4 fig4 fig5 fig6 fig7 model_check ablation adaptive; do
+for b in table1 table2 table4 fig4 fig5 fig6 fig7 model_check ablation; do
   echo "=== $b ($SCALE) ==="
   txt="results/${b}_${SCALE}.txt"
   # ${THREADS[@]+...} keeps the empty-array expansion safe under `set -u`

@@ -15,6 +15,23 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// A square CSR whose edge mass leans on destinations `0..4`, so at block
+/// side 8 the first block-column is usually chunked by the gather balancer
+/// and blocks hold more message slots than one unrolled step consumes.
+fn arb_hub_csr() -> impl Strategy<Value = mixen_graph::Csr> {
+    (16usize..48).prop_flat_map(|n| {
+        proptest::collection::vec((0..n as u32, 0..n as u32, 0..4u32), 0..400).prop_map(
+            move |edges| {
+                let edges: Vec<(u32, u32)> = edges
+                    .into_iter()
+                    .map(|(u, v, hub)| (u, if hub == 0 { v } else { v % 4 }))
+                    .collect();
+                mixen_graph::Csr::from_edges(n, &edges)
+            },
+        )
+    })
+}
+
 fn small_opts() -> MixenOpts {
     MixenOpts {
         block_side: 4,
@@ -155,30 +172,40 @@ proptest! {
     }
 
     #[test]
-    fn kernel_widths_are_bit_for_bit_identical(g in arb_graph()) {
-        // DESIGN.md §11: wider kernels reorder *loads*, never *combines*, so
-        // every width must produce the scalar path's bits exactly — including
-        // with prefetch enabled, which must be a pure hint.
-        let init = |v: u32| (v % 7) as f32 + 0.25;
-        let apply = |_: u32, s: f32| 0.85 * s + 0.15;
-        let want = MixenEngine::new(
-            &g,
-            MixenOpts { kernel_width: 1, prefetch_distance: 0, ..small_opts() },
-        )
-        .iterate::<f32, _, _>(init, apply, 3);
-        for width in [2usize, 4, 8] {
-            for prefetch in [0usize, 2] {
-                let got = MixenEngine::new(
-                    &g,
-                    MixenOpts { kernel_width: width, prefetch_distance: prefetch, ..small_opts() },
-                )
-                .iterate::<f32, _, _>(init, apply, 3);
-                for (a, b) in got.iter().zip(&want) {
-                    prop_assert_eq!(
-                        a.to_bits(), b.to_bits(),
-                        "width {} prefetch {}: {} vs {}", width, prefetch, a, b
-                    );
+    fn kernels_match_a_scalar_slot_order_walk_bit_for_bit(csr in arb_hub_csr()) {
+        // DESIGN.md §11: the unrolled kernels front-load *loads*, never
+        // reorder *combines*, and prefetch is a pure hint — so one Scatter +
+        // Gather round must produce exactly the bits of a scalar walk that
+        // visits, per block-column, block-rows ascending and message slots
+        // ascending. This is the oracle every `// width:` justification in
+        // `scga.rs` rests on.
+        use mixen_core::bins::{plan_codec, DynamicBins};
+        use mixen_core::{scga, BinEncoding, BlockedSubgraph};
+        let opts = MixenOpts { block_side: 8, min_tasks_per_thread: 1, ..MixenOpts::default() };
+        let b = BlockedSubgraph::new(&csr, &opts, 1);
+        let x: Vec<f32> = (0..csr.n_rows()).map(|i| (i as f32).mul_add(0.37, 1.0).sin()).collect();
+        for enc in BinEncoding::ALL {
+            let codec = plan_codec::<f32>(enc, &x).unwrap();
+            let streamed = |v: f32| if enc.is_compressed() { codec.decode(codec.encode(v)) } else { v };
+            let mut want = vec![0.0f32; csr.n_cols()];
+            for j in 0..b.n_col_blocks() {
+                for &ti in b.nonempty_rows(j) {
+                    let row = &b.rows()[ti as usize];
+                    let blk = &row.blocks[j];
+                    for (k, &src) in blk.src_ids.iter().enumerate() {
+                        let v = streamed(x[(row.src_start + src) as usize]);
+                        for &d in blk.dests_of(k) {
+                            want[j * b.block_side() + d as usize] += v;
+                        }
+                    }
                 }
+            }
+            let mut bins: DynamicBins<f32> = DynamicBins::with_encoding(&b, enc);
+            let mut got = vec![0.0f32; csr.n_cols()];
+            scga::try_scatter_with(&b, &mut x.clone(), &mut bins, None, None).unwrap();
+            scga::gather_with(&b, &bins, &mut got, |_, s| s, None);
+            for (d, (a, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(a.to_bits(), w.to_bits(), "{:?} dest {}: {} vs {}", enc, d, a, w);
             }
         }
     }

@@ -8,14 +8,12 @@
 //! the GPOP column of Table 3 — cache-friendly, but paying the full
 //! `4m + 3n` GAS traffic and the redundant zero-degree work Mixen removes.
 
-use mixen_graph::nid;
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::time::Instant;
 
 use mixen_core::bins::DynamicBins;
 use mixen_core::{scga, BlockedSubgraph, MixenOpts};
 use mixen_graph::{Graph, NodeId, PropValue};
-use rayon::prelude::*;
 
 /// Whole-graph blocking engine (GPOP-like).
 pub struct BlockEngine<'g> {
@@ -34,7 +32,7 @@ impl<'g> BlockEngine<'g> {
             cache_step: false,
             ..MixenOpts::default()
         };
-        let blocked = BlockedSubgraph::new(g.out_csr(), &opts, rayon::current_num_threads());
+        let blocked = BlockedSubgraph::new(g.out_csr(), &opts, mixen_pool::current_num_threads());
         Self {
             g,
             blocked,
@@ -73,7 +71,7 @@ impl<'g> BlockEngine<'g> {
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.g.n();
-        let mut x: Vec<V> = (0..nid(n)).into_par_iter().map(&init).collect();
+        let mut x: Vec<V> = crate::map_nodes(n, &init);
         if iters == 0 {
             return x;
         }
@@ -82,7 +80,7 @@ impl<'g> BlockEngine<'g> {
         for _ in 0..iters {
             // GAS: Scatter all nodes, Gather fresh sums, Apply.
             scga::scatter(&self.blocked, &mut x, &mut bins, None);
-            y.par_iter_mut().for_each(|v| *v = V::identity());
+            mixen_pool::par_parts_mut(&mut y, |_, part| part.fill(V::identity()));
             scga::gather(&self.blocked, &bins, &mut y, &apply);
             std::mem::swap(&mut x, &mut y);
         }
@@ -103,12 +101,12 @@ impl<'g> BlockEngine<'g> {
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.g.n();
-        let mut x: Vec<V> = (0..nid(n)).into_par_iter().map(&init).collect();
+        let mut x: Vec<V> = crate::map_nodes(n, &init);
         let mut y: Vec<V> = vec![V::identity(); n];
         let mut bins: DynamicBins<V> = DynamicBins::new(&self.blocked);
         for t in 0..max_iters {
             scga::scatter(&self.blocked, &mut x, &mut bins, None);
-            y.par_iter_mut().for_each(|v| *v = V::identity());
+            mixen_pool::par_parts_mut(&mut y, |_, part| part.fill(V::identity()));
             scga::gather(&self.blocked, &bins, &mut y, &apply);
             std::mem::swap(&mut x, &mut y);
             let diff = mixen_graph::max_diff(&x, &y);

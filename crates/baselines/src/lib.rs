@@ -32,3 +32,18 @@ pub use pull::PullEngine;
 pub use push::PushEngine;
 pub use reference::ReferenceEngine;
 pub use wpull::WPullEngine;
+
+/// `f(v)` for every node `v < n`, in node order: one `Vec` per pool part,
+/// each built inside its task, concatenated on the caller.
+pub(crate) fn map_nodes<V, F>(n: usize, f: F) -> Vec<V>
+where
+    V: Send,
+    F: Fn(mixen_graph::NodeId) -> V + Sync,
+{
+    mixen_pool::par_parts(n, |part| {
+        part.map(|v| f(mixen_graph::nid(v))).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}

@@ -17,7 +17,6 @@ use mixen_graph::nid;
 use std::sync::atomic::{AtomicI32, Ordering};
 
 use mixen_graph::{Graph, NodeId, PropValue};
-use rayon::prelude::*;
 
 /// Destination-partitioned pull engine (Polymer-like).
 pub struct PartitionedEngine<'g> {
@@ -51,10 +50,10 @@ impl<'g> PartitionedEngine<'g> {
         Self { g, bounds }
     }
 
-    /// Default partition count: 4× the worker threads (coarse NUMA-style
-    /// chunks with a little slack for work stealing).
+    /// Default partition count: the pool's own part count for `n` nodes
+    /// (coarse NUMA-style chunks with a little slack for work stealing).
     pub fn with_default_partitions(g: &'g Graph) -> Self {
-        Self::new(g, rayon::current_num_threads() * 4)
+        Self::new(g, mixen_pool::split(g.n()).len())
     }
 
     /// Number of partitions.
@@ -70,7 +69,7 @@ impl<'g> PartitionedEngine<'g> {
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.g.n();
-        let mut x: Vec<V> = (0..nid(n)).into_par_iter().map(&init).collect();
+        let mut x: Vec<V> = crate::map_nodes(n, &init);
         for _ in 0..iters {
             x = self.step(&x, &apply);
         }
@@ -91,7 +90,7 @@ impl<'g> PartitionedEngine<'g> {
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.g.n();
-        let mut x: Vec<V> = (0..nid(n)).into_par_iter().map(&init).collect();
+        let mut x: Vec<V> = crate::map_nodes(n, &init);
         for t in 0..max_iters {
             let y = self.step(&x, &apply);
             let diff = mixen_graph::max_diff(&y, &x);
@@ -116,15 +115,17 @@ impl<'g> PartitionedEngine<'g> {
             segs.push(seg);
             rest = tail;
         }
-        segs.par_iter_mut().enumerate().for_each(|(p, seg)| {
-            let lo = self.bounds[p];
-            for (off, slot) in seg.iter_mut().enumerate() {
-                let v = nid(lo + off);
-                let mut sum = V::identity();
-                for &u in self.g.in_neighbors(v) {
-                    sum.combine(x[u as usize]);
+        mixen_pool::par_parts_mut(&mut segs, |first, segs| {
+            for (p, seg) in (first..).zip(segs.iter_mut()) {
+                let lo = self.bounds[p];
+                for (off, slot) in seg.iter_mut().enumerate() {
+                    let v = nid(lo + off);
+                    let mut sum = V::identity();
+                    for &u in self.g.in_neighbors(v) {
+                        sum.combine(x[u as usize]);
+                    }
+                    *slot = apply(v, sum);
                 }
-                *slot = apply(v, sum);
             }
         });
         y
@@ -139,15 +140,15 @@ impl<'g> PartitionedEngine<'g> {
         let mut frontier = vec![root];
         let mut level = 0i32;
         while !frontier.is_empty() {
-            frontier = frontier
-                .par_iter()
-                .flat_map_iter(|&u| {
+            frontier = mixen_pool::par_parts(frontier.len(), |part| {
+                part.flat_map(|i| {
+                    let u = frontier[i];
                     let mut next = Vec::new();
                     for &v in self.g.out_neighbors(u) {
                         if depth[v as usize]
                             // ordering: the claim needs only same-location
                             // atomicity — the next frontier is consumed
-                            // after the rayon join, which orders claims.
+                            // after the pool scope, which orders claims.
                             .compare_exchange(-1, level + 1, Ordering::Relaxed, Ordering::Relaxed)
                             .is_ok()
                         {
@@ -156,7 +157,11 @@ impl<'g> PartitionedEngine<'g> {
                     }
                     next
                 })
-                .collect();
+                .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
             level += 1;
         }
         depth.into_iter().map(|d| d.into_inner()).collect()

@@ -13,7 +13,6 @@
 
 use mixen_graph::nid;
 use mixen_graph::{Graph, NodeId, PropValue};
-use rayon::prelude::*;
 
 /// Dense pull engine (GraphMat-like).
 pub struct PullEngine<'g> {
@@ -45,7 +44,7 @@ impl<'g> PullEngine<'g> {
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.g.n();
-        let mut x: Vec<V> = (0..nid(n)).into_par_iter().map(&init).collect();
+        let mut x: Vec<V> = crate::map_nodes(n, &init);
         for _ in 0..iters {
             x = self.step(&x, &apply);
         }
@@ -66,7 +65,7 @@ impl<'g> PullEngine<'g> {
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.g.n();
-        let mut x: Vec<V> = (0..nid(n)).into_par_iter().map(&init).collect();
+        let mut x: Vec<V> = crate::map_nodes(n, &init);
         for t in 0..max_iters {
             let y = self.step(&x, &apply);
             let diff = mixen_graph::max_diff(&y, &x);
@@ -83,16 +82,13 @@ impl<'g> PullEngine<'g> {
         V: PropValue,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        (0..nid(self.g.n()))
-            .into_par_iter()
-            .map(|v| {
-                let mut sum = V::identity();
-                for &u in self.g.in_neighbors(v) {
-                    sum.combine(x[u as usize]);
-                }
-                apply(v, sum)
-            })
-            .collect()
+        crate::map_nodes(self.g.n(), |v| {
+            let mut sum = V::identity();
+            for &u in self.g.in_neighbors(v) {
+                sum.combine(x[u as usize]);
+            }
+            apply(v, sum)
+        })
     }
 
     /// Dense per-level pull BFS.
@@ -102,18 +98,21 @@ impl<'g> PullEngine<'g> {
         depth[root as usize] = 0;
         let mut level = 0i32;
         loop {
-            let next: Vec<(usize, i32)> = (0..n)
-                .into_par_iter()
-                .filter(|&v| depth[v] < 0)
-                .filter_map(|v| {
-                    let hit = self
-                        .g
-                        .in_neighbors(nid(v))
-                        .iter()
-                        .any(|&u| depth[u as usize] == level);
-                    hit.then_some((v, level + 1))
-                })
-                .collect();
+            let next: Vec<(usize, i32)> = mixen_pool::par_parts(n, |part| {
+                part.filter(|&v| depth[v] < 0)
+                    .filter_map(|v| {
+                        let hit = self
+                            .g
+                            .in_neighbors(nid(v))
+                            .iter()
+                            .any(|&u| depth[u as usize] == level);
+                        hit.then_some((v, level + 1))
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
             if next.is_empty() {
                 return depth;
             }

@@ -14,7 +14,6 @@ use mixen_graph::nid;
 use std::sync::atomic::{AtomicI32, AtomicU32, Ordering};
 
 use mixen_graph::{AtomicProp, Graph, NodeId};
-use rayon::prelude::*;
 
 /// Push engine with atomic combines (Ligra-like).
 pub struct PushEngine<'g> {
@@ -36,7 +35,7 @@ impl<'g> PushEngine<'g> {
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.g.n();
-        let mut x: Vec<V> = (0..nid(n)).into_par_iter().map(&init).collect();
+        let mut x: Vec<V> = crate::map_nodes(n, &init);
         if iters == 0 {
             return x;
         }
@@ -63,7 +62,7 @@ impl<'g> PushEngine<'g> {
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.g.n();
-        let mut x: Vec<V> = (0..nid(n)).into_par_iter().map(&init).collect();
+        let mut x: Vec<V> = crate::map_nodes(n, &init);
         let slots: Vec<AtomicU32> = (0..n * V::LANES).map(|_| AtomicU32::new(0)).collect();
         for t in 0..max_iters {
             self.reset_slots::<V>(&slots);
@@ -81,17 +80,17 @@ impl<'g> PushEngine<'g> {
     fn reset_slots<V: AtomicProp>(&self, slots: &[AtomicU32]) {
         let mut id = vec![0u32; V::LANES];
         V::identity().write_lanes(&mut id);
-        slots.par_iter().enumerate().for_each(|(i, s)| {
-            // ordering: the reset is published by the rayon join before any
+        mixen_pool::par_range(0..slots.len(), |i| {
+            // ordering: the reset is published by the pool scope before any
             // push touches the slots.
-            s.store(id[i % V::LANES], Ordering::Relaxed);
+            slots[i].store(id[i % V::LANES], Ordering::Relaxed);
         });
     }
 
     fn push_all<V: AtomicProp>(&self, x: &[V], slots: &[AtomicU32]) {
-        (0..nid(self.g.n())).into_par_iter().for_each(|u| {
-            let val = x[u as usize];
-            for &v in self.g.out_neighbors(u) {
+        mixen_pool::par_range(0..self.g.n(), |u| {
+            let val = x[u];
+            for &v in self.g.out_neighbors(nid(u)) {
                 let base = v as usize * V::LANES;
                 for lane in 0..V::LANES {
                     atomic_fold::<V>(&slots[base + lane], val, lane);
@@ -105,18 +104,15 @@ impl<'g> PushEngine<'g> {
         V: AtomicProp,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        (0..nid(self.g.n()))
-            .into_par_iter()
-            .map(|v| {
-                let base = v as usize * V::LANES;
-                let lanes: Vec<u32> = (0..V::LANES)
-                    // ordering: push_all's join already ordered every fold
-                    // before this read-only pass.
-                    .map(|l| slots[base + l].load(Ordering::Relaxed))
-                    .collect();
-                apply(v, V::read_lanes(&lanes))
-            })
-            .collect()
+        crate::map_nodes(self.g.n(), |v| {
+            let base = v as usize * V::LANES;
+            let lanes: Vec<u32> = (0..V::LANES)
+                // ordering: push_all's scope already ordered every fold
+                // before this read-only pass.
+                .map(|l| slots[base + l].load(Ordering::Relaxed))
+                .collect();
+            apply(v, V::read_lanes(&lanes))
+        })
     }
 
     /// Direction-optimizing BFS.
@@ -132,34 +128,37 @@ impl<'g> PushEngine<'g> {
             let frontier_edges: usize = frontier.iter().map(|&u| self.g.out_degree(u)).sum();
             frontier = if frontier_edges * 20 > m.max(1) {
                 // Bottom-up: every unvisited node scans its in-neighbours.
-                (0..n)
-                    .into_par_iter()
+                mixen_pool::par_parts(n, |part| {
                     // ordering: depths ≤ level were published by previous
-                    // levels' joins; this level writes only unvisited slots.
-                    .filter(|&v| depth[v].load(Ordering::Relaxed) < 0)
-                    .filter_map(|v| {
-                        let hit = self
-                            .g
-                            .in_neighbors(nid(v))
-                            .iter()
-                            // ordering: same argument as the filter above.
-                            .any(|&u| depth[u as usize].load(Ordering::Relaxed) == level);
-                        if hit {
-                            // ordering: each unvisited v is written by at
-                            // most one task (the one that owns v), and the
-                            // value is published by this level's join.
-                            depth[v].store(level + 1, Ordering::Relaxed);
-                            Some(nid(v))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect()
+                    // levels' scopes; this level writes only unvisited slots.
+                    part.filter(|&v| depth[v].load(Ordering::Relaxed) < 0)
+                        .filter_map(|v| {
+                            let hit = self
+                                .g
+                                .in_neighbors(nid(v))
+                                .iter()
+                                // ordering: same argument as the filter above.
+                                .any(|&u| depth[u as usize].load(Ordering::Relaxed) == level);
+                            if hit {
+                                // ordering: each unvisited v is written by at
+                                // most one task (the one that owns v), and the
+                                // value is published by this level's scope.
+                                depth[v].store(level + 1, Ordering::Relaxed);
+                                Some(nid(v))
+                            } else {
+                                None
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .into_iter()
+                .flatten()
+                .collect()
             } else {
                 // Top-down: push from the frontier with CAS claims.
-                frontier
-                    .par_iter()
-                    .flat_map_iter(|&u| {
+                mixen_pool::par_parts(frontier.len(), |part| {
+                    part.flat_map(|i| {
+                        let u = frontier[i];
                         let mut next = Vec::new();
                         for &v in self.g.out_neighbors(u) {
                             if depth[v as usize]
@@ -168,7 +167,7 @@ impl<'g> PushEngine<'g> {
                                     level + 1,
                                     // ordering: the claim needs only
                                     // same-location atomicity — the next
-                                    // frontier is consumed after the join.
+                                    // frontier is consumed after the scope.
                                     Ordering::Relaxed,
                                     // ordering: failure means someone else
                                     // claimed v; nothing further is read.
@@ -181,7 +180,11 @@ impl<'g> PushEngine<'g> {
                         }
                         next
                     })
-                    .collect()
+                    .collect::<Vec<_>>()
+                })
+                .into_iter()
+                .flatten()
+                .collect()
             };
             level += 1;
         }
@@ -193,7 +196,7 @@ impl<'g> PushEngine<'g> {
 #[inline]
 fn atomic_fold<V: AtomicProp>(slot: &AtomicU32, val: V, lane: usize) {
     // ordering: the fold is commutative and touches only this slot; the
-    // accumulated result is published to readers by push_all's rayon join,
+    // accumulated result is published to readers by push_all's pool scope,
     // so the CAS loop needs no cross-location ordering.
     let mut cur = slot.load(Ordering::Relaxed);
     loop {

@@ -2,9 +2,7 @@
 //! (general-semiring) computations: `x'[v] = apply(v, ⊕ x[u] ⊗ w(u,v))`
 //! over the weighted CSC, parallel over destinations.
 
-use mixen_graph::nid;
 use mixen_graph::{NodeId, PropValue, WGraph};
-use rayon::prelude::*;
 
 /// Dense weighted pull engine.
 pub struct WPullEngine<'g> {
@@ -25,7 +23,7 @@ impl<'g> WPullEngine<'g> {
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.wg.n();
-        let mut x: Vec<V> = (0..nid(n)).into_par_iter().map(&init).collect();
+        let mut x: Vec<V> = crate::map_nodes(n, &init);
         for _ in 0..iters {
             x = self.step(&x, &apply);
         }
@@ -46,7 +44,7 @@ impl<'g> WPullEngine<'g> {
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.wg.n();
-        let mut x: Vec<V> = (0..nid(n)).into_par_iter().map(&init).collect();
+        let mut x: Vec<V> = crate::map_nodes(n, &init);
         for t in 0..max_iters {
             let y = self.step(&x, &apply);
             let diff = mixen_graph::max_diff(&y, &x);
@@ -63,16 +61,13 @@ impl<'g> WPullEngine<'g> {
         V: PropValue,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        (0..nid(self.wg.n()))
-            .into_par_iter()
-            .map(|v| {
-                let mut sum = V::identity();
-                for (u, w) in self.wg.in_edges(v) {
-                    sum.combine(x[u as usize].scale_edge(w));
-                }
-                apply(v, sum)
-            })
-            .collect()
+        crate::map_nodes(self.wg.n(), |v| {
+            let mut sum = V::identity();
+            for (u, w) in self.wg.in_edges(v) {
+                sum.combine(x[u as usize].scale_edge(w));
+            }
+            apply(v, sum)
+        })
     }
 }
 

@@ -239,12 +239,7 @@ impl BinCodec {
 /// sources, f16 overflow (`|v| > 65504`), or any round-trip error above
 /// the budget relative to the stream's maximum magnitude.
 pub fn plan_codec<V: PropValue>(enc: BinEncoding, x: &[V]) -> Result<BinCodec, GraphError> {
-    let numeric = |msg: String| {
-        Err(GraphError::Numeric {
-            iteration: 0,
-            msg,
-        })
-    };
+    let numeric = |msg: String| Err(GraphError::Numeric { iteration: 0, msg });
     let enc = enc.effective::<V>();
     if !enc.is_compressed() {
         return Ok(BinCodec::identity());
@@ -406,7 +401,12 @@ impl<V: PropValue> DynamicBins<V> {
     pub fn total_slots(&self) -> usize {
         self.per_task
             .iter()
-            .flat_map(|t| t.per_col.iter().map(Vec::len).zip(t.packed.iter().map(Vec::len)))
+            .flat_map(|t| {
+                t.per_col
+                    .iter()
+                    .map(Vec::len)
+                    .zip(t.packed.iter().map(Vec::len))
+            })
             .map(|(full, packed)| full + packed)
             .sum()
     }
@@ -501,18 +501,12 @@ pub struct StaticBin<V> {
     vals: Vec<V>,
 }
 
-/// Seed-row parts per pool lane in [`StaticBin::compute`]; more than one so
-/// that work-stealing can even out seeds of unequal degree. The part
-/// boundaries fix the combine order, so for a given lane count the bin is
-/// reproducible bit for bit.
-const PRE_PARTS_PER_LANE: usize = 4;
-
 impl<V: PropValue> StaticBin<V> {
     /// Pre-Phase: pushes every seed's value along its seed→regular edges and
-    /// accumulates per destination. Seed rows are split into
-    /// [`PRE_PARTS_PER_LANE`] contiguous parts per pool lane, each part
-    /// accumulates into a vector of its own, and the parts are combined per
-    /// destination in part order.
+    /// accumulates per destination. Seed rows are cut by the pool's split
+    /// rule ([`mixen_pool::split`]), each part accumulates into a vector of
+    /// its own, and the parts are combined per destination in part order —
+    /// so for a given lane count the bin is reproducible bit for bit.
     pub fn compute(seed_csr: &Csr, seed_vals: &[V], r: usize) -> Self {
         Self::compute_weighted(seed_csr, seed_vals, r, Unweighted)
     }
@@ -527,28 +521,23 @@ impl<V: PropValue> StaticBin<V> {
     ) -> Self {
         assert_eq!(seed_csr.n_rows(), seed_vals.len());
         assert_eq!(seed_csr.n_cols(), r);
-        let n = seed_csr.n_rows();
-        let lanes = mixen_pool::current_num_threads();
-        let parts = if lanes <= 1 {
-            1
-        } else {
-            (lanes * PRE_PARTS_PER_LANE).min(n.max(1))
-        };
+        let parts: Vec<_> = mixen_pool::split(seed_csr.n_rows()).collect();
         // All accumulators come from the calling thread's allocator. A pool
         // worker allocating its own `r`-length vector takes it from that
         // thread's malloc arena, and whether the arena maps and unmaps a
         // sub-heap for it on every call depends on what the worker happened
         // to allocate earlier: the same call then costs 1x or 2x from one
         // process to the next (`results/e2e_ab_pr12.txt`, "Reading").
-        let mut accs: Vec<Vec<V>> = (0..parts).map(|_| vec![V::identity(); r]).collect();
+        let mut accs: Vec<Vec<V>> = parts.iter().map(|_| vec![V::identity(); r]).collect();
         let ptr = seed_csr.ptr();
-        mixen_pool::par_chunks_mut(&mut accs, 1, |part, acc| {
-            let acc = &mut acc[0];
-            for s in n * part / parts..n * (part + 1) / parts {
-                let v = seed_vals[s];
-                let base = ptr[s];
-                for (i, &d) in seed_csr.neighbors(nid(s)).iter().enumerate() {
-                    acc[d as usize].combine(w.scale(v, base + i));
+        mixen_pool::par_parts_mut(&mut accs, |first, accs| {
+            for (acc, part) in accs.iter_mut().zip(&parts[first..]) {
+                for s in part.clone() {
+                    let v = seed_vals[s];
+                    let base = ptr[s];
+                    for (i, &d) in seed_csr.neighbors(nid(s)).iter().enumerate() {
+                        acc[d as usize].combine(w.scale(v, base + i));
+                    }
                 }
             }
         });
@@ -557,11 +546,10 @@ impl<V: PropValue> StaticBin<V> {
         let rest: Vec<Vec<V>> = accs.collect();
         if !rest.is_empty() {
             // Parts ascending for every destination, so a value's bits do
-            // not depend on how the destinations are chunked.
-            let chunk = r.div_ceil(parts).max(1);
-            mixen_pool::par_chunks_mut(&mut vals, chunk, |c, out| {
+            // not depend on how the destinations are cut.
+            mixen_pool::par_parts_mut(&mut vals, |lo, out| {
                 for acc in &rest {
-                    for (x, &y) in out.iter_mut().zip(&acc[c * chunk..]) {
+                    for (x, &y) in out.iter_mut().zip(&acc[lo..]) {
                         x.combine(y);
                     }
                 }

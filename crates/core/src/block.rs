@@ -35,7 +35,6 @@
 
 use mixen_graph::nid;
 use mixen_graph::{Csr, GraphError};
-use rayon::prelude::*;
 
 use crate::MixenOpts;
 
@@ -260,15 +259,19 @@ impl BlockedSubgraph {
         // then refine the hub domain.
         let ranges = plan_row_ranges(reg_csr, c, opts, hub_end);
 
-        let rows: Vec<BlockRow> = ranges
-            .par_iter()
-            .map(|&(lo, hi)| build_block_row(reg_csr, lo, hi, c, n_col_blocks, opts))
-            .collect();
+        let rows: Vec<BlockRow> = mixen_pool::par_parts(ranges.len(), |part| {
+            ranges[part]
+                .iter()
+                .map(|&(lo, hi)| build_block_row(reg_csr, lo, hi, c, n_col_blocks, opts))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
         // Column-side skip lists, mirroring the per-row lists.
-        let nonempty_rows: Vec<Box<[u32]>> = (0..n_col_blocks)
-            .into_par_iter()
-            .map(|j| {
+        let nonempty_rows: Vec<Box<[u32]>> = mixen_pool::par_parts(n_col_blocks, |part| {
+            part.map(|j| {
                 rows.iter()
                     .enumerate()
                     .filter(|(_, row)| !opts.skip_empty_blocks || row.blocks[j].msg_count() > 0)
@@ -276,7 +279,11 @@ impl BlockedSubgraph {
                     .collect::<Vec<u32>>()
                     .into_boxed_slice()
             })
-            .collect();
+            .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
         let gather_tasks = plan_gather_tasks(&rows, r, c, n_col_blocks, opts);
         let chunk_indexes = build_chunk_indexes(&rows, &nonempty_rows, &gather_tasks, r, c);
@@ -752,10 +759,13 @@ fn plan_gather_tasks(
     if n_col_blocks == 0 {
         return Vec::new();
     }
-    let col_nnz: Vec<usize> = (0..n_col_blocks)
-        .into_par_iter()
-        .map(|j| rows.iter().map(|row| row.blocks[j].nnz()).sum())
-        .collect();
+    let col_nnz: Vec<usize> = mixen_pool::par_parts(n_col_blocks, |part| {
+        part.map(|j| rows.iter().map(|row| row.blocks[j].nnz()).sum())
+            .collect::<Vec<usize>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     let total_nnz: usize = col_nnz.iter().sum();
     let avg = (total_nnz as f64 / n_col_blocks as f64).max(1.0);
     // lint: allow(truncation) reason=guarded: positive finite f64 cap far below 2^53
@@ -822,9 +832,9 @@ fn build_chunk_indexes(
     r: usize,
     c: usize,
 ) -> Vec<Option<ChunkIndex>> {
-    tasks
-        .par_iter()
-        .map(|t| {
+    mixen_pool::par_parts(tasks.len(), |part| {
+        part.map(|task| {
+            let t = &tasks[task];
             let j = t.col as usize;
             let lo = j * c;
             let width = (lo + c).min(r) - lo;
@@ -886,7 +896,11 @@ fn build_chunk_indexes(
                 slots: slots.into_boxed_slice(),
             })
         })
-        .collect()
+        .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]

@@ -31,7 +31,6 @@ use mixen_graph::nid;
 use std::sync::atomic::{AtomicI32, Ordering};
 
 use mixen_graph::{Classification, Graph, GraphError, NodeId, PropValue, WGraph};
-use rayon::prelude::*;
 
 use crate::bins::{BinEncoding, DynamicBins, StaticBin};
 use crate::block::BlockedSubgraph;
@@ -136,7 +135,7 @@ impl MixenEngine {
     }
 
     fn build(g: &Graph, opts: MixenOpts, class: Option<&Classification>) -> Self {
-        let threads = rayon::current_num_threads();
+        let threads = mixen_pool::current_num_threads();
         let mut filter_seconds = 0.0;
         let filtered = {
             let _span = Span::new(&mut filter_seconds);
@@ -403,14 +402,17 @@ impl<W: Weights> MixenEngine<W> {
         let mut stats = PhaseStats::default();
 
         if max_iters == 0 {
-            return Ok(((0..nid(n)).into_par_iter().map(&init).collect(), stats));
+            let x0 = mixen_pool::par_parts(n, |part| part.map(nid).map(&init).collect::<Vec<_>>());
+            return Ok((x0.into_iter().flatten().collect(), stats));
         }
 
         // Seed values are constant for the whole run.
-        let seed_vals: Vec<V> = (0..s)
-            .into_par_iter()
-            .map(|i| init(f.to_old(nid(r + i))))
-            .collect();
+        let seed_vals: Vec<V> = mixen_pool::par_parts(s, |part| {
+            part.map(|i| init(f.to_old(nid(r + i)))).collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
         // Pre-Phase: cache seed→regular contributions. With the Cache step
         // disabled (ablation), this work is redone every iteration below.
@@ -426,10 +428,12 @@ impl<W: Weights> MixenEngine<W> {
             .static_bin_entries
             .set(sta.values().len() as u64);
 
-        let mut x: Vec<V> = (0..r)
-            .into_par_iter()
-            .map(|v| init(f.to_old(nid(v))))
-            .collect();
+        let mut x: Vec<V> = mixen_pool::par_parts(r, |part| {
+            part.map(|v| init(f.to_old(nid(v)))).collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         let mut y: Vec<V> = vec![V::identity(); r];
         self.prime(&mut y, &sta, &seed_vals);
         let mut bins: DynamicBins<V> =
@@ -542,9 +546,9 @@ impl<W: Weights> MixenEngine<W> {
         // Post-Phase: sinks pull from the final propagated values.
         let sink_ptr = f.sink_csc().ptr();
         let w = self.weights.sink();
-        let sink_vals: Vec<V> = (0..nid(f.num_sink()))
-            .into_par_iter()
-            .map(|k| {
+        let sink_vals: Vec<V> = mixen_pool::par_parts(f.num_sink(), |part| {
+            part.map(|k| {
+                let k = nid(k);
                 let mut sum = V::identity();
                 let base = sink_ptr[k as usize];
                 for (i, &v) in f.sink_csc().neighbors(k).iter().enumerate() {
@@ -557,11 +561,14 @@ impl<W: Weights> MixenEngine<W> {
                 }
                 apply(f.to_old(nid(sink_base) + k), sum)
             })
-            .collect();
+            .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
-        (0..n)
-            .into_par_iter()
-            .map(|new| {
+        mixen_pool::par_parts(n, |part| {
+            part.map(|new| {
                 let old = f.to_old(nid(new));
                 if new < r {
                     x[new]
@@ -576,13 +583,17 @@ impl<W: Weights> MixenEngine<W> {
                 }
             })
             .collect::<Vec<V>>()
-            // Values above are in new-ID order; put them back.
-            .into_iter()
-            .enumerate()
-            .fold(vec![V::identity(); n], |mut out, (new, val)| {
-                out[f.to_old(nid(new)) as usize] = val;
-                out
-            })
+        })
+        .into_iter()
+        .flatten()
+        .collect::<Vec<V>>()
+        // Values above are in new-ID order; put them back.
+        .into_iter()
+        .enumerate()
+        .fold(vec![V::identity(); n], |mut out, (new, val)| {
+            out[f.to_old(nid(new)) as usize] = val;
+            out
+        })
     }
 
     /// Breadth-first search from `root`, returning depths in original-ID
@@ -643,20 +654,20 @@ impl<W: Weights> MixenEngine<W> {
         out[root as usize] = 0;
         for v in 0..r {
             // ordering: all claims were ordered before this read by the
-            // final level's rayon join.
+            // final level's pool scope.
             let d = reg_depth[v].load(Ordering::Relaxed);
             if d >= 0 {
                 out[f.to_old(nid(v)) as usize] = d;
             }
         }
-        let sink_depths: Vec<i32> = (0..nid(f.num_sink()))
-            .into_par_iter()
-            .map(|k| {
+        let sink_depths: Vec<i32> = mixen_pool::par_parts(f.num_sink(), |part| {
+            part.map(|k| {
+                let k = nid(k);
                 let mut best = i32::MAX;
                 for &v in f.sink_csc().neighbors(k) {
                     let d = if (v as usize) < r {
                         // ordering: read-only Post-Phase after the BFS
-                        // levels' joins; no concurrent writers remain.
+                        // levels' scopes; no concurrent writers remain.
                         reg_depth[v as usize].load(Ordering::Relaxed)
                     } else if v as usize == root_new {
                         0
@@ -673,7 +684,11 @@ impl<W: Weights> MixenEngine<W> {
                     best
                 }
             })
-            .collect();
+            .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         for (k, &d) in sink_depths.iter().enumerate() {
             let old = f.to_old(sink_base + nid(k)) as usize;
             if d >= 0 && out[old] < 0 {

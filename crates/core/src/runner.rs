@@ -51,7 +51,6 @@ use std::time::{Duration, Instant};
 use mixen_graph::ckpt::{Checkpoint, CkptValue};
 use mixen_graph::io::graph_checksum;
 use mixen_graph::{max_diff, Graph, GraphError, NodeId, PropValue};
-use rayon::prelude::*;
 
 use crate::engine::{MixenEngine, PhaseStats};
 use crate::obs::{Json, MetricsSnapshot};
@@ -1318,16 +1317,20 @@ where
 {
     let mut x = x0.to_vec();
     for _ in 0..step {
-        x = (0..nid(g.n()))
-            .into_par_iter()
-            .map(|v| {
+        x = mixen_pool::par_parts(g.n(), |part| {
+            part.map(|v| {
+                let v = nid(v);
                 let mut sum = V::identity();
                 for &u in g.in_csc().neighbors(v) {
                     sum.combine(x[u as usize]);
                 }
                 apply(v, sum)
             })
-            .collect();
+            .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     }
     x
 }

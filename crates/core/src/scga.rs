@@ -13,7 +13,6 @@
 
 use mixen_graph::nid;
 use mixen_graph::{GraphError, NodeId, PropValue};
-use rayon::prelude::*;
 
 use crate::bins::{plan_codec, BinCodec, DynamicBins};
 use crate::block::{Block, BlockedSubgraph, ChunkIndex};
@@ -161,10 +160,10 @@ pub fn try_scatter_with<V: PropValue>(
     let packed = bins.encoding().is_compressed();
     let rows = blocked.rows();
     let segs = split_by_rows(x, blocked);
-    segs.par_iter()
-        .zip(bins.tasks_mut().par_iter_mut())
-        .zip(rows.par_iter())
-        .for_each(|((xseg, task), row)| {
+    let tasks = bins.tasks_mut();
+    debug_assert_eq!(tasks.len(), rows.len());
+    mixen_pool::par_parts_mut(tasks, |first, tasks| {
+        for ((task, xseg), row) in tasks.iter_mut().zip(&segs[first..]).zip(&rows[first..]) {
             // SAFETY: segments are disjoint sub-slices, one per task.
             let xseg = unsafe { xseg.as_slice_mut() };
             let cols = &row.nonempty_cols;
@@ -184,7 +183,8 @@ pub fn try_scatter_with<V: PropValue>(
             if let Some(p) = prime {
                 xseg.copy_from_slice(&p[row.src_start as usize..row.src_end as usize]);
             }
-        });
+        }
+    });
     Ok(())
 }
 
@@ -355,10 +355,9 @@ fn gather_walk<V, F, W, R, MK>(
         rest = tail;
     }
     let idxs = blocked.chunk_indexes();
-    segs.par_iter_mut()
-        .zip(tasks.par_iter().zip(idxs.par_iter()))
-        .enumerate()
-        .for_each(|(task, (yseg, (t, idx)))| {
+    mixen_pool::par_parts_mut(&mut segs, |first, segs| {
+        for (task, yseg) in (first..).zip(segs.iter_mut()) {
+            let (t, idx) = (&tasks[task], &idxs[task]);
             let j = t.col as usize;
             let list = blocked.nonempty_rows(j);
             // Touch the bin stream drained next — the following
@@ -398,7 +397,8 @@ fn gather_walk<V, F, W, R, MK>(
             for (d, yv) in yseg.iter_mut().enumerate() {
                 *yv = finish(base + nid(d), *yv);
             }
-        });
+        }
+    });
 }
 
 /// Drains one block's full message stream into the column's `y` segment:
@@ -505,9 +505,9 @@ pub fn bfs_level_sparse(
     // Per row: positions of frontier sources per block-column. A row whose
     // frontier slice is empty contributes an empty outer Vec — no per-block
     // allocations at all; columns the row has no edges into stay `Vec::new`.
-    let active: Vec<Vec<Vec<u32>>> = rows
-        .par_iter()
-        .map(|row| {
+    let active: Vec<Vec<Vec<u32>>> = mixen_pool::par_parts(rows.len(), |part| {
+        part.map(|t| {
+            let row = &rows[t];
             let lo = frontier.partition_point(|&u| u < row.src_start);
             let hi = frontier.partition_point(|&u| u < row.src_end);
             if lo == hi {
@@ -523,10 +523,13 @@ pub fn bfs_level_sparse(
             }
             acts
         })
-        .collect();
-    (0..blocked.n_col_blocks())
-        .into_par_iter()
-        .flat_map_iter(|j| {
+        .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    mixen_pool::par_parts(blocked.n_col_blocks(), |part| {
+        part.flat_map(|j| {
             let col_base = nid(j * blocked.block_side());
             let mut next = Vec::new();
             for &ti in blocked.nonempty_rows(j) {
@@ -541,8 +544,8 @@ pub fn bfs_level_sparse(
                         if depth[v as usize]
                             // ordering: the depth claim only needs
                             // same-location atomicity — the next frontier is
-                            // consumed after the rayon join, which orders
-                            // every claim before any reader.
+                            // consumed after the pool scope completes, which
+                            // orders every claim before any reader.
                             .compare_exchange(-1, level + 1, Ordering::Relaxed, Ordering::Relaxed)
                             .is_ok()
                         {
@@ -553,7 +556,11 @@ pub fn bfs_level_sparse(
             }
             next
         })
-        .collect()
+        .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// One dense BFS level: walk every block, activating sources whose depth
@@ -565,9 +572,8 @@ pub fn bfs_level_dense(
 ) -> Vec<u32> {
     use std::sync::atomic::Ordering;
     let rows = blocked.rows();
-    (0..blocked.n_col_blocks())
-        .into_par_iter()
-        .flat_map_iter(|j| {
+    mixen_pool::par_parts(blocked.n_col_blocks(), |part| {
+        part.flat_map(|j| {
             let col_base = nid(j * blocked.block_side());
             let mut next = Vec::new();
             for &ti in blocked.nonempty_rows(j) {
@@ -576,7 +582,7 @@ pub fn bfs_level_dense(
                 for (k, &src) in blk.src_ids.iter().enumerate() {
                     let u = row.src_start + src;
                     // ordering: depths at `level` were published by the
-                    // previous level's rayon join; this level only claims
+                    // previous level's pool scope; this level only claims
                     // unvisited slots, so plain atomicity suffices.
                     if depth[u as usize].load(Ordering::Relaxed) != level {
                         continue;
@@ -585,7 +591,7 @@ pub fn bfs_level_dense(
                         let v = col_base + d;
                         if depth[v as usize]
                             // ordering: same claim protocol as the sparse
-                            // level — the join orders claims before readers.
+                            // level — the scope orders claims before readers.
                             .compare_exchange(-1, level + 1, Ordering::Relaxed, Ordering::Relaxed)
                             .is_ok()
                         {
@@ -596,7 +602,11 @@ pub fn bfs_level_dense(
             }
             next
         })
-        .collect()
+        .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Positions in `src_ids` whose value occurs in the sorted `active` list.

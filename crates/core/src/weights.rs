@@ -21,7 +21,6 @@
 
 use mixen_graph::nid;
 use mixen_graph::{GraphError, NodeId, PropValue, WGraph};
-use rayon::prelude::*;
 
 use crate::block::BlockedSubgraph;
 use crate::filter::FilteredGraph;
@@ -129,9 +128,9 @@ impl Weighted {
             chunked_col[t.col as usize] = idx.is_some();
         }
 
-        let blocks = rows
-            .par_iter()
-            .map(|row| {
+        let blocks = mixen_pool::par_parts(rows.len(), |part| {
+            part.map(|t| {
+                let row = &rows[t];
                 row.blocks
                     .iter()
                     .enumerate()
@@ -151,13 +150,14 @@ impl Weighted {
                     .collect::<Result<Vec<_>, GraphError>>()
             })
             .collect::<Vec<_>>()
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+        })
+        .into_iter()
+        .flatten()
+        .collect::<Result<Vec<_>, _>>()?;
 
-        let chunks = tasks
-            .par_iter()
-            .zip(indexes.par_iter())
-            .map(|(t, idx)| {
+        let chunks = mixen_pool::par_parts(tasks.len(), |part| {
+            part.map(|task| {
+                let (t, idx) = (&tasks[task], &indexes[task]);
                 let Some(ci) = idx else {
                     return Ok(Box::default());
                 };
@@ -177,8 +177,10 @@ impl Weighted {
                 Ok(w.into_boxed_slice())
             })
             .collect::<Vec<Result<Box<[f32]>, GraphError>>>()
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+        })
+        .into_iter()
+        .flatten()
+        .collect::<Result<Vec<_>, _>>()?;
 
         let r = nid(filtered.num_regular());
         let mut seed = Vec::with_capacity(filtered.seed_csr().nnz());

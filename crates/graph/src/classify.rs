@@ -7,7 +7,6 @@
 //! are additionally moved to the front of the regular range.
 
 use crate::nid;
-use rayon::prelude::*;
 
 use crate::{Graph, NodeId};
 
@@ -62,16 +61,20 @@ impl Classification {
     /// paper's definition in §2.1).
     pub fn of(g: &Graph) -> Self {
         let avg = g.avg_degree();
-        let per_node: Vec<(NodeClass, bool, usize)> = (0..nid(g.n()))
-            .into_par_iter()
-            .map(|u| {
+        let per_node: Vec<(NodeClass, bool, usize)> = mixen_pool::par_parts(g.n(), |part| {
+            part.map(|u| {
+                let u = nid(u);
                 let ind = g.in_degree(u);
                 let outd = g.out_degree(u);
                 let class = NodeClass::from_degrees(ind, outd);
                 let hub = (ind as f64) > avg;
                 (class, hub, if hub { ind } else { 0 })
             })
-            .collect();
+            .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         let mut counts = [0usize; 4];
         let mut hub_count = 0usize;
         let mut hub_in_edges = 0usize;

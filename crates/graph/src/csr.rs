@@ -3,14 +3,12 @@
 //! A [`Csr`] stores, for each of `n` rows, a sorted run of column indices.
 //! Interpreted as a graph it is the out-adjacency of a directed graph; the
 //! CSC of the same graph is the [`Csr`] of its transpose (see
-//! [`Csr::transpose`]). Construction and transposition are parallelized with
-//! rayon: degree counting uses per-chunk histograms, placement uses atomic
-//! cursors, and per-row sorting is embarrassingly parallel.
+//! [`Csr::transpose`]). Construction and transposition run on `mixen-pool`:
+//! degree counting uses per-part histograms, placement uses atomic cursors,
+//! and per-row sorting is embarrassingly parallel.
 
 use crate::nid;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use rayon::prelude::*;
 
 use crate::error::GraphError;
 use crate::NodeId;
@@ -46,21 +44,20 @@ impl Csr {
                 .all(|&(s, d)| (s as usize) < n_rows && (d as usize) < n_cols),
             "edge endpoint out of range"
         );
-        let ptr = prefix_sum(&count_rows(n_rows, edges.par_iter().map(|&(s, _)| s)));
+        let ptr = prefix_sum(&count_rows(n_rows, edges, |&(s, _)| s));
         let mut idx = vec![0 as NodeId; edges.len()].into_boxed_slice();
-        let cursors: Vec<AtomicUsize> = ptr[..n_rows]
-            .par_iter()
-            .map(|&p| AtomicUsize::new(p))
-            .collect();
+        let cursors = row_cursors(&ptr[..n_rows]);
         {
             // SAFETY-free parallel placement: each edge reserves a distinct
             // slot via its row cursor; slots never overlap because cursors
             // start at row offsets and each row's reservation count equals
             // its degree.
             let idx_cell = SliceWriter::new(&mut idx);
-            edges.par_iter().for_each(|&(s, d)| {
+            mixen_pool::par_range(0..edges.len(), |e| {
+                let (s, d) = edges[e];
                 // ordering: the cursor only reserves a unique slot; the
-                // written values are published by the rayon join below.
+                // written values are published by the pool scope's
+                // Release/Acquire completion below.
                 let slot = cursors[s as usize].fetch_add(1, Ordering::Relaxed);
                 idx_cell.write(slot, d);
             });
@@ -83,16 +80,19 @@ impl Csr {
     where
         F: Fn(NodeId, &mut Vec<NodeId>) + Sync,
     {
-        let rows: Vec<Vec<NodeId>> = (0..nid(n_rows))
-            .into_par_iter()
-            .map(|u| {
+        let rows: Vec<Vec<NodeId>> = mixen_pool::par_parts(n_rows, |part| {
+            part.map(|u| {
                 let mut scratch = Vec::new();
-                row(u, &mut scratch);
+                row(nid(u), &mut scratch);
                 scratch.sort_unstable();
                 debug_assert!(scratch.iter().all(|&v| (v as usize) < n_cols));
                 scratch
             })
-            .collect();
+            .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         let mut ptr = Vec::with_capacity(n_rows + 1);
         ptr.push(0usize);
         let mut acc = 0usize;
@@ -204,15 +204,12 @@ impl Csr {
     /// scatter, then per-row sort. The result's rows are the columns of
     /// `self`.
     pub fn transpose(&self) -> Self {
-        let ptr = prefix_sum(&count_rows(self.n_cols, self.idx.par_iter().copied()));
+        let ptr = prefix_sum(&count_rows(self.n_cols, &self.idx, |&v| v));
         let mut idx = vec![0 as NodeId; self.nnz()].into_boxed_slice();
-        let cursors: Vec<AtomicUsize> = ptr[..self.n_cols]
-            .par_iter()
-            .map(|&p| AtomicUsize::new(p))
-            .collect();
+        let cursors = row_cursors(&ptr[..self.n_cols]);
         {
             let idx_cell = SliceWriter::new(&mut idx);
-            (0..self.n_rows).into_par_iter().for_each(|u| {
+            mixen_pool::par_range(0..self.n_rows, |u| {
                 for &v in &self.idx[self.ptr[u]..self.ptr[u + 1]] {
                     // ordering: slot reservation only, as in from_edges_rect.
                     let slot = cursors[v as usize].fetch_add(1, Ordering::Relaxed);
@@ -271,11 +268,8 @@ impl Csr {
     fn sort_rows(&mut self) {
         let ptr = std::mem::take(&mut self.ptr);
         let idx = &mut self.idx;
-        // Split the index array into per-row slices and sort each
-        // independently. `par_chunk_by_rows` is awkward with raw splits, so
-        // use unsafe-free split_at_mut recursion via rayon over the rows'
-        // disjoint ranges, materialized through a SliceWriter-style scheme:
-        // simplest is sequential splitting into a Vec of &mut [NodeId].
+        // Split the index array sequentially into per-row `&mut [NodeId]`
+        // slices (unsafe-free), then sort the rows independently.
         let mut rows: Vec<&mut [NodeId]> = Vec::with_capacity(self.n_rows);
         let mut rest: &mut [NodeId] = idx;
         let mut prev = 0usize;
@@ -285,7 +279,9 @@ impl Csr {
             rest = tail;
             prev = p;
         }
-        rows.par_iter_mut().for_each(|row| row.sort_unstable());
+        mixen_pool::par_parts_mut(&mut rows, |_, part| {
+            part.iter_mut().for_each(|row| row.sort_unstable());
+        });
         self.ptr = ptr;
     }
 }
@@ -338,7 +334,7 @@ impl<'a, T> SliceWriter<'a, T> {
         assert!(i < self.len);
         #[cfg(any(debug_assertions, feature = "race-detector"))]
         // ordering: the claim byte is a diagnostic tripwire — the buffer
-        // itself is published by the construction's rayon join, so the swap
+        // itself is published by the construction's pool scope, so the swap
         // needs only same-location atomicity to expose a double write.
         if self.claimed[i].swap(1, Ordering::Relaxed) != 0 {
             // lint: allow(panic) reason=race detector turning a violated disjoint-write contract into a diagnosable failure
@@ -350,22 +346,44 @@ impl<'a, T> SliceWriter<'a, T> {
     }
 }
 
-/// Parallel degree count: per-chunk local histograms folded into one.
-fn count_rows(n: usize, rows: impl IndexedParallelIterator<Item = NodeId>) -> Vec<usize> {
-    rows.fold(
-        || vec![0usize; n],
-        |mut hist, r| {
-            hist[r as usize] += 1;
-            hist
-        },
-    )
-    .reduce(
-        || vec![0usize; n],
-        |mut a, b| {
-            a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
-            a
-        },
-    )
+/// One atomic slot cursor per row, starting at the row's `ptr` offset.
+fn row_cursors(starts: &[usize]) -> Vec<AtomicUsize> {
+    mixen_pool::par_parts(starts.len(), |part| {
+        starts[part]
+            .iter()
+            .map(|&p| AtomicUsize::new(p))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Parallel degree count: one histogram per [`mixen_pool::split`] part of
+/// `items`, summed per row. Every histogram comes from the calling thread's
+/// allocator, never a pool worker's (see `StaticBin::compute` in
+/// `mixen-core` for what worker-side `n`-length allocations cost).
+fn count_rows<T: Sync>(n: usize, items: &[T], row_of: impl Fn(&T) -> NodeId + Sync) -> Vec<usize> {
+    let parts: Vec<_> = mixen_pool::split(items.len()).collect();
+    let mut hists: Vec<Vec<usize>> = parts.iter().map(|_| vec![0usize; n]).collect();
+    mixen_pool::par_parts_mut(&mut hists, |first, hists| {
+        for (hist, part) in hists.iter_mut().zip(&parts[first..]) {
+            for item in &items[part.clone()] {
+                hist[row_of(item) as usize] += 1;
+            }
+        }
+    });
+    let mut hists = hists.into_iter();
+    let mut total = hists.next().unwrap_or_default();
+    let rest: Vec<Vec<usize>> = hists.collect();
+    if !rest.is_empty() {
+        mixen_pool::par_parts_mut(&mut total, |lo, out| {
+            for hist in &rest {
+                out.iter_mut().zip(&hist[lo..]).for_each(|(x, y)| *x += y);
+            }
+        });
+    }
+    total
 }
 
 /// Exclusive prefix sum producing a `len + 1` pointer array.
@@ -446,7 +464,7 @@ mod tests {
         {
             let w = SliceWriter::new(&mut buf);
             let cursor = AtomicUsize::new(0);
-            (0..n).into_par_iter().for_each(|_| {
+            mixen_pool::par_range(0..n, |_| {
                 let k = cursor.fetch_add(1, Ordering::Relaxed);
                 let slot = order[k];
                 w.write(slot, nid(slot).wrapping_mul(2654435761));

@@ -8,7 +8,6 @@
 //! estimate (Clauset-style MLE).
 
 use crate::nid;
-use rayon::prelude::*;
 
 use crate::Graph;
 
@@ -48,13 +47,16 @@ impl DegreeDistribution {
     /// Analyzes `g`'s degrees in the given direction. `d_min` is the
     /// power-law fit cutoff (a common choice is the mean degree).
     pub fn of(g: &Graph, dir: Direction, d_min: u32) -> Self {
-        let degrees: Vec<u32> = (0..nid(g.n()))
-            .into_par_iter()
-            .map(|v| match dir {
-                Direction::In => nid(g.in_degree(v)),
-                Direction::Out => nid(g.out_degree(v)),
+        let degrees: Vec<u32> = mixen_pool::par_parts(g.n(), |part| {
+            part.map(|v| match dir {
+                Direction::In => nid(g.in_degree(nid(v))),
+                Direction::Out => nid(g.out_degree(nid(v))),
             })
-            .collect();
+            .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         Self::from_degrees(degrees, d_min)
     }
 

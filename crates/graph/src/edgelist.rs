@@ -4,8 +4,6 @@
 //! [`EdgeList::dedup`] / [`EdgeList::symmetrize`] before building a
 //! [`crate::Graph`]. All operations are deterministic.
 
-use rayon::prelude::*;
-
 use crate::NodeId;
 
 /// A growable list of directed edges over `n` nodes.
@@ -68,7 +66,7 @@ impl EdgeList {
     /// Parallel sort + removal of duplicate edges (keeps self-loops unless
     /// [`EdgeList::drop_self_loops`] is also called).
     pub fn dedup(&mut self) {
-        self.edges.par_sort_unstable();
+        mixen_pool::par_sort_unstable_by(&mut self.edges, Ord::cmp);
         self.edges.dedup();
     }
 
@@ -82,12 +80,17 @@ impl EdgeList {
     /// which is how the paper's undirected datasets (kron, road, urand) are
     /// processed.
     pub fn symmetrize(&mut self) {
-        let rev: Vec<_> = self
-            .edges
-            .par_iter()
-            .filter(|&&(s, d)| s != d)
-            .map(|&(s, d)| (d, s))
-            .collect();
+        let edges = &self.edges;
+        let rev: Vec<_> = mixen_pool::par_parts(edges.len(), |part| {
+            edges[part]
+                .iter()
+                .filter(|&&(s, d)| s != d)
+                .map(|&(s, d)| (d, s))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         self.edges.extend(rev);
         self.dedup();
     }
@@ -95,9 +98,11 @@ impl EdgeList {
     /// Applies a node relabeling `perm` (old id -> new id) to every endpoint.
     pub fn relabel(&mut self, perm: &[NodeId]) {
         assert_eq!(perm.len(), self.n);
-        self.edges.par_iter_mut().for_each(|e| {
-            e.0 = perm[e.0 as usize];
-            e.1 = perm[e.1 as usize];
+        mixen_pool::par_parts_mut(&mut self.edges, |_, part| {
+            for e in part {
+                e.0 = perm[e.0 as usize];
+                e.1 = perm[e.1 as usize];
+            }
         });
     }
 

@@ -19,7 +19,6 @@
 
 use crate::nid;
 use rand::Rng;
-use rayon::prelude::*;
 
 use super::sampling::{zipf_weights, AliasTable};
 use crate::{EdgeList, Graph, NodeId};
@@ -158,9 +157,8 @@ pub fn generate_profile(spec: &ProfileSpec) -> Graph {
     // Parallel edge sampling with deterministic per-chunk RNG streams.
     const CHUNK: usize = 1 << 15;
     let chunks = m.div_ceil(CHUNK);
-    let pairs: Vec<(NodeId, NodeId)> = (0..chunks)
-        .into_par_iter()
-        .flat_map_iter(|chunk| {
+    let pairs: Vec<(NodeId, NodeId)> = mixen_pool::par_parts(chunks, |part| {
+        part.flat_map(|chunk| {
             let lo = chunk * CHUNK;
             let hi = (lo + CHUNK).min(m);
             let mut rng = super::rng(spec.seed.wrapping_add(0x1357 * chunk as u64 + 11));
@@ -193,7 +191,11 @@ pub fn generate_profile(spec: &ProfileSpec) -> Graph {
                 })
                 .collect::<Vec<_>>()
         })
-        .collect();
+        .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
 
     let mut el = EdgeList::from_pairs(n, pairs);
     el.drop_self_loops();

@@ -2,7 +2,6 @@
 //! suite's `kron`), parameterized exactly as the paper's synthetic datasets.
 
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::{EdgeList, Graph, NodeId};
 
@@ -64,9 +63,8 @@ pub fn kronecker(scale: u32, edge_factor: usize, seed: u64) -> Graph {
 fn rmat_pairs(scale: u32, m: usize, params: RmatParams, seed: u64) -> Vec<(NodeId, NodeId)> {
     const CHUNK: usize = 1 << 16;
     let chunks = m.div_ceil(CHUNK);
-    (0..chunks)
-        .into_par_iter()
-        .flat_map_iter(|chunk| {
+    mixen_pool::par_parts(chunks, |part| {
+        part.flat_map(|chunk| {
             let lo = chunk * CHUNK;
             let hi = (lo + CHUNK).min(m);
             let mut rng = super::rng(seed.wrapping_add(0x51_7c_c1 * chunk as u64 + 1));
@@ -74,7 +72,11 @@ fn rmat_pairs(scale: u32, m: usize, params: RmatParams, seed: u64) -> Vec<(NodeI
                 .map(move |_| sample_edge(scale, params, &mut rng))
                 .collect::<Vec<_>>()
         })
-        .collect()
+        .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[inline]

@@ -2,7 +2,6 @@
 
 use crate::nid;
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::{EdgeList, Graph, NodeId};
 
@@ -16,9 +15,8 @@ pub fn uniform(n: usize, degree: usize, seed: u64) -> Graph {
     let target = n * degree / 2;
     const CHUNK: usize = 1 << 16;
     let chunks = target.div_ceil(CHUNK).max(1);
-    let mut pairs: Vec<(NodeId, NodeId)> = (0..chunks)
-        .into_par_iter()
-        .flat_map_iter(|chunk| {
+    let mut pairs: Vec<(NodeId, NodeId)> = mixen_pool::par_parts(chunks, |part| {
+        part.flat_map(|chunk| {
             let lo = chunk * CHUNK;
             let hi = (lo + CHUNK).min(target);
             let mut rng = super::rng(seed.wrapping_add(0xA24B * chunk as u64 + 3));
@@ -33,7 +31,11 @@ pub fn uniform(n: usize, degree: usize, seed: u64) -> Graph {
                 })
                 .collect::<Vec<_>>()
         })
-        .collect();
+        .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     // Ring backbone guarantees no isolated nodes.
     pairs.extend((0..nid(n)).map(|u| (u, nid((u as usize + 1) % n))));
     let mut el = EdgeList::from_pairs(n, pairs);

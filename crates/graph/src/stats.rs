@@ -7,7 +7,6 @@
 //!   subgraph).
 
 use crate::nid;
-use rayon::prelude::*;
 
 use crate::{Classification, Graph, NodeClass};
 
@@ -54,9 +53,8 @@ impl StructuralStats {
         let nf = n.max(1) as f64;
         let mf = m.max(1) as f64;
         let classes = c.classes();
-        let regular_edges: usize = (0..n)
-            .into_par_iter()
-            .map(|u| {
+        let regular_edges: usize = mixen_pool::par_parts(n, |part| {
+            part.map(|u| {
                 if classes[u] == NodeClass::Regular {
                     g.out_neighbors(nid(u))
                         .iter()
@@ -66,7 +64,10 @@ impl StructuralStats {
                     0
                 }
             })
-            .sum();
+            .sum::<usize>()
+        })
+        .into_iter()
+        .sum();
         Self {
             n,
             m,

@@ -16,7 +16,6 @@
 //! ambiguous under multi-edges.
 
 use crate::nid;
-use rayon::prelude::*;
 
 use crate::{Csr, Graph, NodeId};
 
@@ -35,7 +34,7 @@ impl WGraph {
     /// by *summing* their weights; self-loops are kept.
     pub fn from_triples(n: usize, triples: &[(NodeId, NodeId, f32)]) -> Self {
         let mut sorted: Vec<(NodeId, NodeId, f32)> = triples.to_vec();
-        sorted.par_sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        mixen_pool::par_sort_unstable_by(&mut sorted, |a, b| (a.0, a.1).cmp(&(b.0, b.1)));
         // Merge duplicates.
         let mut merged: Vec<(NodeId, NodeId, f32)> = Vec::with_capacity(sorted.len());
         for t in sorted {
@@ -155,9 +154,9 @@ fn align_weights(csr: &Csr, sorted: &[(NodeId, NodeId, f32)], transposed: bool) 
         debug_assert!(i < sorted.len() && (sorted[i].0, sorted[i].1) == key);
         sorted[i].2
     };
-    (0..nid(csr.n_rows()))
-        .into_par_iter()
-        .flat_map_iter(|row| {
+    mixen_pool::par_parts(csr.n_rows(), |part| {
+        part.flat_map(|row| {
+            let row = nid(row);
             csr.neighbors(row)
                 .iter()
                 .map(move |&col| {
@@ -170,7 +169,11 @@ fn align_weights(csr: &Csr, sorted: &[(NodeId, NodeId, f32)], transposed: bool) 
                 .collect::<Vec<f32>>()
         })
         .collect::<Vec<f32>>()
-        .into_boxed_slice()
+    })
+    .into_iter()
+    .flatten()
+    .collect::<Vec<f32>>()
+    .into_boxed_slice()
 }
 
 #[cfg(test)]

@@ -1,10 +1,21 @@
 //! `mixen-pool` — a dependency-free fixed thread pool with chunked
 //! work-stealing deques, built on `std::thread`, mutexes and atomics only.
 //!
-//! This crate is the execution substrate for the whole Mixen workspace: the
-//! vendored `stubs/rayon` shim lowers every `par_iter` pipeline onto the
-//! primitives exported here, so the Scatter–Cache–Gather–Apply engine and the
-//! baselines all share one pool and one `--threads` / `MIXEN_THREADS` knob.
+//! This crate is the execution substrate for the whole Mixen workspace and
+//! the only way it runs a data-parallel pass: the Scatter–Cache–Gather–Apply
+//! engine, the graph builders and the baselines call the helpers below
+//! directly, so they share one pool, one `--threads` / `MIXEN_THREADS` knob
+//! and one split rule.
+//!
+//! # Data-parallel passes
+//!
+//! [`split`] alone decides how a length is cut into tasks: one part on a
+//! single lane, else `min(4 × lanes, len)` contiguous parts. [`par_range`],
+//! [`par_parts`] (ordered per-part map) and [`par_parts_mut`] (disjoint
+//! sub-slices) run one task per part, items ascending inside a part; callers
+//! combine per-part results in part order, so every result — float sums
+//! included — is a pure function of `(input, lanes)`.
+//! [`par_sort_unstable_by`] is a quicksort over [`join`].
 //!
 //! # Execution model
 //!
@@ -24,7 +35,7 @@
 //!
 //! # Which pool runs my task?
 //!
-//! Free functions ([`scope`], [`join`], [`par_chunks`], …) resolve the
+//! Free functions ([`scope`], [`join`], [`par_parts`], …) resolve the
 //! *ambient* pool in this order:
 //!
 //! 1. if the current thread is a pool worker, that worker's own pool;
@@ -46,16 +57,9 @@
 //! # Example
 //!
 //! ```
-//! // Sum a slice in parallel chunks, then check against the sequential sum.
-//! use std::sync::atomic::{AtomicU64, Ordering};
-//!
-//! let data: Vec<u64> = (0..10_000).collect();
-//! let total = AtomicU64::new(0);
-//! mixen_pool::par_chunks(&data, 1024, |_part, chunk| {
-//!     let s: u64 = chunk.iter().sum();
-//!     total.fetch_add(s, Ordering::Relaxed);
-//! });
-//! assert_eq!(total.into_inner(), data.iter().sum::<u64>());
+//! // Sum a range in ordered parts, then check against the sequential sum.
+//! let sums = mixen_pool::par_parts(10_000, |part| part.map(|i| i as u64).sum::<u64>());
+//! assert_eq!(sums.into_iter().sum::<u64>(), (0..10_000u64).sum::<u64>());
 //! ```
 
 #![warn(missing_docs)]
@@ -819,41 +823,159 @@ where
     });
 }
 
-/// Calls `f(i)` for every `i` in `range`, split into one contiguous
-/// sub-range per task (about four tasks per lane on the ambient pool).
+/// Contiguous parts cut per pool lane, so that work-stealing can even out
+/// parts of unequal cost.
+const PARTS_PER_LANE: usize = 4;
+
+/// The split rule as a pure function of `(len, lanes)`; see [`split`].
+fn split_on(len: usize, lanes: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    let parts = if lanes <= 1 {
+        1
+    } else {
+        (lanes * PARTS_PER_LANE).min(len.max(1))
+    };
+    (0..parts).map(move |p| len * p / parts..len * (p + 1) / parts)
+}
+
+/// The split rule: how every data-parallel pass in the workspace cuts
+/// `0..len` into ordered contiguous parts on the ambient pool. A single lane
+/// gets one part (the sequential fallback); otherwise `min(4 × lanes, len)`
+/// parts with boundaries `len · p / parts`, at least one even when `len` is
+/// zero. The parts depend on `(len, lanes)` only, which is what makes a
+/// part-ordered float reduction reproducible at a fixed lane count.
+pub fn split(len: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    split_on(len, current_num_threads())
+}
+
+/// Calls `f(i)` for every `i` in `range`, one task per [`split`] part, each
+/// walking its indices in ascending order.
 pub fn par_range<F>(range: Range<usize>, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    let len = range.end.saturating_sub(range.start);
-    if len == 0 {
-        return;
-    }
-    let threads = current_num_threads();
-    let parts = if threads <= 1 {
-        1
-    } else {
-        (threads * 4).min(len)
-    };
-    if parts == 1 {
-        for i in range {
-            f(i);
-        }
-        return;
-    }
     let start = range.start;
+    par_parts(range.end.saturating_sub(start), |part| {
+        part.for_each(|i| f(start + i))
+    });
+}
+
+/// Ordered per-part map: calls `f(part)` for every [`split`] part of
+/// `0..len`, one task each, and returns the results in part order. Collect,
+/// filter, flat-map, sum and fold are `f` building one value per part plus an
+/// ordered combine on the caller. A lone part runs inline on the caller
+/// without touching the pool.
+pub fn par_parts<R, F>(len: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(Range<usize>) -> R + Sync,
+{
+    let parts = split(len);
+    if parts.len() == 1 {
+        return parts.map(f).collect();
+    }
+    let mut slots: Vec<Option<R>> = (0..parts.len()).map(|_| None).collect();
     scope(|s| {
-        for p in 0..parts {
-            let lo = start + len * p / parts;
-            let hi = start + len * (p + 1) / parts;
+        for (slot, part) in slots.iter_mut().zip(parts) {
             let f = &f;
-            s.spawn(move || {
-                for i in lo..hi {
-                    f(i);
-                }
-            });
+            s.spawn(move || *slot = Some(f(part)));
         }
     });
+    // The scope returned normally, so every task filled its slot.
+    slots.into_iter().flatten().collect()
+}
+
+/// Mutable-slice variant of [`par_parts`]: cuts `items` by the [`split`] rule
+/// and calls `f(offset, part)` on each disjoint sub-slice, `offset` being the
+/// index of the part's first element in `items`.
+pub fn par_parts_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let parts = split(items.len());
+    if parts.len() == 1 {
+        return f(0, items);
+    }
+    scope(|s| {
+        let mut rest = items;
+        for part in parts {
+            let (head, tail) = rest.split_at_mut(part.len());
+            rest = tail;
+            let f = &f;
+            s.spawn(move || f(part.start, head));
+        }
+    });
+}
+
+/// Below this length (or past the depth limit) the quicksort runs sequentially.
+const SEQ_SORT_CUTOFF: usize = 4096;
+
+/// Unstable sort: quicksort recursing through [`join`], sequential below
+/// `SEQ_SORT_CUTOFF` elements or on a single-lane pool. The recursion depends
+/// on the data only, so every multi-lane pool produces the same order.
+pub fn par_sort_unstable_by<T, F>(v: &mut [T], compare: F)
+where
+    T: Send,
+    F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
+{
+    if current_num_threads() <= 1 {
+        return v.sort_unstable_by(compare);
+    }
+    let depth = 2 * usize::BITS.saturating_sub(v.len().leading_zeros()) + 8;
+    par_quicksort(v, &compare, depth);
+}
+
+fn par_quicksort<T, F>(v: &mut [T], compare: &F, depth: u32)
+where
+    T: Send,
+    F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
+{
+    if v.len() <= SEQ_SORT_CUTOFF || depth == 0 {
+        return v.sort_unstable_by(compare);
+    }
+    let pivot_pos = partition(v, compare);
+    let (lo, rest) = v.split_at_mut(pivot_pos);
+    let hi = &mut rest[1..];
+    join(
+        || par_quicksort(lo, compare, depth - 1),
+        || par_quicksort(hi, compare, depth - 1),
+    );
+}
+
+/// Median-of-three Hoare partition: returns the pivot's final index; every
+/// element left of it compares `<=` pivot and everything right `>=` pivot.
+fn partition<T, F: Fn(&T, &T) -> std::cmp::Ordering>(v: &mut [T], compare: &F) -> usize {
+    use std::cmp::Ordering::{Greater, Less};
+    let len = v.len();
+    let mid = len / 2;
+    if compare(&v[mid], &v[0]) == Less {
+        v.swap(mid, 0);
+    }
+    if compare(&v[len - 1], &v[0]) == Less {
+        v.swap(len - 1, 0);
+    }
+    if compare(&v[len - 1], &v[mid]) == Less {
+        v.swap(len - 1, mid);
+    }
+    v.swap(0, mid); // median-of-three pivot parked at index 0
+    let mut i = 1;
+    let mut j = len - 1;
+    loop {
+        while i <= j && compare(&v[i], &v[0]) == Less {
+            i += 1;
+        }
+        while i <= j && compare(&v[j], &v[0]) == Greater {
+            j -= 1;
+        }
+        if i >= j {
+            break;
+        }
+        v.swap(i, j);
+        i += 1;
+        j -= 1;
+    }
+    v.swap(0, j);
+    j
 }
 
 // ---------------------------------------------------------------------------
@@ -983,6 +1105,136 @@ mod tests {
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         });
+    }
+
+    #[test]
+    fn split_is_a_pure_ordered_cover_of_the_length() {
+        for (lanes, full) in [(1usize, 1usize), (2, 8), (3, 12), (8, 32)] {
+            for len in [0, 1, full - 1, full, full + 1, 100_003] {
+                let cut: Vec<_> = split_on(len, lanes).collect();
+                assert_eq!(cut, split_on(len, lanes).collect::<Vec<_>>());
+                assert_eq!(cut.len(), full.clamp(1, len.max(1)), "{len} on {lanes}");
+                assert_eq!((cut[0].start, cut[cut.len() - 1].end), (0, len));
+                assert!(cut.windows(2).all(|w| w[0].end == w[1].start));
+                assert!(cut.iter().all(|part| part.start <= part.end));
+            }
+        }
+        with_threads(3, || assert_eq!(split(100).len(), 12));
+    }
+
+    #[test]
+    fn par_parts_orders_results_by_part_and_runs_one_task_per_part() {
+        let pool = ThreadPool::new(4);
+        let last_done = AtomicBool::new(false);
+        let got = pool.install(|| {
+            par_parts(1000, |part| {
+                if part.start == 0 {
+                    // The first part finishes only after the last one has.
+                    while !last_done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                } else if part.end == 1000 {
+                    last_done.store(true, Ordering::Release);
+                }
+                part
+            })
+        });
+        assert_eq!(got, split_on(1000, 4).collect::<Vec<_>>());
+        assert_eq!(pool.stats().tasks_executed, 16);
+        let single = ThreadPool::new(1);
+        let lens = single.install(|| par_parts(1000, |part| part.len()));
+        assert_eq!(lens, [1000]);
+        assert_eq!(single.stats().tasks_executed, 0, "one lane spawns nothing");
+    }
+
+    #[test]
+    fn par_parts_collect_filter_and_flat_map_keep_source_order() {
+        let run = || {
+            let kept: Vec<usize> = par_parts(4096, |part| {
+                let kept = part.filter(|i| i % 5 != 0).map(|i| i * 3);
+                kept.collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+            let flat: Vec<usize> = par_parts(1000, |part| {
+                let inner = part.flat_map(|i| (0..i % 3).map(move |k| i * 10 + k));
+                inner.collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+            (kept, flat)
+        };
+        let (kept, flat) = with_threads(4, run);
+        assert_eq!((kept.clone(), flat.clone()), with_threads(1, run));
+        let want: Vec<usize> = (0..4096).filter(|i| i % 5 != 0).map(|i| i * 3).collect();
+        assert_eq!(kept, want);
+        let want: Vec<usize> = (0..1000)
+            .flat_map(|i| (0..i % 3).map(move |k| i * 10 + k))
+            .collect();
+        assert_eq!(flat, want);
+    }
+
+    #[test]
+    fn par_parts_folds_combine_to_the_sequential_answer() {
+        with_threads(4, || {
+            let values: Vec<usize> = (0..1000).map(|i| i % 7).collect();
+            let mut hist = [0usize; 7];
+            for part in par_parts(values.len(), |part| {
+                let mut hist = [0usize; 7];
+                values[part].iter().for_each(|&v| hist[v] += 1);
+                hist
+            }) {
+                hist.iter_mut().zip(part).for_each(|(h, p)| *h += p);
+            }
+            assert_eq!(hist, [143, 143, 143, 143, 143, 143, 142]);
+            let total: u64 = par_parts(100_000, |part| part.map(|i| i as u64).sum::<u64>())
+                .into_iter()
+                .sum();
+            assert_eq!(total, 100_000 * 99_999 / 2);
+            let evens: usize = par_parts(100_000, |part| part.filter(|i| i % 2 == 0).count())
+                .into_iter()
+                .sum();
+            assert_eq!(evens, 50_000);
+            let max = par_parts(45, |part| part.map(|i| i + 5).max());
+            assert_eq!(max.into_iter().flatten().max(), Some(49));
+            assert_eq!(par_parts(0, |part| part.max()), [None]);
+        });
+    }
+
+    #[test]
+    fn par_parts_mut_hands_each_part_its_global_offset() {
+        with_threads(3, || {
+            let src: Vec<u32> = (100..1100).collect();
+            let mut dst = vec![0u32; 1000];
+            par_parts_mut(&mut dst, |first, part| {
+                for ((i, d), &s) in (first..).zip(part.iter_mut()).zip(&src[first..]) {
+                    *d = s * 2 + u32::from(s != 100 + i as u32);
+                }
+            });
+            assert!(dst.iter().zip(&src).all(|(&d, &s)| d == 2 * s));
+            par_parts_mut(&mut [0u8; 0], |_, part| assert!(part.is_empty()));
+        });
+    }
+
+    #[test]
+    fn par_sort_unstable_by_matches_the_sequential_sort() {
+        for lanes in [1, 4] {
+            with_threads(lanes, || {
+                let mut v: Vec<u64> = (0..60_000u64)
+                    .map(|i| (i * 2_654_435_761) % 100_000)
+                    .collect();
+                let mut want = v.clone();
+                want.sort_unstable();
+                par_sort_unstable_by(&mut v, Ord::cmp);
+                assert_eq!(v, want);
+                // Heavily duplicated keys exercise the equal-element path.
+                let mut dups: Vec<u8> = (0..50_000).map(|i| (i % 3) as u8).collect();
+                par_sort_unstable_by(&mut dups, |a, b| b.cmp(a));
+                assert!(dups.windows(2).all(|w| w[0] >= w[1]));
+            });
+        }
     }
 
     #[test]

@@ -122,3 +122,47 @@ fn supervised_report_carries_pool_counters() {
         "a 4-lane run must have executed pool tasks"
     );
 }
+
+/// CRC-32 of the little-endian bytes of `words`.
+fn crc_of<T: Copy + Into<u64>>(words: impl Iterator<Item = T>) -> u32 {
+    let bytes: Vec<u8> = words.flat_map(|w| w.into().to_le_bytes()).collect();
+    mixen_graph::io::crc32(&bytes)
+}
+
+/// `(dataset, CRC of transpose().ptr(), CRC of the 20-iteration PageRank
+/// score bits at 1 / 2 / 4 lanes)`, captured at the commit *before* the
+/// `par_*` call sites were rewritten onto the `mixen-pool` helpers. Part
+/// boundaries, in-part order and part-order combination fix every float's
+/// bits at a given lane count, so these survive any refactor of how the
+/// loops are spelled; a change of split rule or combine order moves them.
+const GOLDEN_BITS: [(Dataset, u32, [u32; 3]); 2] = [
+    (
+        Dataset::Weibo,
+        0x0b49_87eb,
+        [0x89f1_f105, 0xec67_e26e, 0x5f03_a11c],
+    ),
+    (
+        Dataset::Wiki,
+        0xfb11_be72,
+        [0x6204_9f94, 0xef36_179e, 0xc990_ac89],
+    ),
+];
+
+#[test]
+fn score_bits_at_fixed_lane_counts_match_the_pre_rewrite_capture() {
+    for (dataset, want_ptr, want_scores) in GOLDEN_BITS {
+        let g = dataset.generate(Scale::Tiny, 42);
+        for (threads, want) in [1usize, 2, 4].into_iter().zip(want_scores) {
+            let ptr_crc = mixen_pool::with_threads(threads, || {
+                crc_of(g.out_csr().transpose().ptr().iter().map(|&p| p as u64))
+            });
+            assert_eq!(
+                ptr_crc, want_ptr,
+                "{dataset:?} transpose ptr, threads={threads}"
+            );
+            let scores = pagerank_at(&g, threads);
+            let got = crc_of(scores.iter().map(|s| s.to_bits()));
+            assert_eq!(got, want, "{dataset:?} score bits, threads={threads}");
+        }
+    }
+}

@@ -9,9 +9,8 @@
 //! contribution once and still match a conventional engine at every
 //! iteration (see `mixen_core::engine`).
 //!
-//! Like the paper's implementation, dangling (sink) rank mass is not
-//! redistributed by default; [`PageRankOpts::redistribute`] enables the
-//! textbook correction as an extension.
+//! Like the paper's implementation, dangling (sink) rank mass leaks: it
+//! is not handed back to the other nodes.
 
 use crate::Engine;
 use mixen_graph::nid;
@@ -22,24 +21,70 @@ use mixen_graph::{Graph, NodeId};
 pub struct PageRankOpts {
     /// Damping factor `d` (the usual 0.85).
     pub damping: f32,
-    /// Redistribute dangling-node mass uniformly each iteration (off in the
-    /// paper's formulation).
-    pub redistribute: bool,
 }
 
 impl Default for PageRankOpts {
     fn default() -> Self {
+        Self { damping: 0.85 }
+    }
+}
+
+/// The recurrence over propagated values (`rank/outdeg`), stated once; the
+/// batch, supervised, resumed and streaming drivers differ only in how
+/// they drive it.
+struct Terms {
+    /// Node count as the recurrence uses it (floored at 1).
+    n: f32,
+    damping: f32,
+    /// `(1-d)/n`: the teleport term, and every seed's fixed point.
+    base: f32,
+    /// Out-degrees floored at 1 (a sink propagates nothing, so its divisor
+    /// never reaches a neighbour).
+    out_deg: Vec<u32>,
+}
+
+impl Terms {
+    fn new(g: &Graph, opts: PageRankOpts) -> Self {
+        let n = g.n().max(1) as f32;
         Self {
-            damping: 0.85,
-            redistribute: false,
+            n,
+            damping: opts.damping,
+            base: (1.0 - opts.damping) / n,
+            out_deg: (0..nid(g.n()))
+                .map(|v| nid(g.out_degree(v).max(1)))
+                .collect(),
         }
+    }
+
+    /// Iteration-0 propagated value of `v`: seeds start at their fixed
+    /// point (the contract Mixen's seed caching relies on), everyone else
+    /// at the textbook `1/n`.
+    fn init(&self, g: &Graph, v: NodeId) -> f32 {
+        let rank0 = if g.in_degree(v) == 0 {
+            self.base
+        } else {
+            1.0 / self.n
+        };
+        rank0 / self.out_deg[v as usize] as f32
+    }
+
+    fn apply(&self, v: NodeId, sum: f32) -> f32 {
+        (self.base + self.damping * sum) / self.out_deg[v as usize] as f32
+    }
+
+    /// Propagated values back to ranks.
+    fn scores(&self, vals: &[f32]) -> Vec<f32> {
+        vals.iter()
+            .zip(&self.out_deg)
+            .map(|(&p, &odeg)| p * odeg as f32)
+            .collect()
     }
 }
 
 /// Runs a fixed number of PageRank iterations; returns per-node scores.
 pub fn pagerank<E: Engine>(g: &Graph, engine: &E, opts: PageRankOpts, iters: usize) -> Vec<f32> {
-    let (scores, _) = pagerank_impl(g, engine, opts, f64::NEG_INFINITY, iters, true);
-    scores
+    let t = Terms::new(g, opts);
+    t.scores(&engine.iterate(|v| t.init(g, v), |v, sum| t.apply(v, sum), iters))
 }
 
 /// Runs PageRank until the propagated values change by at most `tol`
@@ -51,91 +96,10 @@ pub fn pagerank_until<E: Engine>(
     tol: f64,
     max_iters: usize,
 ) -> (Vec<f32>, usize) {
-    pagerank_impl(g, engine, opts, tol, max_iters, false)
-}
-
-fn pagerank_impl<E: Engine>(
-    g: &Graph,
-    engine: &E,
-    opts: PageRankOpts,
-    tol: f64,
-    iters: usize,
-    fixed: bool,
-) -> (Vec<f32>, usize) {
-    let n = g.n().max(1) as f32;
-    let d = opts.damping;
-    let base = (1.0 - d) / n;
-    let out_deg: Vec<u32> = (0..nid(g.n()))
-        .map(|v| nid(g.out_degree(v).max(1)))
-        .collect();
-    let in_zero: Vec<bool> = (0..nid(g.n())).map(|v| g.in_degree(v) == 0).collect();
-
-    if opts.redistribute {
-        return pagerank_redistribute(g, engine, opts, tol, iters, fixed);
-    }
-
-    let init = |v: NodeId| {
-        let rank0 = if in_zero[v as usize] { base } else { 1.0 / n };
-        rank0 / out_deg[v as usize] as f32
-    };
-    let apply = |v: NodeId, sum: f32| (base + d * sum) / out_deg[v as usize] as f32;
-    let (vals, performed) = if fixed {
-        (engine.iterate(init, apply, iters), iters)
-    } else {
-        engine.iterate_until(init, apply, tol, iters)
-    };
-    let scores = vals
-        .iter()
-        .zip(&out_deg)
-        .map(|(&p, &odeg)| p * odeg as f32)
-        .collect();
-    (scores, performed)
-}
-
-/// The textbook dangling-mass variant: each iteration adds
-/// `d · (Σ_{sinks} rank) / n` to every node. The dangling sum depends on the
-/// previous iteration's global state, so it runs the engine one iteration at
-/// a time.
-fn pagerank_redistribute<E: Engine>(
-    g: &Graph,
-    engine: &E,
-    opts: PageRankOpts,
-    tol: f64,
-    max_iters: usize,
-    fixed: bool,
-) -> (Vec<f32>, usize) {
-    let n = g.n().max(1) as f32;
-    let d = opts.damping;
-    let base = (1.0 - d) / n;
-    let out_deg: Vec<u32> = (0..nid(g.n()))
-        .map(|v| nid(g.out_degree(v).max(1)))
-        .collect();
-    let is_sink: Vec<bool> = (0..nid(g.n())).map(|v| g.out_degree(v) == 0).collect();
-    let mut rank: Vec<f32> = vec![1.0 / n; g.n()];
-    let mut performed = 0usize;
-    for _ in 0..max_iters {
-        let dangling: f32 = rank
-            .iter()
-            .zip(&is_sink)
-            .filter(|&(_, &s)| s)
-            .map(|(&r, _)| r)
-            .sum();
-        let extra = d * dangling / n;
-        let init = |v: NodeId| rank[v as usize] / out_deg[v as usize] as f32;
-        let apply = move |_v: NodeId, sum: f32| base + extra + d * sum;
-        let next: Vec<f32> = engine.iterate(init, apply, 1);
-        let diff = next
-            .iter()
-            .zip(&rank)
-            .map(|(a, b)| (a - b).abs() as f64)
-            .fold(0.0, f64::max);
-        rank = next;
-        performed += 1;
-        if !fixed && diff <= tol {
-            break;
-        }
-    }
-    (rank, performed)
+    let t = Terms::new(g, opts);
+    let (vals, performed) =
+        engine.iterate_until(|v| t.init(g, v), |v, sum| t.apply(v, sum), tol, max_iters);
+    (t.scores(&vals), performed)
 }
 
 /// Supervised PageRank through [`mixen_core::RobustRunner`]: per-iteration
@@ -152,29 +116,9 @@ pub fn pagerank_supervised(
     opts: PageRankOpts,
     iters: usize,
 ) -> Result<(Vec<f32>, mixen_core::RunReport), mixen_core::RunFailure> {
-    assert!(
-        !opts.redistribute,
-        "supervised mode does not support dangling redistribution"
-    );
-    let n = g.n().max(1) as f32;
-    let d = opts.damping;
-    let base = (1.0 - d) / n;
-    let out_deg: Vec<u32> = (0..nid(g.n()))
-        .map(|v| nid(g.out_degree(v).max(1)))
-        .collect();
-    let in_zero: Vec<bool> = (0..nid(g.n())).map(|v| g.in_degree(v) == 0).collect();
-    let init = |v: NodeId| {
-        let rank0 = if in_zero[v as usize] { base } else { 1.0 / n };
-        rank0 / out_deg[v as usize] as f32
-    };
-    let apply = |v: NodeId, sum: f32| (base + d * sum) / out_deg[v as usize] as f32;
-    let (vals, report) = runner.run(g, init, apply, iters)?;
-    let scores = vals
-        .iter()
-        .zip(&out_deg)
-        .map(|(&p, &odeg)| p * odeg as f32)
-        .collect();
-    Ok((scores, report))
+    let t = Terms::new(g, opts);
+    let (vals, report) = runner.run(g, |v| t.init(g, v), |v, sum| t.apply(v, sum), iters)?;
+    Ok((t.scores(&vals), report))
 }
 
 /// The [`mixen_core::RunnerOpts::fingerprint_extra`] value a supervised
@@ -201,10 +145,6 @@ pub fn pagerank_supervised_resume(
     opts: PageRankOpts,
     iters: usize,
 ) -> Result<(Vec<f32>, mixen_core::RunReport), mixen_core::RunFailure> {
-    assert!(
-        !opts.redistribute,
-        "supervised mode does not support dangling redistribution"
-    );
     let Some(path) = runner.opts().checkpoint_path.clone() else {
         return Err(mixen_core::RunFailure {
             error: mixen_graph::GraphError::Format(
@@ -219,20 +159,9 @@ pub fn pagerank_supervised_resume(
             error,
             report: mixen_core::RunReport::default(),
         })?;
-    let n = g.n().max(1) as f32;
-    let d = opts.damping;
-    let base = (1.0 - d) / n;
-    let out_deg: Vec<u32> = (0..nid(g.n()))
-        .map(|v| nid(g.out_degree(v).max(1)))
-        .collect();
-    let apply = |v: NodeId, sum: f32| (base + d * sum) / out_deg[v as usize] as f32;
-    let (vals, report) = runner.run_resumed(g, resumed, apply, iters)?;
-    let scores = vals
-        .iter()
-        .zip(&out_deg)
-        .map(|(&p, &odeg)| p * odeg as f32)
-        .collect();
-    Ok((scores, report))
+    let t = Terms::new(g, opts);
+    let (vals, report) = runner.run_resumed(g, resumed, |v, sum| t.apply(v, sum), iters)?;
+    Ok((t.scores(&vals), report))
 }
 
 /// Incremental PageRank for long-lived services: keeps the chain's state
@@ -240,24 +169,14 @@ pub fn pagerank_supervised_resume(
 /// snapshot of the current scores, and continue — following exactly the
 /// trajectory of one uninterrupted run.
 ///
-/// In the default (non-redistributing) formulation the stored state is the
-/// engine's *native* state — the propagated values `rank/outdeg` — so a
-/// sequence of [`PageRankStream::advance`] calls is bit-identical to a
-/// single `pagerank` call for the same total iteration count: no
-/// rank↔propagated round-trips are inserted at batch boundaries. With
-/// [`PageRankOpts::redistribute`] the state is the rank vector and each
-/// iteration runs individually, which is already how the batch entry point
-/// evaluates that recurrence.
+/// The stored state is the engine's *native* state — the propagated values
+/// `rank/outdeg` — so a sequence of [`PageRankStream::advance`] calls is
+/// bit-identical to a single `pagerank` call for the same total iteration
+/// count: no rank↔propagated round-trips are inserted at batch boundaries.
 pub struct PageRankStream<'a, E: Engine> {
     engine: &'a E,
-    damping: f32,
-    base: f32,
-    n: f32,
-    redistribute: bool,
-    out_deg: Vec<u32>,
-    is_sink: Vec<bool>,
-    /// Plain mode: propagated values (`rank/outdeg`); redistribute mode:
-    /// ranks.
+    terms: Terms,
+    /// Propagated values (`rank/outdeg`).
     state: Vec<f32>,
     iterations: usize,
 }
@@ -265,33 +184,11 @@ pub struct PageRankStream<'a, E: Engine> {
 impl<'a, E: Engine> PageRankStream<'a, E> {
     /// A stream positioned at iteration 0 (the textbook initial ranks).
     pub fn new(g: &Graph, engine: &'a E, opts: PageRankOpts) -> Self {
-        let n = g.n().max(1) as f32;
-        let d = opts.damping;
-        let base = (1.0 - d) / n;
-        let out_deg: Vec<u32> = (0..nid(g.n()))
-            .map(|v| nid(g.out_degree(v).max(1)))
-            .collect();
-        let is_sink: Vec<bool> = (0..nid(g.n())).map(|v| g.out_degree(v) == 0).collect();
-        let state: Vec<f32> = if opts.redistribute {
-            vec![1.0 / n; g.n()]
-        } else {
-            (0..nid(g.n()))
-                .map(|v| {
-                    // Seeds start at their fixed point — the same contract
-                    // `pagerank` relies on for Mixen's seed caching.
-                    let rank0 = if g.in_degree(v) == 0 { base } else { 1.0 / n };
-                    rank0 / out_deg[v as usize] as f32
-                })
-                .collect()
-        };
+        let terms = Terms::new(g, opts);
+        let state = (0..nid(g.n())).map(|v| terms.init(g, v)).collect();
         Self {
             engine,
-            damping: d,
-            base,
-            n,
-            redistribute: opts.redistribute,
-            out_deg,
-            is_sink,
+            terms,
             state,
             iterations: 0,
         }
@@ -310,37 +207,10 @@ impl<'a, E: Engine> PageRankStream<'a, E> {
             return 0.0;
         }
         let before = self.scores();
-        if self.redistribute {
-            let (base, d, n) = (self.base, self.damping, self.n);
-            for _ in 0..iters {
-                let dangling: f32 = self
-                    .state
-                    .iter()
-                    .zip(&self.is_sink)
-                    .filter(|&(_, &s)| s)
-                    .map(|(&r, _)| r)
-                    .sum();
-                let extra = d * dangling / n;
-                let next = {
-                    let rank = &self.state;
-                    let out_deg = &self.out_deg;
-                    let init = |v: NodeId| rank[v as usize] / out_deg[v as usize] as f32;
-                    let apply = move |_v: NodeId, sum: f32| base + extra + d * sum;
-                    self.engine.iterate(init, apply, 1)
-                };
-                self.state = next;
-            }
-        } else {
-            let next = {
-                let state = &self.state;
-                let out_deg = &self.out_deg;
-                let (base, d) = (self.base, self.damping);
-                let init = |v: NodeId| state[v as usize];
-                let apply = |v: NodeId, sum: f32| (base + d * sum) / out_deg[v as usize] as f32;
-                self.engine.iterate(init, apply, iters)
-            };
-            self.state = next;
-        }
+        let (state, t) = (&self.state, &self.terms);
+        self.state = self
+            .engine
+            .iterate(|v| state[v as usize], |v, sum| t.apply(v, sum), iters);
         self.iterations += iters;
         self.scores()
             .iter()
@@ -351,21 +221,12 @@ impl<'a, E: Engine> PageRankStream<'a, E> {
 
     /// The current per-node scores (rank values).
     pub fn scores(&self) -> Vec<f32> {
-        if self.redistribute {
-            self.state.clone()
-        } else {
-            self.state
-                .iter()
-                .zip(&self.out_deg)
-                .map(|(&p, &odeg)| p * odeg as f32)
-                .collect()
-        }
+        self.terms.scores(&self.state)
     }
 }
 
-/// Sum of all PageRank scores — without redistribution this leaks the
-/// dangling mass, so it lies in `(1-d, 1]`; with redistribution it stays at
-/// 1 (up to float error). Exposed for tests and examples.
+/// Sum of all PageRank scores — dangling mass leaks, so it lies in
+/// `(1-d, 1]`. Exposed for tests and examples.
 pub fn total_mass(scores: &[f32]) -> f64 {
     scores.iter().map(|&s| s as f64).sum()
 }
@@ -457,22 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_redistribute_matches_batch_entry_point() {
-        let g = Graph::from_pairs(5, &[(0, 1), (1, 2), (2, 0), (3, 0), (0, 4)]);
-        let engine = ReferenceEngine::new(&g);
-        let opts = PageRankOpts {
-            redistribute: true,
-            ..PageRankOpts::default()
-        };
-        let full = pagerank(&g, &engine, opts, 9);
-        let mut stream = PageRankStream::new(&g, &engine, opts);
-        stream.advance(4);
-        stream.advance(5);
-        assert_eq!(stream.scores(), full);
-        assert!((total_mass(&stream.scores()) - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
     fn stream_residual_shrinks_and_zero_advance_is_free() {
         let g = ring();
         let engine = ReferenceEngine::new(&g);
@@ -498,25 +343,13 @@ mod tests {
     }
 
     #[test]
-    fn redistribution_conserves_mass_with_sinks() {
-        // Node 2 is a sink; without redistribution mass leaks.
+    fn dangling_mass_leaks_with_sinks() {
+        // Node 2 is a sink; the paper's formulation drops the mass it
+        // absorbs, so the total falls below 1 (and stays above 1 - d).
         let g = Graph::from_pairs(3, &[(0, 1), (1, 2), (1, 0)]);
         let leaky = pagerank(&g, &ReferenceEngine::new(&g), PageRankOpts::default(), 50);
-        assert!(total_mass(&leaky) < 0.999);
-        let conserved = pagerank(
-            &g,
-            &ReferenceEngine::new(&g),
-            PageRankOpts {
-                redistribute: true,
-                ..PageRankOpts::default()
-            },
-            50,
-        );
-        assert!(
-            (total_mass(&conserved) - 1.0).abs() < 1e-3,
-            "mass = {}",
-            total_mass(&conserved)
-        );
+        let mass = total_mass(&leaky);
+        assert!(mass < 0.999 && mass > 0.15, "mass = {mass}");
     }
 
     #[test]
@@ -556,16 +389,8 @@ mod tests {
     fn supervised_catches_nan_damping() {
         let g = ring();
         let runner = mixen_core::RobustRunner::new(mixen_core::RunnerOpts::default());
-        let failure = pagerank_supervised(
-            &g,
-            &runner,
-            PageRankOpts {
-                damping: f32::NAN,
-                ..PageRankOpts::default()
-            },
-            10,
-        )
-        .unwrap_err();
+        let failure =
+            pagerank_supervised(&g, &runner, PageRankOpts { damping: f32::NAN }, 10).unwrap_err();
         assert!(matches!(
             failure.error,
             mixen_graph::GraphError::Numeric { .. }
@@ -614,7 +439,7 @@ mod tests {
         // the CLI does) must be rejected as stale.
         let changed = mixen_core::RobustRunner::new(mixen_core::RunnerOpts {
             checkpoint_path: Some(path.clone()),
-            fingerprint_extra: pagerank_fingerprint_extra(&PageRankOpts { damping: 0.9, ..pr }),
+            fingerprint_extra: pagerank_fingerprint_extra(&PageRankOpts { damping: 0.9 }),
             ..mixen_core::RunnerOpts::default()
         });
         let err = pagerank_supervised_resume(&g, &changed, pr, 10).unwrap_err();

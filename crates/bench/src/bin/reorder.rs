@@ -25,8 +25,8 @@ use mixen_cachesim::{trace_mixen, CacheConfig};
 use mixen_core::{Json, MixenEngine, MixenOpts, PerfModel, RegularOrdering};
 use mixen_graph::{Classification, Dataset};
 
-/// Timing rounds per policy; the reported figure is the minimum (same
-/// throttle-robustness rationale as the kernels bench).
+/// Timing rounds per policy; the reported figure is the minimum, which a
+/// throttled or preempted round cannot lower.
 const ROUNDS: usize = 3;
 
 /// Cross-policy rank agreement tolerance. The permutation changes the

@@ -1,7 +1,10 @@
 //! Shared harness for the table/figure reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md's per-experiment index). They share:
+//! or is the sole evidence for a kept option (`ablation`, `reorder`; see
+//! DESIGN.md's per-experiment index and DR-7/DR-8). Phase, kernel,
+//! lane-scaling and serving numbers are rows of the e2e harness under
+//! `bench/`, not bins here. The binaries share:
 //!
 //! * [`BenchOpts`] — command-line options (`--scale tiny|small|medium|large`,
 //!   `--seed N`, `--iters N`, `--datasets a,b,c`),
@@ -16,7 +19,6 @@
 
 use std::time::Instant;
 
-use mixen_core::ReorderChoice;
 use mixen_graph::{Dataset, Graph, Scale};
 
 /// Command-line options shared by the reproduction binaries.
@@ -37,10 +39,6 @@ pub struct BenchOpts {
     /// the pool at its `MIXEN_THREADS`/host default; `from_args` applies a
     /// given value globally before any kernel runs.
     pub threads: Option<usize>,
-    /// Regular-region reordering policy override
-    /// (`--reorder auto|original|hubs-first|by-in-degree|dbg|hubsort`).
-    /// `None` keeps each binary's own default (usually `MixenOpts::default`).
-    pub reorder: Option<ReorderChoice>,
 }
 
 impl Default for BenchOpts {
@@ -52,7 +50,6 @@ impl Default for BenchOpts {
             datasets: Dataset::ALL.to_vec(),
             json: None,
             threads: None,
-            reorder: None,
         }
     }
 }
@@ -97,15 +94,6 @@ impl BenchOpts {
                         .collect()
                 }
                 "--json" => opts.json = Some(value("--json")),
-                "--reorder" => {
-                    let v = value("--reorder");
-                    opts.reorder = Some(ReorderChoice::parse(&v).unwrap_or_else(|| {
-                        usage(&format!(
-                            "unknown reorder policy '{v}' \
-                             (auto|original|hubs-first|by-in-degree|dbg|hubsort)"
-                        ))
-                    }));
-                }
                 "--threads" => {
                     let n: usize = value("--threads")
                         .parse()
@@ -171,16 +159,6 @@ impl BenchOpts {
         self.scale.divisor()
     }
 
-    /// Resolves the `--reorder` override against a concrete graph: `auto`
-    /// asks the §5 performance model, a named policy is used as-is, and no
-    /// flag falls back to `MixenOpts::default().ordering` (hubs-first).
-    pub fn ordering_for(&self, g: &Graph) -> mixen_core::RegularOrdering {
-        match self.reorder {
-            Some(choice) => choice.resolve(g),
-            None => mixen_core::MixenOpts::default().ordering,
-        }
-    }
-
     /// Generates one dataset at this run's scale/seed, reporting progress
     /// on stderr.
     pub fn gen(&self, d: Dataset) -> Graph {
@@ -205,8 +183,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: <bin> [--scale tiny|small|medium|large] [--seed N] [--iters N] \
          [--datasets weibo,track,...] [--json out.json] [--threads N] \
-         [--affinity off|auto|0,2,4] \
-         [--reorder auto|original|hubs-first|by-in-degree|dbg|hubsort]"
+         [--affinity off|auto|0,2,4]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 })
 }
@@ -274,19 +251,5 @@ mod tests {
         let o = BenchOpts::default();
         assert_eq!(o.datasets.len(), 8);
         assert_eq!(o.divisor(), 256);
-        assert!(o.reorder.is_none());
-    }
-
-    #[test]
-    fn ordering_falls_back_to_the_engine_default() {
-        use mixen_core::{MixenOpts, RegularOrdering};
-        let g = Graph::from_pairs(3, &[(0, 1), (1, 0), (2, 0)]);
-        let o = BenchOpts::default();
-        assert_eq!(o.ordering_for(&g), MixenOpts::default().ordering);
-        let fixed = BenchOpts {
-            reorder: Some(ReorderChoice::Fixed(RegularOrdering::Dbg)),
-            ..BenchOpts::default()
-        };
-        assert_eq!(fixed.ordering_for(&g), RegularOrdering::Dbg);
     }
 }

@@ -124,10 +124,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
 
     let (label, scores): (&str, Vec<f32>) = if supervised {
         let damping: f32 = args.opt_or("damping", 0.85)?;
-        let pr_opts = PageRankOpts {
-            damping,
-            ..PageRankOpts::default()
-        };
+        let pr_opts = PageRankOpts { damping };
         let runner_opts = RunnerOpts {
             checkpoint_path: checkpoint,
             checkpoint_every: args.opt_or("checkpoint-every", 5usize)?.max(1),
@@ -231,15 +228,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 let damping: f32 = args.opt_or("damping", 0.85)?;
                 (
                     "pagerank",
-                    pagerank(
-                        &g,
-                        &engine,
-                        PageRankOpts {
-                            damping,
-                            ..PageRankOpts::default()
-                        },
-                        iters,
-                    ),
+                    pagerank(&g, &engine, PageRankOpts { damping }, iters),
                 )
             }
             "hits" => {

@@ -264,7 +264,11 @@ pub fn plan_codec<V: PropValue>(enc: BinEncoding, x: &[V]) -> Result<BinCodec, G
         BinEncoding::Q16 => BinCodec {
             enc,
             q_step: max_abs / 32767.0,
-            q_inv: if max_abs > 0.0 { 32767.0 / max_abs } else { 0.0 },
+            q_inv: if max_abs > 0.0 {
+                32767.0 / max_abs
+            } else {
+                0.0
+            },
         },
         BinEncoding::F32 => BinCodec::identity(),
     };
@@ -675,9 +679,10 @@ mod tests {
             let mut want = vec![<[f32; 2]>::identity(); r];
             for part in 0..parts {
                 let mut acc = vec![<[f32; 2]>::identity(); r];
-                for s in n * part / parts..n * (part + 1) / parts {
+                let rows = n * part / parts..n * (part + 1) / parts;
+                for (s, &v) in rows.clone().zip(&vals[rows]) {
                     for &d in seed_csr.neighbors(nid(s)) {
-                        acc[d as usize].combine(vals[s]);
+                        acc[d as usize].combine(v);
                     }
                 }
                 for (x, y) in want.iter_mut().zip(acc) {
@@ -695,7 +700,17 @@ mod tests {
     fn f16_round_trip_is_exact_for_representable_values() {
         // Values with <= 10 mantissa bits and in-range exponents survive
         // the f32 -> f16 -> f32 round trip bit-for-bit.
-        for v in [0.0f32, -0.0, 1.0, -1.0, 0.5, 0.25, 1.5, 65504.0, 6.1035156e-5] {
+        for v in [
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            0.25,
+            1.5,
+            65504.0,
+            6.1035156e-5,
+        ] {
             let back = f16_to_f32(f16_from_f32(v));
             assert_eq!(back.to_bits(), v.to_bits(), "value {v}");
         }
@@ -735,7 +750,10 @@ mod tests {
         for &v in &xs {
             let back = codec.decode(codec.encode(v));
             // Half a quantisation step of slack either way.
-            assert!((back - v).abs() <= codec.q_step * 0.5 + 1e-9, "{v} -> {back}");
+            assert!(
+                (back - v).abs() <= codec.q_step * 0.5 + 1e-9,
+                "{v} -> {back}"
+            );
         }
     }
 
@@ -748,8 +766,18 @@ mod tests {
         assert_eq!(err.kind_name(), "numeric");
         // Non-finite inputs are rejected by both compressed encodings.
         let nan = vec![f32::NAN, 1.0];
-        assert_eq!(plan_codec::<f32>(BinEncoding::F16, &nan).unwrap_err().kind_name(), "numeric");
-        assert_eq!(plan_codec::<f32>(BinEncoding::Q16, &nan).unwrap_err().kind_name(), "numeric");
+        assert_eq!(
+            plan_codec::<f32>(BinEncoding::F16, &nan)
+                .unwrap_err()
+                .kind_name(),
+            "numeric"
+        );
+        assert_eq!(
+            plan_codec::<f32>(BinEncoding::Q16, &nan)
+                .unwrap_err()
+                .kind_name(),
+            "numeric"
+        );
         // F32 is lossless and never rejects.
         assert!(plan_codec::<f32>(BinEncoding::F32, &nan).is_ok());
     }

@@ -18,7 +18,7 @@
 //! additionally enable the sparse frontier traversal used by BFS.)
 //!
 //! Load balancing (§4.2): block-row heights start at the block side `c`,
-//! but any row range whose edge count exceeds `balance_factor ×` the
+//! but any row range whose edge count exceeds `OVERLOAD_FACTOR` (2) × the
 //! average block-row load is split greedily, so the number of non-zeros per
 //! scatter task stays bounded. The gather side is balanced the same way:
 //! block-columns whose edge count exceeds the cap are chunked into several
@@ -37,6 +37,17 @@ use mixen_graph::nid;
 use mixen_graph::{Csr, GraphError};
 
 use crate::MixenOpts;
+
+/// §4.2: a task is overloaded when it holds more than this multiple of the
+/// average task's edges; the paper fixes 2× and so does this crate.
+const OVERLOAD_FACTOR: f64 = 2.0;
+
+/// The §4.2 edge cap for `parts` tasks sharing `total_nnz` edges.
+fn balance_cap(total_nnz: usize, parts: usize) -> usize {
+    let avg = (total_nnz as f64 / parts as f64).max(1.0);
+    // lint: allow(truncation) reason=guarded: positive finite f64 cap far below 2^53
+    (OVERLOAD_FACTOR * avg).ceil() as usize
+}
 
 /// One cache-sized block: the edges from a source row range into one
 /// destination column range, in compressed-local-CSR form.
@@ -81,8 +92,7 @@ pub struct BlockRow {
     /// Total edges in this row range.
     pub nnz: usize,
     /// Skip list: indices of block-columns with at least one edge here
-    /// (ascending). With `skip_empty_blocks` off it enumerates every
-    /// column, so kernels run identical code over the naive full walk.
+    /// (ascending).
     pub nonempty_cols: Box<[u32]>,
 }
 
@@ -262,7 +272,7 @@ impl BlockedSubgraph {
         let rows: Vec<BlockRow> = mixen_pool::par_parts(ranges.len(), |part| {
             ranges[part]
                 .iter()
-                .map(|&(lo, hi)| build_block_row(reg_csr, lo, hi, c, n_col_blocks, opts))
+                .map(|&(lo, hi)| build_block_row(reg_csr, lo, hi, c, n_col_blocks))
                 .collect::<Vec<_>>()
         })
         .into_iter()
@@ -274,7 +284,7 @@ impl BlockedSubgraph {
             part.map(|j| {
                 rows.iter()
                     .enumerate()
-                    .filter(|(_, row)| !opts.skip_empty_blocks || row.blocks[j].msg_count() > 0)
+                    .filter(|(_, row)| row.blocks[j].msg_count() > 0)
                     .map(|(t, _)| nid(t))
                     .collect::<Vec<u32>>()
                     .into_boxed_slice()
@@ -285,7 +295,7 @@ impl BlockedSubgraph {
         .flatten()
         .collect();
 
-        let gather_tasks = plan_gather_tasks(&rows, r, c, n_col_blocks, opts);
+        let gather_tasks = plan_gather_tasks(&rows, r, c, n_col_blocks);
         let chunk_indexes = build_chunk_indexes(&rows, &nonempty_rows, &gather_tasks, r, c);
 
         let base_rows = if r == 0 { 0 } else { r.div_ceil(c) };
@@ -343,8 +353,7 @@ impl BlockedSubgraph {
     }
 
     /// Skip list of block-column `j`: indices of block-rows whose block
-    /// `(row, j)` holds at least one edge, ascending. With
-    /// `skip_empty_blocks` off this enumerates every row.
+    /// `(row, j)` holds at least one edge, ascending.
     #[inline]
     pub fn nonempty_rows(&self, j: usize) -> &[u32] {
         &self.nonempty_rows[j]
@@ -352,8 +361,7 @@ impl BlockedSubgraph {
 
     /// Load-balanced gather tasks, tiling `0..r` in destination order. One
     /// per block-column, except columns whose edge count exceeds the
-    /// balance cap, which are chunked into several destination sub-ranges
-    /// (when `gather_balance` is on).
+    /// balance cap, which are chunked into several destination sub-ranges.
     pub fn gather_tasks(&self) -> &[GatherTask] {
         &self.gather_tasks
     }
@@ -485,10 +493,7 @@ impl BlockedSubgraph {
         }
         // Load-balance cap (§4.2): recompute the cap exactly as planning did.
         if opts.load_balance && !self.rows.is_empty() {
-            let base_len = self.r.div_ceil(self.c);
-            let avg = (reg_csr.nnz() as f64 / base_len as f64).max(1.0);
-            // lint: allow(truncation) reason=guarded: positive finite f64 cap far below 2^53
-            let cap = (opts.balance_factor * avg).ceil() as usize;
+            let cap = balance_cap(reg_csr.nnz(), self.r.div_ceil(self.c));
             for (t, row) in self.rows.iter().enumerate() {
                 if row.src_end - row.src_start > 1 && row.nnz > cap {
                     return invariant(format!(
@@ -498,14 +503,13 @@ impl BlockedSubgraph {
                 }
             }
         }
-        // Skip lists must agree with the blocks they index: with skipping
-        // on, exactly the nonempty blocks; with it off, every block.
+        // Skip lists must name exactly the nonempty blocks.
         for (t, row) in self.rows.iter().enumerate() {
             let expected: Vec<u32> = row
                 .blocks
                 .iter()
                 .enumerate()
-                .filter(|(_, blk)| !opts.skip_empty_blocks || blk.msg_count() > 0)
+                .filter(|(_, blk)| blk.msg_count() > 0)
                 .map(|(j, _)| nid(j))
                 .collect();
             if row.nonempty_cols.as_ref() != expected.as_slice() {
@@ -527,7 +531,7 @@ impl BlockedSubgraph {
                 .rows
                 .iter()
                 .enumerate()
-                .filter(|(_, row)| !opts.skip_empty_blocks || row.blocks[j].msg_count() > 0)
+                .filter(|(_, row)| row.blocks[j].msg_count() > 0)
                 .map(|(t, _)| nid(t))
                 .collect();
             if list.as_ref() != expected.as_slice() {
@@ -570,10 +574,8 @@ impl BlockedSubgraph {
         if idx != self.gather_tasks.len() {
             return invariant("gather task list has tasks beyond the last column".into());
         }
-        if opts.gather_balance && self.n_col_blocks > 0 {
-            let avg = (reg_csr.nnz() as f64 / self.n_col_blocks as f64).max(1.0);
-            // lint: allow(truncation) reason=guarded: positive finite f64 cap far below 2^53
-            let cap = (opts.balance_factor * avg).ceil() as usize;
+        if self.n_col_blocks > 0 {
+            let cap = balance_cap(reg_csr.nnz(), self.n_col_blocks);
             for t in &self.gather_tasks {
                 if t.d_hi - t.d_lo > 1 && t.nnz > cap {
                     return invariant(format!(
@@ -636,10 +638,7 @@ fn plan_row_ranges(reg_csr: &Csr, c: usize, opts: &MixenOpts, hub_end: usize) ->
         return base;
     }
     let ptr = reg_csr.ptr();
-    let total_nnz = reg_csr.nnz();
-    let avg = (total_nnz as f64 / base.len() as f64).max(1.0);
-    // lint: allow(truncation) reason=guarded: positive finite f64 cap far below 2^53
-    let cap = (opts.balance_factor * avg).ceil() as usize;
+    let cap = balance_cap(reg_csr.nnz(), base.len());
     // Split `(lo, hi)` greedily so no multi-node piece exceeds `limit` (a
     // single huge row still forms its own range — it cannot be split
     // without breaking bin disjointness).
@@ -683,14 +682,7 @@ fn plan_row_ranges(reg_csr: &Csr, c: usize, opts: &MixenOpts, hub_end: usize) ->
 /// Builds the per-column blocks of one row range in a single pass over the
 /// rows (neighbour lists are sorted, so each row contributes one ascending
 /// run per touched column block).
-fn build_block_row(
-    reg_csr: &Csr,
-    lo: u32,
-    hi: u32,
-    c: usize,
-    n_col_blocks: usize,
-    opts: &MixenOpts,
-) -> BlockRow {
+fn build_block_row(reg_csr: &Csr, lo: u32, hi: u32, c: usize, n_col_blocks: usize) -> BlockRow {
     struct Builder {
         src_ids: Vec<u32>,
         dest_ptr: Vec<u32>,
@@ -732,7 +724,7 @@ fn build_block_row(
     let nonempty_cols: Box<[u32]> = blocks
         .iter()
         .enumerate()
-        .filter(|(_, blk)| !opts.skip_empty_blocks || blk.msg_count() > 0)
+        .filter(|(_, blk)| blk.msg_count() > 0)
         .map(|(j, _)| nid(j))
         .collect::<Vec<u32>>()
         .into_boxed_slice();
@@ -746,7 +738,7 @@ fn build_block_row(
 }
 
 /// Plans the gather task list: one task per block-column, except columns
-/// whose edge count exceeds `balance_factor ×` the average column load —
+/// whose edge count exceeds `OVERLOAD_FACTOR` (2) × the average column load —
 /// those are chunked greedily at the cap along the per-destination in-edge
 /// counts, mirroring the scatter-side row split (§4.2).
 fn plan_gather_tasks(
@@ -754,7 +746,6 @@ fn plan_gather_tasks(
     r: usize,
     c: usize,
     n_col_blocks: usize,
-    opts: &MixenOpts,
 ) -> Vec<GatherTask> {
     if n_col_blocks == 0 {
         return Vec::new();
@@ -766,15 +757,12 @@ fn plan_gather_tasks(
     .into_iter()
     .flatten()
     .collect();
-    let total_nnz: usize = col_nnz.iter().sum();
-    let avg = (total_nnz as f64 / n_col_blocks as f64).max(1.0);
-    // lint: allow(truncation) reason=guarded: positive finite f64 cap far below 2^53
-    let cap = (opts.balance_factor * avg).ceil() as usize;
+    let cap = balance_cap(col_nnz.iter().sum(), n_col_blocks);
     let mut tasks = Vec::with_capacity(n_col_blocks);
     for (j, &nnz) in col_nnz.iter().enumerate() {
         let lo = j * c;
         let width = nid(((lo + c).min(r)) - lo);
-        if !opts.gather_balance || nnz <= cap || width <= 1 {
+        if nnz <= cap || width <= 1 {
             tasks.push(GatherTask {
                 col: nid(j),
                 d_lo: 0,
@@ -1111,25 +1099,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_lists_enumerate_everything_when_disabled() {
-        let csr = grid_csr();
-        let o = MixenOpts {
-            skip_empty_blocks: false,
-            ..opts(4)
-        };
-        let b = BlockedSubgraph::new(&csr, &o, 1);
-        b.debug_validate(&csr, &o).unwrap();
-        let all: Vec<u32> = (0..b.n_col_blocks()).map(nid).collect();
-        for row in b.rows() {
-            assert_eq!(row.nonempty_cols.as_ref(), all.as_slice());
-        }
-        let all_rows: Vec<u32> = (0..b.rows().len()).map(nid).collect();
-        for j in 0..b.n_col_blocks() {
-            assert_eq!(b.nonempty_rows(j), all_rows.as_slice());
-        }
-    }
-
-    #[test]
     fn gather_tasks_tile_each_column_and_chunk_hot_ones() {
         // Column block 0 absorbs nearly all edges: every node points at
         // destinations 0..4, so with c = 4 the first column must be chunked.
@@ -1156,15 +1125,6 @@ mod tests {
         assert_eq!(total, csr.nnz());
         let covered: usize = b.gather_tasks().iter().map(GatherTask::len).sum();
         assert_eq!(covered, csr.n_rows());
-        // Unbalanced planning keeps one task per column.
-        let o2 = MixenOpts {
-            gather_balance: false,
-            ..o
-        };
-        let b2 = BlockedSubgraph::new(&csr, &o2, 1);
-        b2.debug_validate(&csr, &o2).unwrap();
-        assert_eq!(b2.gather_tasks().len(), b2.n_col_blocks());
-        assert_eq!(b2.split_stats().gather_splits, 0);
     }
 
     #[test]

@@ -30,12 +30,11 @@
 use mixen_graph::nid;
 use std::sync::atomic::{AtomicI32, Ordering};
 
-use mixen_graph::{Classification, Graph, GraphError, NodeId, PropValue, WGraph};
+use mixen_graph::{Graph, GraphError, NodeId, PropValue, WGraph};
 
 use crate::bins::{BinEncoding, DynamicBins, StaticBin};
 use crate::block::BlockedSubgraph;
 use crate::filter::FilteredGraph;
-use crate::model::PerfModel;
 use crate::obs::{Json, Metrics, Span};
 use crate::opts::MixenOpts;
 use crate::weights::{Unweighted, WeightRun, Weighted, Weights};
@@ -115,34 +114,11 @@ pub struct MixenEngine<W = Unweighted> {
 impl MixenEngine {
     /// Preprocesses `g`: filtering/relabeling, then 2-D partitioning.
     pub fn new(g: &Graph, opts: MixenOpts) -> Self {
-        Self::build(g, opts, None)
-    }
-
-    /// Preprocesses `g` with the relabel policy the §5 performance model
-    /// (α, β, hub fraction — [`PerfModel::preferred_ordering`]) predicts to
-    /// win, overriding `opts.ordering` — the `--reorder auto` path. The
-    /// classification is computed once and reused for the build; the chosen
-    /// policy is visible in [`MixenEngine::opts`] and the `reorder_policy`
-    /// obs gauge.
-    pub fn new_auto(g: &Graph, opts: MixenOpts) -> Self {
-        let class = Classification::of(g);
-        let model = PerfModel::from_classification(g, &class, opts.block_side);
-        let opts = MixenOpts {
-            ordering: model.preferred_ordering(),
-            ..opts
-        };
-        Self::build(g, opts, Some(&class))
-    }
-
-    fn build(g: &Graph, opts: MixenOpts, class: Option<&Classification>) -> Self {
         let threads = mixen_pool::current_num_threads();
         let mut filter_seconds = 0.0;
         let filtered = {
             let _span = Span::new(&mut filter_seconds);
-            match class {
-                Some(class) => FilteredGraph::from_classification(g, class, opts.ordering),
-                None => FilteredGraph::with_ordering(g, opts.ordering),
-            }
+            FilteredGraph::with_ordering(g, opts.ordering)
         };
         let mut partition_seconds = 0.0;
         let blocked = {
@@ -179,12 +155,6 @@ impl MixenEngine {
     pub fn try_new(g: &Graph, opts: MixenOpts) -> Result<Self, GraphError> {
         if opts.block_side == 0 {
             return Err(GraphError::Invariant("block_side must be positive".into()));
-        }
-        if opts.balance_factor <= 0.0 || !opts.balance_factor.is_finite() {
-            return Err(GraphError::Invariant(format!(
-                "balance_factor must be a positive finite number, got {}",
-                opts.balance_factor
-            )));
         }
         let engine = Self::new(g, opts);
         engine.validate()?;
@@ -1147,14 +1117,8 @@ mod tests {
             block_side: 0,
             ..small_opts()
         };
-        let bad_factor = MixenOpts {
-            balance_factor: f64::NAN,
-            ..small_opts()
-        };
-        for opts in [zero_side, bad_factor] {
-            let err = MixenEngine::try_weighted(&wg, opts).unwrap_err();
-            assert_eq!(err.kind_name(), "invariant");
-        }
+        let err = MixenEngine::try_weighted(&wg, zero_side).unwrap_err();
+        assert_eq!(err.kind_name(), "invariant");
     }
 
     #[test]

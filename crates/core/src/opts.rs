@@ -3,7 +3,9 @@
 //! Defaults follow the paper's evaluation setup (§6.1): 64 Ki-node block
 //! side (a 256 KB property segment at 4 bytes per value, the sweet spot of
 //! Fig. 6/7), hub relocation on, the Cache step on, and the 2× load-balance
-//! split on. The ablation benchmark toggles each knob individually.
+//! split on. Each field is set to a non-default value by a caller that
+//! ships — a paper table/figure bin, the CLI, `mixen-serve` or `bench/`;
+//! DESIGN.md DR-8 lists who sets what, and what became a constant.
 
 /// How regular nodes are ordered within their relabeled range (step 2 of
 /// the filtering procedure, §4.1).
@@ -90,25 +92,12 @@ pub struct MixenOpts {
     /// of SCGA). When disabled, seed contributions are recomputed and
     /// re-propagated every iteration (the redundancy the paper eliminates).
     pub cache_step: bool,
-    /// Split block-rows whose edge count exceeds `balance_factor`× the
-    /// average so no single task dominates (§4.2).
+    /// Split block-rows whose edge count exceeds 2× the average so no
+    /// single task dominates (§4.2; the factor is the paper's constant).
     pub load_balance: bool,
-    /// Overload threshold multiplier (the paper uses 2×).
-    pub balance_factor: f64,
     /// §6.4: keep at least `min_tasks_per_thread` block-rows per thread by
     /// shrinking the block side on graphs with few regular nodes.
     pub min_tasks_per_thread: usize,
-    /// Chunk block-columns whose edge count exceeds `balance_factor`× the
-    /// average column load into multiple gather tasks over disjoint
-    /// destination sub-ranges — the gather-side mirror of the §4.2 scatter
-    /// split. Disabled, every block-column is exactly one gather task.
-    pub gather_balance: bool,
-    /// Precompute per-row/per-column nonempty-block index lists so the
-    /// Scatter/Gather/BFS kernels walk only blocks that hold edges.
-    /// Disabled, the skip lists enumerate *every* block — the kernels run
-    /// the same code over the naive full walk (the A/B knob of the
-    /// `kernels` perf-regression bench).
-    pub skip_empty_blocks: bool,
     /// Value encoding of the dynamic bins (full-width `f32`, IEEE `f16`,
     /// or 16-bit fixed-point `q16`). See [`BinEncoding`].
     pub bin_encoding: BinEncoding,
@@ -121,10 +110,7 @@ impl Default for MixenOpts {
             ordering: RegularOrdering::HubsFirst,
             cache_step: true,
             load_balance: true,
-            balance_factor: 2.0,
             min_tasks_per_thread: 4,
-            gather_balance: true,
-            skip_empty_blocks: true,
             bin_encoding: BinEncoding::F32,
         }
     }
@@ -179,8 +165,6 @@ mod tests {
         assert_eq!(o.block_side, 65536);
         assert_eq!(o.ordering, RegularOrdering::HubsFirst);
         assert!(o.cache_step && o.load_balance);
-        assert_eq!(o.balance_factor, 2.0);
-        assert!(o.gather_balance && o.skip_empty_blocks);
         assert_eq!(o.bin_encoding, BinEncoding::F32);
     }
 

@@ -434,17 +434,25 @@ impl RunnerOpts {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        fold(self.mixen.block_side as u64);
-        fold(self.mixen.ordering.policy_id());
-        fold(u64::from(self.mixen.cache_step));
-        fold(u64::from(self.mixen.load_balance));
-        fold(self.mixen.balance_factor.to_bits());
-        fold(self.mixen.min_tasks_per_thread as u64);
-        fold(u64::from(self.mixen.gather_balance));
-        fold(u64::from(self.mixen.skip_empty_blocks));
+        // Exhaustive on purpose (no `..`): a field added to `MixenOpts`
+        // fails to compile here until it is folded, so `resume_from` can
+        // never accept a checkpoint written under a different partition.
+        let MixenOpts {
+            block_side,
+            ordering,
+            cache_step,
+            load_balance,
+            min_tasks_per_thread,
+            bin_encoding,
+        } = self.mixen;
+        fold(block_side as u64);
+        fold(ordering.policy_id());
+        fold(u64::from(cache_step));
+        fold(u64::from(load_balance));
+        fold(min_tasks_per_thread as u64);
         // The bin encoding changes the streamed numerics, so a resume under
         // a different one must be rejected.
-        fold(self.mixen.bin_encoding.encoding_id());
+        fold(bin_encoding.encoding_id());
         fold(self.check_every as u64);
         fold(self.divergence_limit.to_bits());
         fold(self.fingerprint_extra);
@@ -1790,13 +1798,20 @@ mod tests {
         let mut o = base.clone();
         o.fingerprint_extra = 0xdead_beef;
         assert_ne!(fp, o.fingerprint(4));
-        let mut o = base.clone();
-        o.mixen.block_side += 1;
-        assert_ne!(fp, o.fingerprint(4));
-        // The bin encoding changes the streamed numerics.
-        let mut o = base.clone();
-        o.mixen.bin_encoding = crate::opts::BinEncoding::Q16;
-        assert_ne!(fp, o.fingerprint(4));
+        // Every `MixenOpts` field shapes the partition or the numerics.
+        let flips: [fn(&mut MixenOpts); 6] = [
+            |m| m.block_side += 1,
+            |m| m.ordering = crate::opts::RegularOrdering::Dbg,
+            |m| m.cache_step = !m.cache_step,
+            |m| m.load_balance = !m.load_balance,
+            |m| m.min_tasks_per_thread += 1,
+            |m| m.bin_encoding = crate::opts::BinEncoding::Q16,
+        ];
+        for (i, flip) in flips.into_iter().enumerate() {
+            let mut o = base.clone();
+            flip(&mut o.mixen);
+            assert_ne!(fp, o.fingerprint(4), "MixenOpts field {i} not folded");
+        }
         // Durability plumbing must NOT change the fingerprint: a run with
         // checkpointing on resumes one without, and vice versa.
         let mut o = base.clone();

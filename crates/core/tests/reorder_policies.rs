@@ -8,7 +8,7 @@
 //! 3. each policy is bit-for-bit deterministic at a fixed lane count,
 //! 4. the auto-selected policy is visible in the observability counters.
 
-use mixen_core::{MixenEngine, MixenOpts, PerfModel, RegularOrdering};
+use mixen_core::{MixenEngine, MixenOpts, PerfModel, RegularOrdering, ReorderChoice};
 use mixen_graph::{nid, Classification, Dataset, Graph, Scale};
 
 fn engine_with(g: &Graph, ordering: RegularOrdering) -> MixenEngine {
@@ -140,7 +140,9 @@ fn auto_selection_is_visible_in_the_counters() {
     let class = Classification::of(&g);
     let expected = PerfModel::from_classification(&g, &class, MixenOpts::default().block_side)
         .preferred_ordering();
-    let e = MixenEngine::new_auto(&g, MixenOpts::default());
+    let ordering = ReorderChoice::Auto.resolve(&g);
+    assert_eq!(ordering, expected);
+    let e = engine_with(&g, ordering);
     assert_eq!(e.filtered().ordering(), expected);
     let snap = e.metrics().snapshot();
     assert_eq!(snap.get("reorder_policy"), expected.policy_id());

@@ -346,13 +346,16 @@ mod tests {
 
     #[test]
     fn stream_hooks_round_trip_only_for_f32() {
-        assert!(f32::ENCODABLE);
+        fn encodable<V: PropValue>() -> bool {
+            V::ENCODABLE
+        }
+        assert!(encodable::<f32>());
         assert_eq!(3.25f32.to_stream_f32(), 3.25);
         assert_eq!(f32::from_stream_f32(3.25), 3.25);
         // Every other type keeps full-width streams.
-        assert!(!f64::ENCODABLE);
-        assert!(!<[f32; 2]>::ENCODABLE);
-        assert!(!MinF32::ENCODABLE);
+        assert!(!encodable::<f64>());
+        assert!(!encodable::<[f32; 2]>());
+        assert!(!encodable::<MinF32>());
     }
 
     #[test]

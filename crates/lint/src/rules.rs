@@ -605,9 +605,8 @@ fn rule_width(file: &str, scanned: &Scanned, in_test: &[bool], out: &mut Vec<Fin
             continue;
         }
         // Only call sites: `.get_unchecked(` / `.get_unchecked_mut(`.
-        let is_call = i >= 1
-            && toks[i - 1].text == "."
-            && toks.get(i + 1).is_some_and(|n| n.text == "(");
+        let is_call =
+            i >= 1 && toks[i - 1].text == "." && toks.get(i + 1).is_some_and(|n| n.text == "(");
         if is_call {
             sites.push((i, t.line));
         }
@@ -821,7 +820,11 @@ mod tests {
     fn width_justifications_accepted() {
         // Trailing on the same line.
         let same = "fn f(v: &[u32]) {\n    // SAFETY: k < len by the loop bound.\n    unsafe { v.get_unchecked(0) }; // width: k < len by the loop bound\n}\n";
-        assert!(run("mixen-core", same).is_empty(), "{:?}", run("mixen-core", same));
+        assert!(
+            run("mixen-core", same).is_empty(),
+            "{:?}",
+            run("mixen-core", same)
+        );
         // Comment block directly above covers a contiguous run of sites
         // (the second `unsafe` still owes its own SAFETY comment — only
         // the width findings are checked here).
@@ -830,7 +833,9 @@ mod tests {
         assert!(f.iter().all(|x| x.rule != Rule::Width), "{f:?}");
         // An empty why does not justify.
         let empty = "fn f(v: &[u32]) {\n    // SAFETY: fine.\n    // width:\n    unsafe { v.get_unchecked(0) };\n}\n";
-        assert!(run("mixen-core", empty).iter().any(|x| x.rule == Rule::Width));
+        assert!(run("mixen-core", empty)
+            .iter()
+            .any(|x| x.rule == Rule::Width));
         // The allow annotation suppresses, with a reason.
         let ann = "fn f(v: &[u32]) {\n    // SAFETY: fine.\n    // lint: allow(width) reason=index is a constant zero\n    unsafe { v.get_unchecked(0) };\n}\n";
         assert!(run("mixen-core", ann).is_empty());

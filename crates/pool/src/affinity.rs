@@ -201,7 +201,10 @@ mod tests {
     #[test]
     fn parse_accepts_the_documented_vocabulary() {
         assert_eq!(AffinityPolicy::parse("off"), Some(AffinityPolicy::Disabled));
-        assert_eq!(AffinityPolicy::parse("none"), Some(AffinityPolicy::Disabled));
+        assert_eq!(
+            AffinityPolicy::parse("none"),
+            Some(AffinityPolicy::Disabled)
+        );
         assert_eq!(AffinityPolicy::parse("auto"), Some(AffinityPolicy::Auto));
         assert_eq!(
             AffinityPolicy::parse(" 0, 2,4 "),

@@ -62,7 +62,6 @@ pub(crate) fn ranking_loop(shared: &Shared, graph: &Arc<Graph>, cell: &SnapCell<
     let engine = MixenEngine::new(graph, opts.mixen);
     let pr_opts = PageRankOpts {
         damping: opts.damping,
-        redistribute: false,
     };
     let mut stream = PageRankStream::new(graph, &engine, pr_opts);
     let refresh = opts.refresh_iters.max(1);

@@ -6,7 +6,7 @@
 //! ```
 
 use mixen_algos::{pagerank, pagerank_until, PageRankOpts};
-use mixen_core::{MixenEngine, MixenOpts, RegularOrdering};
+use mixen_core::{MixenEngine, MixenOpts, RegularOrdering, ReorderChoice};
 use mixen_graph::{Graph, StructuralStats};
 
 fn main() {
@@ -38,9 +38,15 @@ fn main() {
 
     // Preprocess: one scan classifies + relabels, then 2-D blocking. The
     // relabel policy is selectable (`MixenOpts::ordering`, or `--reorder`
-    // on the CLI); `new_auto` lets the §5 performance model pick one from
-    // the measured (α, β, hub fraction).
-    let engine = MixenEngine::new_auto(&g, MixenOpts::default());
+    // on the CLI); `ReorderChoice::Auto` lets the §5 performance model pick
+    // one from the measured (α, β, hub fraction).
+    let engine = MixenEngine::new(
+        &g,
+        MixenOpts {
+            ordering: ReorderChoice::Auto.resolve(&g),
+            ..MixenOpts::default()
+        },
+    );
     let f = engine.filtered();
     println!(
         "reorder: model picked '{}' (relabel took {:.1} µs)",

@@ -2,8 +2,10 @@
 # Regenerates every table/figure of EXPERIMENTS.md into results/.
 # Usage: scripts/run_all.sh [scale] [iters] [--threads N]
 #   defaults: small 10, threads from MIXEN_THREADS / host parallelism.
-# --threads pins the worker-lane count of every binary; the scaling bin
-# sweeps its own 1/2/4/8 lane counts regardless.
+# --threads pins the worker-lane count of every binary except `reorder`
+# (pinned to 4 lanes, see below). Phase, kernel, lane-scaling and serving
+# numbers come from the e2e harness under bench/ (DESIGN.md DR-7), not
+# from here.
 #
 # Robustness contract: every result file is written to a .partial path and
 # moved into place only after its producer exits cleanly, so an interrupted
@@ -50,49 +52,21 @@ for b in table1 table2 table4 fig4 fig5 fig6 fig7 model_check ablation; do
     | tee "${txt}.partial"
   finish "$txt"
 done
-# phases, table3 and scaling also emit machine-readable JSON sidecars.
-for b in phases table3; do
-  echo "=== $b ($SCALE) ==="
-  txt="results/${b}_${SCALE}.txt"
-  json="results/${b}_${SCALE}.json"
-  ./target/release/"$b" --scale "$SCALE" --iters "$ITERS" ${THREADS[@]+"${THREADS[@]}"} \
-    --json "${json}.partial" | tee "${txt}.partial"
-  finish "$json" "$txt"
-done
-# The scaling sweep manages its own lane counts (1/2/4/8 via pool overrides),
-# so it deliberately does not receive --threads.
-echo "=== scaling ($SCALE) ==="
-txt="results/scaling_${SCALE}.txt"
-json="results/scaling_${SCALE}.json"
-./target/release/scaling --scale "$SCALE" --iters "$ITERS" \
-  --json "${json}.partial" | tee "${txt}.partial"
-finish "$json" "$txt"
-# Kernel microbenchmarks: the regression-baseline protocol pins 4 lanes
-# (EXPERIMENTS.md "Kernel microbenchmarks"), so --threads is fixed here too.
-echo "=== kernels ($SCALE) ==="
-txt="results/kernels_${SCALE}.txt"
-json="results/kernels_${SCALE}.json"
-./target/release/kernels --scale "$SCALE" --iters "$ITERS" --threads 4 \
+# table3 also emits a machine-readable JSON sidecar.
+echo "=== table3 ($SCALE) ==="
+txt="results/table3_${SCALE}.txt"
+json="results/table3_${SCALE}.json"
+./target/release/table3 --scale "$SCALE" --iters "$ITERS" ${THREADS[@]+"${THREADS[@]}"} \
   --json "${json}.partial" | tee "${txt}.partial"
 finish "$json" "$txt"
 # Reordering shoot-out: every relabel policy over the uniform/skewed/
 # web-like profiles, with simulated cache behaviour and measured PageRank
-# time per policy (EXPERIMENTS.md "Reordering shoot-out"). Same pinned
-# 4-lane protocol as the kernels baseline.
+# time per policy (EXPERIMENTS.md "Reordering shoot-out"), at a pinned 4
+# lanes so committed shoot-outs stay comparable across hosts.
 echo "=== reorder ($SCALE) ==="
 txt="results/reorder_${SCALE}.txt"
 json="results/reorder_${SCALE}.json"
 ./target/release/reorder --scale "$SCALE" --iters "$ITERS" --threads 4 \
   --json "${json}.partial" | tee "${txt}.partial"
-finish "$json" "$txt"
-# Serving-layer load sweep: closed-loop clients at 1/2/4/8 concurrency
-# against an in-process mixen-serve instance (EXPERIMENTS.md "Serving
-# layer"). The server manages its own request workers, so --threads only
-# pins the resident ranking engine.
-echo "=== serve_bench ($SCALE) ==="
-txt="results/serve_${SCALE}.txt"
-json="results/serve_${SCALE}.json"
-./target/release/serve_bench --scale "$SCALE" --iters "$ITERS" --datasets wiki \
-  ${THREADS[@]+"${THREADS[@]}"} --json "${json}.partial" | tee "${txt}.partial"
 finish "$json" "$txt"
 echo "all results written to results/"

@@ -413,16 +413,8 @@ fn checkpoint_writes_through_fault_plans_are_typed() {
 fn nan_poisoned_pagerank_is_a_numeric_error_with_report() {
     let g = sample_graph();
     let runner = RobustRunner::new(RunnerOpts::default());
-    let failure = pagerank_supervised(
-        &g,
-        &runner,
-        PageRankOpts {
-            damping: f32::NAN,
-            ..PageRankOpts::default()
-        },
-        10,
-    )
-    .expect_err("NaN damping must fail");
+    let failure = pagerank_supervised(&g, &runner, PageRankOpts { damping: f32::NAN }, 10)
+        .expect_err("NaN damping must fail");
     match &failure.error {
         GraphError::Numeric { iteration, msg } => {
             assert!(*iteration <= 1);

@@ -166,3 +166,73 @@ fn score_bits_at_fixed_lane_counts_match_the_pre_rewrite_capture() {
         }
     }
 }
+
+/// `(scatter_tasks, gather_tasks, tasks_split, max_task_nnz, per-column
+/// nonempty_rows lengths)` of one partition.
+type PartitionPin = (usize, usize, u64, u64, &'static [usize]);
+
+/// `(dataset, its [`PartitionPin`] at 1 / 2 / 4 lanes)` for the
+/// default-options partition, captured at the commit *before* the
+/// gather-chunking, skip-list and overload-factor knobs became
+/// unconditional: the always-on paths must cut exactly the tasks the
+/// defaults cut. Rmat is here because weibo and wiki chunk no gather
+/// column at tiny scale (`gather_tasks` equals the column count).
+const GOLDEN_PARTITION: [(Dataset, [PartitionPin; 3]); 3] = [
+    (
+        Dataset::Weibo,
+        [
+            (1, 1, 0, 2486, &[1]),
+            (1, 1, 0, 2486, &[1]),
+            (1, 1, 0, 2486, &[1]),
+        ],
+    ),
+    (
+        Dataset::Wiki,
+        [
+            (8, 4, 4, 34431, &[8; 4]),
+            (15, 8, 7, 17771, &[15; 8]),
+            (
+                29,
+                16,
+                13,
+                12080,
+                &[
+                    29, 29, 29, 29, 29, 29, 29, 29, 29, 29, 29, 29, 29, 29, 29, 28,
+                ],
+            ),
+        ],
+    ),
+    (
+        Dataset::Rmat,
+        [
+            (8, 5, 5, 54216, &[8; 4]),
+            (14, 10, 8, 27070, &[14; 8]),
+            (28, 21, 17, 13546, &[28; 16]),
+        ],
+    ),
+];
+
+#[test]
+fn partition_at_fixed_lane_counts_matches_the_pre_removal_capture() {
+    for (dataset, pins) in GOLDEN_PARTITION {
+        let g = dataset.generate(Scale::Tiny, 42);
+        for (threads, want) in [1usize, 2, 4].into_iter().zip(pins) {
+            mixen_pool::with_threads(threads, || {
+                let engine = MixenEngine::new(&g, MixenOpts::default());
+                let b = engine.blocked();
+                let s = b.split_stats();
+                let lens: Vec<usize> = (0..b.n_col_blocks())
+                    .map(|j| b.nonempty_rows(j).len())
+                    .collect();
+                let got = (
+                    s.scatter_tasks,
+                    s.gather_tasks,
+                    s.tasks_split(),
+                    s.max_task_nnz(),
+                    lens.as_slice(),
+                );
+                assert_eq!(got, want, "{dataset:?} partition, threads={threads}");
+            });
+        }
+    }
+}

@@ -10,6 +10,7 @@
 //! Fig. 4 (memory traffic), Fig. 5 (L2 references split hit/miss) and
 //! Fig. 7 (LLC hits and traffic vs block size).
 
+use mixen_core::block::{entry_dest, entry_step};
 use mixen_core::{BlockedSubgraph, MixenEngine};
 use mixen_graph::{Csr, Graph};
 
@@ -144,9 +145,13 @@ fn trace_blocked(
     let total_slots: usize = blocked.total_msg_slots();
     let total_edges: usize = blocked.nnz();
     let src_ids = layout.array(total_slots, 4);
-    let dest_ptr = layout.array(total_slots + blocked.rows().len(), 4);
     let dests = layout.array(total_edges, 4);
     let vals = layout.array(total_slots, 4);
+    // Chunked columns: each chunk task's own destination stream and the
+    // slot id of every flagged entry, concatenated in task order.
+    let chunks = || blocked.chunk_streams().iter().flatten();
+    let chunk_entries = layout.array(chunks().map(|cs| cs.entries.len()).sum(), 4);
+    let chunk_slot_ids = layout.array(chunks().map(|cs| cs.slot_ids.len()).sum(), 4);
     let x = layout.array(x_len, 4);
     let y = layout.array(x_len, 4);
     let sta = layout.array(if cache_step { x_len } else { 0 }, 4);
@@ -222,27 +227,53 @@ fn trace_blocked(
                 edge_off_per_block.push(per_col);
             }
         }
-        for j in 0..blocked.n_col_blocks() {
-            let col_base = j * blocked.block_side();
-            for (i, row) in blocked.rows().iter().enumerate() {
-                let blk = &row.blocks[j];
-                let base_slot = row_slot_offsets[i][j];
-                let base_edge = edge_off_per_block[i][j];
-                let mut e = 0usize;
-                for (k, _) in blk.src_ids.iter().enumerate() {
-                    sim.read(vals.addr(base_slot + k), 4);
-                    sim.read(dest_ptr.addr(base_slot + k), 4);
-                    for &d in blk.dests_of(k) {
-                        sim.read(dests.addr(base_edge + e), 4);
-                        // y[d] += val: read-modify-write.
-                        sim.read(y.addr(col_base + d as usize), 4);
-                        sim.write(y.addr(col_base + d as usize), 4);
-                        e += 1;
+        // One flat pass per gather task over its flagged destination
+        // stream — `Block::dests` for a full column, the task's own cut for
+        // a chunk — reading per entry the stream word, (chunks) the slot id,
+        // the streamed value, and read-modify-writing `y`. `dest_ptr` is not
+        // part of the walk.
+        let (mut entry_off, mut slot_id_off) = (0usize, 0usize);
+        for (t, chunk) in blocked.gather_tasks().iter().zip(blocked.chunk_streams()) {
+            let j = t.col as usize;
+            let y_base = j * blocked.block_side() + t.d_lo as usize;
+            let mut m = usize::MAX;
+            for (bi, &ti) in blocked.nonempty_rows(j).iter().enumerate() {
+                let ti = ti as usize;
+                let base_slot = row_slot_offsets[ti][j];
+                let (stream, array, at): (&[u32], _, _) = match chunk {
+                    None => {
+                        m = usize::MAX;
+                        let blk = &blocked.rows()[ti].blocks[j];
+                        (&blk.dests, &dests, edge_off_per_block[ti][j])
                     }
+                    Some(cs) => {
+                        let at = entry_off + cs.block_ptr[bi] as usize;
+                        (cs.entries_of(bi), &chunk_entries, at)
+                    }
+                };
+                for (i, &e) in stream.iter().enumerate() {
+                    m = m.wrapping_add(entry_step(e));
+                    sim.read(array.addr(at + i), 4);
+                    let slot = match chunk {
+                        None => m,
+                        Some(cs) => {
+                            sim.read(chunk_slot_ids.addr(slot_id_off + m), 4);
+                            cs.slot_ids[m] as usize
+                        }
+                    };
+                    sim.read(vals.addr(base_slot + slot), 4);
+                    // y[d] += val: read-modify-write.
+                    let d = y_base + entry_dest(e) as usize;
+                    sim.read(y.addr(d), 4);
+                    sim.write(y.addr(d), 4);
                 }
             }
-            // Apply over the column segment.
-            for v in blocked.col_range(j) {
+            if let Some(cs) = chunk {
+                entry_off += cs.entries.len();
+                slot_id_off += cs.slot_ids.len();
+            }
+            // Apply over the task's destination segment.
+            for v in y_base..y_base + t.len() {
                 sim.read(y.addr(v), 4);
                 sim.write(y.addr(v), 4);
             }

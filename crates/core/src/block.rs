@@ -7,22 +7,26 @@
 //!
 //! * `src_ids`  — local source indices with ≥ 1 edge into this block,
 //! * `dest_ptr` — per-source offsets into `dests`,
-//! * `dests`    — local destination indices.
+//! * `dests`    — local destination indices, the first of each source's run
+//!   flagged with [`MSG_START`].
 //!
 //! A dynamic bin streams exactly **one value per `src_ids` entry** per
 //! iteration — the paper's edge-compression technique [Lakhotia et al.,
 //! ATC'18]: messages from one source to many destinations inside a block
-//! collapse into a single transmission. (The paper encodes the same
-//! information with an MSB flag on the first destination of each source;
-//! the explicit `src_ids`/`dest_ptr` arrays carry identical content and
-//! additionally enable the sparse frontier traversal used by BFS.)
+//! collapse into a single transmission. `dests` is the paper's §4.2 static
+//! index stream: destination IDs stored once, the MSB marking *advance to
+//! the next source value*, so Gather is one sequential pass over it and
+//! never touches `dest_ptr`. `src_ids` feeds Scatter; `dest_ptr` stays for
+//! the per-slot lookup of the sparse BFS frontier traversal
+//! ([`Block::dests_of`]).
 //!
 //! Load balancing (§4.2): block-row heights start at the block side `c`,
 //! but any row range whose edge count exceeds `OVERLOAD_FACTOR` (2) × the
 //! average block-row load is split greedily, so the number of non-zeros per
 //! scatter task stays bounded. The gather side is balanced the same way:
 //! block-columns whose edge count exceeds the cap are chunked into several
-//! [`GatherTask`]s over disjoint destination sub-ranges.
+//! [`GatherTask`]s over disjoint destination sub-ranges, each with its own
+//! flagged stream ([`ChunkStream`]).
 //!
 //! Skew also leaves many `(row, col)` blocks completely empty — in a
 //! power-law graph most of the edge mass concentrates in the hub columns.
@@ -42,6 +46,24 @@ use crate::MixenOpts;
 /// average task's edges; the paper fixes 2× and so does this crate.
 const OVERLOAD_FACTOR: f64 = 2.0;
 
+/// Bit 31 of a destination-stream entry: set on the first destination of
+/// each message, telling Gather to advance to the next streamed value. The
+/// low 31 bits are the local destination, so a block side is at most
+/// [`MixenOpts::MAX_BLOCK_SIDE`].
+pub const MSG_START: u32 = 1 << 31;
+
+/// The local destination of a stream entry (flag masked off).
+#[inline(always)]
+pub fn entry_dest(e: u32) -> u32 {
+    e & !MSG_START
+}
+
+/// 1 for an entry that opens a message, else 0: Gather's message-count step.
+#[inline(always)]
+pub fn entry_step(e: u32) -> usize {
+    (e >> 31) as usize
+}
+
 /// The §4.2 edge cap for `parts` tasks sharing `total_nnz` edges.
 fn balance_cap(total_nnz: usize, parts: usize) -> usize {
     let avg = (total_nnz as f64 / parts as f64).max(1.0);
@@ -57,7 +79,8 @@ pub struct Block {
     pub src_ids: Box<[u32]>,
     /// Offsets into `dests`; length `src_ids.len() + 1`.
     pub dest_ptr: Box<[u32]>,
-    /// Local destination indices, grouped by source.
+    /// Local destination indices, grouped by source, [`MSG_START`] set on
+    /// the first of each group. Read single runs through [`Block::dests_of`].
     pub dests: Box<[u32]>,
 }
 
@@ -73,10 +96,13 @@ impl Block {
         self.src_ids.len()
     }
 
-    /// The destinations of the `k`-th active source.
+    /// The destinations of the `k`-th active source (ascending), flag bit
+    /// masked off.
     #[inline]
-    pub fn dests_of(&self, k: usize) -> &[u32] {
-        &self.dests[self.dest_ptr[k] as usize..self.dest_ptr[k + 1] as usize]
+    pub fn dests_of(&self, k: usize) -> impl Iterator<Item = u32> + '_ {
+        self.dests[self.dest_ptr[k] as usize..self.dest_ptr[k + 1] as usize]
+            .iter()
+            .map(|&e| entry_dest(e))
     }
 }
 
@@ -131,54 +157,36 @@ impl GatherTask {
     }
 }
 
-/// One destination's contribution list within a chunked gather task: the
-/// next `len` entries of [`ChunkIndex::slots`] combine into local
-/// destination `d`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DestRun {
-    /// Local destination within the block-column (`d_lo ≤ d < d_hi`).
-    pub d: u32,
-    /// Number of contributions (edges) into `d` from this block.
-    pub len: u32,
-}
-
-/// Destination-major index of one *chunked* gather task, built once at
-/// partition time. For each nonempty block-row of the task's column (same
-/// order as [`BlockedSubgraph::nonempty_rows`]) it stores a small CSC
-/// fragment: one [`DestRun`] per task-owned destination with ≥ 1 edge in
-/// that block, plus one message-slot reference per edge.
+/// The destination stream of one *chunked* gather task, built once at
+/// partition time: the task's share of its column's [`Block::dests`], block
+/// after block in [`BlockedSubgraph::nonempty_rows`] order, with destinations
+/// made task-local (`d − d_lo`) and [`MSG_START`] on each message's first
+/// in-range destination. A message that misses the chunk leaves no entry,
+/// so the flag count no longer equals the slot number; `slot_ids` names the
+/// block-local message slot of every flagged entry instead.
 ///
-/// The representation matters: filtering the column's message list at run
-/// time (or source-major slice lists) costs per *(message, chunk)*
-/// incidence, and in a hub column nearly every message intersects every
-/// chunk — the §4.2 split would multiply the column's per-iteration index
-/// traffic by its chunk count. Destination-major, a chunk streams
-/// `8 bytes × active destinations + 4 bytes × own edges`, proportional to
-/// the work it actually owns.
-///
-/// Per destination, contributions are ordered (block-row ascending,
-/// message slot ascending) — exactly the full-column walk's combine
-/// order, so chunked and unchunked gathers are bit-for-bit identical.
-#[derive(Clone, Debug, Default)]
-pub struct ChunkIndex {
-    /// Offsets into `runs`, parallel to the column's skip list (`+ 1`).
+/// A chunk streams `4 bytes × own edges + 4 bytes × (message, chunk)
+/// incidences`, proportional to the work it owns, and per destination the
+/// contributions keep the full-column order (block-row ascending, slot
+/// ascending) — chunked and unchunked gathers are bit-for-bit identical.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ChunkStream {
+    /// Offsets into `entries`, parallel to the column's skip list (`+ 1`).
     pub block_ptr: Box<[u32]>,
-    /// Per-block destination runs, `d` ascending within each block.
-    pub runs: Box<[DestRun]>,
-    /// Per edge: the message slot (streamed-bin value index) it draws
-    /// from, grouped by run, in run order. A weighted engine aligns its
-    /// chunk weights with this array.
-    pub slots: Box<[u32]>,
+    /// Flagged task-local destinations, one per edge. A weighted engine
+    /// aligns its chunk weights with this array.
+    pub entries: Box<[u32]>,
+    /// Per flagged entry, in stream order: the message slot (streamed-bin
+    /// value index) within its block.
+    pub slot_ids: Box<[u32]>,
 }
 
-impl ChunkIndex {
-    /// The destination runs of the `bi`-th nonempty block-row of the
-    /// task's column. `slots` entries for these runs follow the
-    /// walk order (blocks outer, runs inner), so kernels keep one running
-    /// cursor across the whole task.
+impl ChunkStream {
+    /// The entries of the `bi`-th nonempty block-row of the task's column
+    /// (`slot_ids` follows the same walk: one running flag count per task).
     #[inline]
-    pub fn runs_of(&self, bi: usize) -> &[DestRun] {
-        &self.runs[self.block_ptr[bi] as usize..self.block_ptr[bi + 1] as usize]
+    pub fn entries_of(&self, bi: usize) -> &[u32] {
+        &self.entries[self.block_ptr[bi] as usize..self.block_ptr[bi + 1] as usize]
     }
 }
 
@@ -228,9 +236,9 @@ pub struct BlockedSubgraph {
     nonempty_rows: Vec<Box<[u32]>>,
     /// Load-balanced gather task list tiling `0..r` in destination order.
     gather_tasks: Vec<GatherTask>,
-    /// Per gather task: `Some` precomputed message slices iff the task is a
-    /// chunk of its column (full-column tasks filter nothing).
-    chunk_indexes: Vec<Option<ChunkIndex>>,
+    /// Per gather task: `Some` iff the task is a chunk of its column
+    /// (full-column tasks walk their blocks' `dests` directly).
+    chunk_streams: Vec<Option<ChunkStream>>,
     split_stats: SplitStats,
 }
 
@@ -263,6 +271,10 @@ impl BlockedSubgraph {
         let r = reg_csr.n_rows();
         let hub_end = num_hub.min(r);
         let c = opts.effective_block_side_domain(r, hub_end, threads);
+        assert!(
+            c <= MixenOpts::MAX_BLOCK_SIDE,
+            "block side {c} leaves no room for the message-start flag in bit 31"
+        );
         let n_col_blocks = if r == 0 { 0 } else { r.div_ceil(c) };
 
         // Row ranges: start from fixed height c, split overloaded ranges,
@@ -296,7 +308,7 @@ impl BlockedSubgraph {
         .collect();
 
         let gather_tasks = plan_gather_tasks(&rows, r, c, n_col_blocks);
-        let chunk_indexes = build_chunk_indexes(&rows, &nonempty_rows, &gather_tasks, r, c);
+        let chunk_streams = build_chunk_streams(&rows, &nonempty_rows, &gather_tasks, r, c);
 
         let base_rows = if r == 0 { 0 } else { r.div_ceil(c) };
         let split_stats = SplitStats {
@@ -316,7 +328,7 @@ impl BlockedSubgraph {
             rows,
             nonempty_rows,
             gather_tasks,
-            chunk_indexes,
+            chunk_streams,
             split_stats,
         }
     }
@@ -366,14 +378,13 @@ impl BlockedSubgraph {
         &self.gather_tasks
     }
 
-    /// Per-task precomputed message slices, parallel to [`gather_tasks`]
-    /// (`Some` exactly for chunk tasks). The gather kernels zip this with
-    /// the task list: `None` takes the full-column path, `Some` walks the
-    /// prebuilt slices with no run-time searching.
+    /// Per-task destination streams, parallel to [`gather_tasks`] (`Some`
+    /// exactly for chunk tasks; a full-column task's stream is its blocks'
+    /// `dests`).
     ///
     /// [`gather_tasks`]: Self::gather_tasks
-    pub fn chunk_indexes(&self) -> &[Option<ChunkIndex>] {
-        &self.chunk_indexes
+    pub fn chunk_streams(&self) -> &[Option<ChunkStream>] {
+        &self.chunk_streams
     }
 
     /// How the §4.2 nnz-proportional split shaped the task lists.
@@ -459,16 +470,25 @@ impl BlockedSubgraph {
                         "block ({t},{j}) src_ids not strictly ascending within 0..{height}"
                     ));
                 }
-                if blk.dests.iter().any(|&d| d as usize >= width) {
+                if blk.dests.iter().any(|&e| entry_dest(e) as usize >= width) {
                     return invariant(format!(
                         "block ({t},{j}) has a local destination out of 0..{width}"
                     ));
                 }
+                // Gather counts messages off the flags alone: they must sit
+                // on the run starts and nowhere else.
+                let flagged = (0..blk.nnz()).filter(|&p| entry_step(blk.dests[p]) == 1);
+                let starts = blk.dest_ptr[..blk.msg_count()].iter();
+                if !flagged.eq(starts.map(|&p| p as usize)) {
+                    return invariant(format!(
+                        "block ({t},{j}) message-start flags are not exactly its run starts"
+                    ));
+                }
                 // Sorted per-source destination runs are what lets the
-                // chunk-index builder slice each run into per-task
+                // chunk-stream builder slice each run into per-task
                 // contiguous sub-runs.
                 for k in 0..blk.msg_count() {
-                    if blk.dests_of(k).windows(2).any(|w| w[0] > w[1]) {
+                    if !blk.dests_of(k).is_sorted() {
                         return invariant(format!(
                             "block ({t},{j}) destination run for source slot {k} is not sorted"
                         ));
@@ -585,39 +605,82 @@ impl BlockedSubgraph {
                 }
             }
         }
-        // Chunk indexes must be exactly the build-time resolution of each
-        // chunk task's run intersections — the gather kernels trust the
-        // `lo..hi` ranges with unchecked destination writes.
-        if self.chunk_indexes.len() != self.gather_tasks.len() {
+        // Chunk streams: the gather loop indexes `y`, `slot_ids` and the bin
+        // streams unchecked off them, so prove every bound it trusts, then
+        // that the content is the blocks' (a rebuild compares equal).
+        let (rows, tasks) = (&self.rows, &self.gather_tasks);
+        let expected = build_chunk_streams(rows, &self.nonempty_rows, tasks, self.r, self.c);
+        if self.chunk_streams.len() != tasks.len() {
             return invariant(format!(
-                "{} chunk indexes for {} gather tasks",
-                self.chunk_indexes.len(),
-                self.gather_tasks.len()
+                "{} chunk streams for {} gather tasks",
+                self.chunk_streams.len(),
+                tasks.len()
             ));
         }
-        let expected_indexes = build_chunk_indexes(
-            &self.rows,
-            &self.nonempty_rows,
-            &self.gather_tasks,
-            self.r,
-            self.c,
-        );
-        for (ti, (got, want)) in self.chunk_indexes.iter().zip(&expected_indexes).enumerate() {
-            let matches = match (got, want) {
-                (None, None) => true,
-                (Some(g), Some(w)) => {
-                    g.block_ptr == w.block_ptr && g.runs == w.runs && g.slots == w.slots
-                }
-                _ => false,
-            };
-            if !matches {
+        for (ti, (got, want)) in self.chunk_streams.iter().zip(&expected).enumerate() {
+            let (t, j) = (&tasks[ti], tasks[ti].col as usize);
+            let blocks = self.nonempty_rows[j]
+                .iter()
+                .map(|&row| &rows[row as usize].blocks[j]);
+            if let Some(Err(why)) = got.as_ref().map(|cs| check_chunk_stream(cs, t, blocks)) {
+                return invariant(format!("chunk stream of gather task {ti}: {why}"));
+            }
+            if got != want {
                 return invariant(format!(
-                    "chunk index of gather task {ti} disagrees with its task's run intersections"
+                    "chunk stream of gather task {ti} disagrees with a rebuild from its blocks"
                 ));
             }
         }
         Ok(())
     }
+}
+
+/// The bounds the gather loop trusts of one chunk stream, `blocks` being the
+/// task's column in skip-list order: segments tile `entries`, each opens
+/// with a flag, every flag has a slot id, slot ids ascend strictly below the
+/// block's message count, destinations stay inside the task.
+fn check_chunk_stream<'a>(
+    cs: &ChunkStream,
+    t: &GatherTask,
+    blocks: impl ExactSizeIterator<Item = &'a Block>,
+) -> Result<(), String> {
+    if cs.block_ptr.len() != blocks.len() + 1
+        || cs.block_ptr[0] != 0
+        || cs.block_ptr[blocks.len()] as usize != cs.entries.len()
+        || cs.block_ptr.windows(2).any(|w| w[0] > w[1])
+    {
+        return Err("malformed block_ptr".into());
+    }
+    if cs.entries.len() != t.nnz {
+        return Err(format!("{} entries for {} edges", cs.entries.len(), t.nnz));
+    }
+    let outside = |&e: &u32| entry_dest(e) as usize >= t.len();
+    if cs.entries.iter().any(outside) {
+        return Err(format!("a destination out of 0..{}", t.len()));
+    }
+    let mut m = 0usize;
+    for (bi, blk) in blocks.enumerate() {
+        let seg = cs.entries_of(bi);
+        if seg.first().is_some_and(|&e| entry_step(e) == 0) {
+            return Err(format!("segment {bi} opens without a flag"));
+        }
+        let flags: usize = seg.iter().map(|&e| entry_step(e)).sum();
+        let Some(ids) = cs.slot_ids.get(m..m + flags) else {
+            return Err(format!("segment {bi} has more flags than slot ids"));
+        };
+        if ids.windows(2).any(|w| w[0] >= w[1])
+            || ids.last().is_some_and(|&k| k as usize >= blk.msg_count())
+        {
+            return Err(format!(
+                "segment {bi} slot ids not strictly ascending below its block's messages"
+            ));
+        }
+        m += flags;
+    }
+    if m != cs.slot_ids.len() {
+        return Err(format!("{m} flags for {} slot ids", cs.slot_ids.len()));
+    }
+    Ok(())
 }
 
 /// Greedy row-range planning with the 2× overload split, plus the GRASP
@@ -706,10 +769,12 @@ fn build_block_row(reg_csr: &Csr, lo: u32, hi: u32, c: usize, n_col_blocks: usiz
             let col_base = nid(j * c);
             let b = &mut builders[j];
             b.src_ids.push(local_src);
+            let start = b.dests.len();
             while k < neigh.len() && (neigh[k] as usize) / c == j {
                 b.dests.push(neigh[k] - col_base);
                 k += 1;
             }
+            b.dests[start] |= MSG_START;
             b.dest_ptr.push(nid(b.dests.len()));
         }
     }
@@ -777,8 +842,8 @@ fn plan_gather_tasks(
         // cannot be split without atomics).
         let mut deg = vec![0usize; width as usize];
         for row in rows {
-            for &d in row.blocks[j].dests.iter() {
-                deg[d as usize] += 1;
+            for &e in row.blocks[j].dests.iter() {
+                deg[entry_dest(e) as usize] += 1;
             }
         }
         let mut start = 0u32;
@@ -808,18 +873,17 @@ fn plan_gather_tasks(
     tasks
 }
 
-/// Resolves each chunk task's destination-major index once, at partition
-/// time (see [`ChunkIndex`]). Full-column tasks map to `None`. A counting
-/// sort per (task, block) groups the task's edges by destination while
-/// keeping message slots ascending within each destination — the stable
-/// order the bitwise-determinism contract needs.
-fn build_chunk_indexes(
+/// Cuts each chunk task's destination stream out of its column's blocks
+/// once, at partition time (see [`ChunkStream`]). Full-column tasks map to
+/// `None`. Runs are sorted (`debug_validate`), so a task's share of each is
+/// one contiguous sub-run found by two binary searches.
+fn build_chunk_streams(
     rows: &[BlockRow],
     nonempty_rows: &[Box<[u32]>],
     tasks: &[GatherTask],
     r: usize,
     c: usize,
-) -> Vec<Option<ChunkIndex>> {
+) -> Vec<Option<ChunkStream>> {
     mixen_pool::par_parts(tasks.len(), |part| {
         part.map(|task| {
             let t = &tasks[task];
@@ -829,59 +893,31 @@ fn build_chunk_indexes(
             if t.is_full_column(width) {
                 return None;
             }
-            let w = (t.d_hi - t.d_lo) as usize;
             let list = &nonempty_rows[j];
             let mut block_ptr = Vec::with_capacity(list.len() + 1);
             block_ptr.push(0u32);
-            let mut runs = Vec::new();
-            let mut slots = Vec::new();
-            let mut cnt = vec![0u32; w];
+            let mut entries = Vec::with_capacity(t.nnz);
+            let mut slot_ids = Vec::new();
             for &ti in list.iter() {
                 let blk = &rows[ti as usize].blocks[j];
-                cnt.fill(0);
-                // Pass 1: count this block's edges per task-owned
-                // destination. Runs are sorted (debug_validate), so the
-                // task's share of each is one contiguous sub-run.
                 for k in 0..blk.msg_count() {
-                    let run = blk.dests_of(k);
-                    let a = run.partition_point(|&d| d < t.d_lo);
-                    let b = run.partition_point(|&d| d < t.d_hi);
-                    for &d in &run[a..b] {
-                        cnt[(d - t.d_lo) as usize] += 1;
+                    let run = &blk.dests[blk.dest_ptr[k] as usize..blk.dest_ptr[k + 1] as usize];
+                    let a = run.partition_point(|&e| entry_dest(e) < t.d_lo);
+                    let b = run.partition_point(|&e| entry_dest(e) < t.d_hi);
+                    if a == b {
+                        continue;
                     }
+                    slot_ids.push(nid(k));
+                    let start = entries.len();
+                    entries.extend(run[a..b].iter().map(|&e| entry_dest(e) - t.d_lo));
+                    entries[start] |= MSG_START;
                 }
-                let base_out = slots.len();
-                let mut off = Vec::with_capacity(w);
-                let mut total = 0u32;
-                for (d, &n) in cnt.iter().enumerate() {
-                    off.push(total);
-                    total += n;
-                    if n > 0 {
-                        runs.push(DestRun {
-                            d: t.d_lo + nid(d),
-                            len: n,
-                        });
-                    }
-                }
-                slots.resize(base_out + total as usize, 0);
-                // Pass 2: place each edge, slots ascending per destination
-                // because `k` ascends.
-                for k in 0..blk.msg_count() {
-                    let run = blk.dests_of(k);
-                    let a = run.partition_point(|&d| d < t.d_lo);
-                    let b = run.partition_point(|&d| d < t.d_hi);
-                    for &d in &run[a..b] {
-                        let slot = &mut off[(d - t.d_lo) as usize];
-                        slots[base_out + *slot as usize] = nid(k);
-                        *slot += 1;
-                    }
-                }
-                block_ptr.push(nid(runs.len()));
+                block_ptr.push(nid(entries.len()));
             }
-            Some(ChunkIndex {
+            Some(ChunkStream {
                 block_ptr: block_ptr.into_boxed_slice(),
-                runs: runs.into_boxed_slice(),
-                slots: slots.into_boxed_slice(),
+                entries: entries.into_boxed_slice(),
+                slot_ids: slot_ids.into_boxed_slice(),
             })
         })
         .collect::<Vec<_>>()
@@ -933,7 +969,7 @@ mod tests {
             for (j, blk) in row.blocks.iter().enumerate() {
                 let col_base = (j * b.block_side()) as u32;
                 for (k, &src) in blk.src_ids.iter().enumerate() {
-                    for &d in blk.dests_of(k) {
+                    for d in blk.dests_of(k) {
                         got.push((row.src_start + src, col_base + d));
                     }
                 }
@@ -955,7 +991,10 @@ mod tests {
         // Local indices stay inside the block.
         for row in b.rows() {
             for blk in &row.blocks {
-                assert!(blk.dests.iter().all(|&d| (d as usize) < b.block_side()));
+                assert!(blk
+                    .dests
+                    .iter()
+                    .all(|&e| (entry_dest(e) as usize) < b.block_side()));
                 assert!(blk.src_ids.iter().all(|&s| s < row.src_end - row.src_start));
             }
         }
@@ -1167,17 +1206,11 @@ mod tests {
         let mut b = BlockedSubgraph::new(&csr, &o, 1);
         b.gather_tasks[0].nnz += 1;
         assert!(b.debug_validate(&csr, &o).is_err());
-        // Chunk index present on a full-column task.
-        let mut b = BlockedSubgraph::new(&csr, &o, 1);
-        b.chunk_indexes[0] = Some(ChunkIndex::default());
-        assert!(b.debug_validate(&csr, &o).is_err());
     }
 
-    #[test]
-    fn chunk_indexes_resolve_exactly_the_tasks_run_intersections() {
-        // 16 sources all hitting column block 0 forces the gather balancer
-        // to chunk it; the full-column tasks must carry no index and the
-        // chunk tasks must partition each message's run by destination.
+    /// 16 sources all hitting column block 0 forces the gather balancer to
+    /// chunk it (4 single-destination chunks of 16 edges each).
+    fn hot_column() -> (Csr, MixenOpts, BlockedSubgraph) {
         let mut edges = Vec::new();
         for u in 0..16u32 {
             for d in 0..4u32 {
@@ -1187,38 +1220,106 @@ mod tests {
         let csr = Csr::from_edges(16, &edges);
         let o = opts(4);
         let b = BlockedSubgraph::new(&csr, &o, 1);
+        (csr, o, b)
+    }
+
+    #[test]
+    fn chunk_streams_cut_each_message_run_at_the_task_bounds() {
+        let (csr, o, b) = hot_column();
         assert!(b.split_stats().gather_splits > 0);
         b.debug_validate(&csr, &o).expect("partition is valid");
         let mut chunked = 0usize;
-        for (t, idx) in b.gather_tasks().iter().zip(b.chunk_indexes()) {
+        for (t, stream) in b.gather_tasks().iter().zip(b.chunk_streams()) {
             let j = t.col as usize;
             let width = b.col_range(j).len();
-            match idx {
-                None => assert!(t.is_full_column(width)),
-                Some(ci) => {
-                    chunked += 1;
-                    assert!(!t.is_full_column(width));
-                    assert_eq!(ci.block_ptr.len(), b.nonempty_rows(j).len() + 1);
-                    // Runs hold exactly the task's nnz, every run sits in
-                    // the task's range, and every contribution points back
-                    // at a message slot of its block that reaches `run.d`.
-                    let mut cursor = 0usize;
-                    for (bi, &ti) in b.nonempty_rows(j).iter().enumerate() {
-                        let blk = &b.rows()[ti as usize].blocks[j];
-                        for run in ci.runs_of(bi) {
-                            assert!(t.d_lo <= run.d && run.d < t.d_hi);
-                            assert!(run.len > 0);
-                            for &k in &ci.slots[cursor..cursor + run.len as usize] {
-                                assert!(blk.dests_of(k as usize).contains(&run.d));
-                            }
-                            cursor += run.len as usize;
-                        }
-                    }
-                    assert_eq!(cursor, ci.slots.len());
-                    assert_eq!(cursor, t.nnz);
+            let Some(cs) = stream else {
+                assert!(t.is_full_column(width));
+                continue;
+            };
+            chunked += 1;
+            assert!(!t.is_full_column(width));
+            assert_eq!(cs.block_ptr.len(), b.nonempty_rows(j).len() + 1);
+            assert_eq!(cs.entries.len(), t.nnz);
+            // Replaying the walk: every entry is a destination of the
+            // message its flag count names, and every message that reaches
+            // the chunk shows up exactly once per in-range destination.
+            let mut m = usize::MAX;
+            for (bi, &ti) in b.nonempty_rows(j).iter().enumerate() {
+                let blk = &b.rows()[ti as usize].blocks[j];
+                let mut got: Vec<(u32, u32)> = Vec::new();
+                for &e in cs.entries_of(bi) {
+                    m = m.wrapping_add(entry_step(e));
+                    got.push((cs.slot_ids[m], t.d_lo + entry_dest(e)));
                 }
+                let want: Vec<(u32, u32)> = (0..blk.msg_count())
+                    .flat_map(|k| blk.dests_of(k).map(move |d| (nid(k), d)))
+                    .filter(|&(_, d)| t.d_lo <= d && d < t.d_hi)
+                    .collect();
+                assert_eq!(got, want);
             }
+            assert_eq!(m.wrapping_add(1), cs.slot_ids.len());
         }
         assert!(chunked > 1, "the hot column should yield several chunks");
+    }
+
+    #[test]
+    fn debug_validate_rejects_broken_destination_streams() {
+        let (csr, o, fresh) = hot_column();
+        let reject = |what: &str, breakit: &dyn Fn(&mut BlockedSubgraph)| {
+            let mut b = fresh.clone();
+            breakit(&mut b);
+            assert!(b.debug_validate(&csr, &o).is_err(), "{what} accepted");
+        };
+        let chunk = fresh
+            .chunk_streams
+            .iter()
+            .position(Option::is_some)
+            .expect("a chunk task");
+        fn stream(b: &mut BlockedSubgraph, task: usize) -> &mut ChunkStream {
+            b.chunk_streams[task].as_mut().unwrap()
+        }
+        // Block streams (what full-column tasks walk).
+        reject("cleared first flag of a block", &|b| {
+            b.rows[0].blocks[0].dests[0] &= !MSG_START;
+        });
+        reject("extra flag inside a run", &|b| {
+            b.rows[0].blocks[0].dests[1] |= MSG_START;
+        });
+        reject("out-of-range block destination", &|b| {
+            b.rows[0].blocks[0].dests[1] = 4;
+        });
+        // Chunk streams.
+        reject("cleared first flag of a chunk segment", &|b| {
+            stream(b, chunk).entries[0] &= !MSG_START;
+        });
+        reject("out-of-range chunk destination", &|b| {
+            let len = nid(b.gather_tasks[chunk].len());
+            let e = &mut stream(b, chunk).entries[1];
+            *e = (*e & MSG_START) | len;
+        });
+        reject("slot id past the block's messages", &|b| {
+            let ids = &mut stream(b, chunk).slot_ids;
+            ids[ids.len() - 1] = u32::MAX >> 1;
+        });
+        reject("slot id naming another message", &|b| {
+            stream(b, chunk).slot_ids[1] = 2;
+        });
+        reject("truncated stream", &|b| {
+            let cs = stream(b, chunk);
+            cs.entries = cs.entries[..cs.entries.len() - 1].into();
+            let last = cs.block_ptr.len() - 1;
+            cs.block_ptr[last] -= 1;
+        });
+        reject("truncated slot ids", &|b| {
+            let cs = stream(b, chunk);
+            cs.slot_ids = cs.slot_ids[..cs.slot_ids.len() - 1].into();
+        });
+        reject("chunk stream on a full-column task", &|b| {
+            let full = b.chunk_streams.iter().position(Option::is_none);
+            b.chunk_streams[full.unwrap()] = Some(ChunkStream::default());
+        });
+        reject("chunk task without its stream", &|b| {
+            b.chunk_streams[chunk] = None;
+        });
     }
 }

@@ -156,6 +156,14 @@ impl MixenEngine {
         if opts.block_side == 0 {
             return Err(GraphError::Invariant("block_side must be positive".into()));
         }
+        // The effective side never exceeds the requested one, so this bounds
+        // `effective_block_side_domain(..)` for every graph.
+        if opts.block_side > MixenOpts::MAX_BLOCK_SIDE {
+            return Err(GraphError::Invariant(format!(
+                "block_side {} exceeds 2^31: a local destination must leave bit 31 free for the message-start flag",
+                opts.block_side
+            )));
+        }
         let engine = Self::new(g, opts);
         engine.validate()?;
         Ok(engine)
@@ -1119,6 +1127,25 @@ mod tests {
         };
         let err = MixenEngine::try_weighted(&wg, zero_side).unwrap_err();
         assert_eq!(err.kind_name(), "invariant");
+    }
+
+    #[test]
+    fn block_side_must_leave_the_flag_bit_free() {
+        let g = mixed_graph();
+        let side = |block_side| MixenOpts {
+            block_side,
+            ..small_opts()
+        };
+        let err = MixenEngine::try_new(&g, side(MixenOpts::MAX_BLOCK_SIDE + 1)).unwrap_err();
+        assert!(
+            matches!(&err, GraphError::Invariant(msg) if msg.contains("bit 31")),
+            "{err:?}"
+        );
+        // The largest accepted side: one block, and (integer-valued sums are
+        // exact in any order) the same ranks as any other side.
+        let e = MixenEngine::try_new(&g, side(MixenOpts::MAX_BLOCK_SIDE)).unwrap();
+        let want = MixenEngine::new(&g, small_opts()).iterate::<f32, _, _>(|_| 1.0, |_, s| s, 2);
+        assert_eq!(e.iterate::<f32, _, _>(|_| 1.0, |_, s| s, 2), want);
     }
 
     #[test]

@@ -39,9 +39,9 @@
 //!   `saved / (saved + streamed_scatter_half)` stays interpretable).
 //! * `bin_encoding` is a gauge stamping `BinEncoding::encoding_id` of
 //!   `MixenOpts::bin_encoding` — the *effective* one per run, which falls
-//!   back to 0/F32 for property types that cannot compress. (The unroll
-//!   width and prefetch look-ahead of the kernels are constants of
-//!   `scga.rs`, not knobs, so they have no gauge.)
+//!   back to 0/F32 for property types that cannot compress. (Scatter's
+//!   unroll width and the prefetch look-ahead are constants of `scga.rs`,
+//!   not knobs, so they have no gauge.)
 //! * `tasks_split` / `max_task_nnz` are gauges describing the §4.2
 //!   nnz-proportional task split of the current partition: how many extra
 //!   tasks the balancer carved beyond the base grid (scatter-row splits +

@@ -117,9 +117,19 @@ impl Default for MixenOpts {
 }
 
 impl MixenOpts {
+    /// Largest block side: a local destination shares its `u32` with the
+    /// message-start flag (`crate::block::MSG_START`), so it must fit 31
+    /// bits. The effective side never exceeds the requested one, so bounding
+    /// the request bounds every block.
+    pub const MAX_BLOCK_SIDE: usize = 1 << 31;
+
     /// Builder-style override of the block side.
     pub fn with_block_side(mut self, c: usize) -> Self {
         assert!(c > 0, "block side must be positive");
+        assert!(
+            c <= Self::MAX_BLOCK_SIDE,
+            "block side must leave bit 31 free for the message-start flag"
+        );
         self.block_side = c;
         self
     }
@@ -193,6 +203,20 @@ mod tests {
     #[should_panic(expected = "block side must be positive")]
     fn zero_block_side_rejected() {
         let _ = MixenOpts::default().with_block_side(0);
+    }
+
+    #[test]
+    fn largest_block_side_is_accepted() {
+        let o = MixenOpts::default().with_block_side(MixenOpts::MAX_BLOCK_SIDE);
+        assert_eq!(o.block_side, 1 << 31);
+        // The effective side never exceeds the request, whatever the graph.
+        assert!(o.effective_block_side_domain(usize::MAX, 0, 1) <= MixenOpts::MAX_BLOCK_SIDE);
+    }
+
+    #[test]
+    #[should_panic(expected = "bit 31")]
+    fn block_side_above_the_flag_bit_rejected() {
+        let _ = MixenOpts::default().with_block_side(MixenOpts::MAX_BLOCK_SIDE + 1);
     }
 
     #[test]

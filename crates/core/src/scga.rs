@@ -15,19 +15,18 @@ use mixen_graph::nid;
 use mixen_graph::{GraphError, NodeId, PropValue};
 
 use crate::bins::{plan_codec, BinCodec, DynamicBins};
-use crate::block::{Block, BlockedSubgraph, ChunkIndex};
+use crate::block::{entry_dest, entry_step, Block, BlockedSubgraph};
 use crate::obs::Metrics;
 use crate::weights::{Unweighted, WeightRun, Weights};
 
-/// Unroll width of the value-stream inner loops: `UNROLL` independent
-/// front-loaded loads, then strictly sequential combines in slot order, so
-/// the walk is bit-for-bit the scalar one (pinned by the scalar-oracle
-/// property test `kernels_match_a_scalar_slot_order_walk_bit_for_bit`).
+/// Unroll width of the Scatter copy loops: `UNROLL` independent gathered
+/// loads feed one contiguous store. Copies are element-wise, so the unroll
+/// cannot change what is stored. (Gather is not unrolled: its loop is one
+/// flat pass with no inner trip count to amortize.)
 const UNROLL: usize = 4;
 
 /// Software-prefetch look-ahead of the streaming kernels, in entries: the
-/// next dynamic-bin segment on Scatter and on the Gather column walk, the
-/// next destination run inside a chunk task.
+/// next dynamic-bin segment on Scatter and on the Gather column walk.
 const PREFETCH_AHEAD: usize = 1;
 
 /// Best-effort read prefetch of the cache line holding `p`. Compiles to a
@@ -47,7 +46,7 @@ pub(crate) fn prefetch_read<T>(p: *const T) {
 }
 
 /// Read-side view of one (task, column) bin stream, monomorphized per
-/// representation so the gather inner loops stay branch-free: full-width
+/// representation so the gather loop stays branch-free: full-width
 /// streams read `V` directly, packed streams decode 16-bit words through
 /// the Scatter round's codec.
 trait BinRead<V>: Copy {
@@ -321,15 +320,46 @@ pub(crate) fn gather_weighted<V, F, W>(
     }
 }
 
+/// Where message `m` of a destination stream finds its streamed value: at
+/// slot `m` itself (a full column walks `Block::dests`, one flag per slot)
+/// or through a chunk stream's `slot_ids` (messages that miss the chunk
+/// leave no flag). The only per-task-kind difference of the gather walk.
+trait SlotMap: Copy {
+    /// SAFETY: callers must keep `m` below the flag count of the stream(s)
+    /// the map belongs to.
+    unsafe fn slot(self, m: usize) -> usize;
+}
+
+#[derive(Clone, Copy)]
+struct IdentitySlots;
+
+impl SlotMap for IdentitySlots {
+    // SAFETY: no memory access; the bound matters to `BinRead::get` only.
+    #[inline(always)]
+    unsafe fn slot(self, m: usize) -> usize {
+        m
+    }
+}
+
+impl SlotMap for &[u32] {
+    // SAFETY: caller proves `m < self.len()` (the `SlotMap::slot` contract).
+    #[inline(always)]
+    unsafe fn slot(self, m: usize) -> usize {
+        *self.get_unchecked(m) as usize // width: m < flag count == slot_ids.len(), the SlotMap::slot contract
+    }
+}
+
 /// The gather task walk, generic over the bin representation (`mk(task,
 /// col)` builds the stream reader) and the edge-weight parameter.
 ///
 /// Work is scheduled over [`BlockedSubgraph::gather_tasks`]: one task per
 /// block-column, except columns the §4.2 balancer chunked into destination
 /// sub-ranges. Tasks tile `0..r` contiguously, so each owns a disjoint
-/// `y` segment and the per-destination combine order (block-rows ascending,
-/// sources ascending within a block) is identical to the unchunked walk —
-/// results are bit-for-bit independent of the split.
+/// `y` segment. Every task is the same flat pass ([`drain`]) over a flagged
+/// destination stream — its blocks' own `dests`, or its chunk's cut of
+/// them — and per destination the combine order is (block-rows ascending,
+/// slots ascending) either way: results are bit-for-bit independent of the
+/// split.
 fn gather_walk<V, F, W, R, MK>(
     blocked: &BlockedSubgraph,
     weights: &W,
@@ -353,42 +383,32 @@ fn gather_walk<V, F, W, R, MK>(
         segs.push(seg);
         rest = tail;
     }
-    let idxs = blocked.chunk_indexes();
+    let streams = blocked.chunk_streams();
     mixen_pool::par_parts_mut(&mut segs, |first, segs| {
         for (task, yseg) in (first..).zip(segs.iter_mut()) {
-            let (t, idx) = (&tasks[task], &idxs[task]);
+            let (t, chunk) = (&tasks[task], &streams[task]);
             let j = t.col as usize;
             let list = blocked.nonempty_rows(j);
-            // Touch the bin stream drained next — the following
-            // dynamic-bin segment of this column walk.
-            let prefetch_next = |i: usize| {
-                if let Some(&ta) = list.get(i + PREFETCH_AHEAD) {
+            // A chunk's flag count runs across its blocks (it indexes
+            // `slot_ids`); −1 so the first flag lands on message 0.
+            let mut m = usize::MAX;
+            for (bi, &ti) in list.iter().enumerate() {
+                if let Some(&ta) = list.get(bi + PREFETCH_AHEAD) {
+                    // Touch the bin stream drained next — the following
+                    // dynamic-bin segment of this column walk.
                     prefetch_read(mk(ta as usize, j).base_ptr());
                 }
-            };
-            match idx {
-                // Full-column task: drain every run whole.
-                None => {
-                    for (i, &ti) in list.iter().enumerate() {
-                        prefetch_next(i);
-                        let blk = &rows[ti as usize].blocks[j];
-                        let r = mk(ti as usize, j);
-                        debug_assert_eq!(r.len(), blk.msg_count());
-                        drain_full(blk, r, weights.block(ti as usize, j), yseg);
+                let ti = ti as usize;
+                let (r, blk) = (mk(ti, j), &rows[ti].blocks[j]);
+                debug_assert_eq!(r.len(), blk.msg_count());
+                match chunk {
+                    None => {
+                        let w = weights.block(ti, j);
+                        drain(&blk.dests, r, IdentitySlots, usize::MAX, w, 0, yseg);
                     }
-                }
-                // Chunk task: destination-major walk over the prebuilt
-                // index — traffic proportional to the edges this chunk
-                // owns, not to the column's message count (which every
-                // chunk of a hub column would otherwise re-scan).
-                Some(ci) => {
-                    let w = weights.chunk(task);
-                    let mut cursor = 0usize;
-                    for (bi, &ti) in list.iter().enumerate() {
-                        prefetch_next(bi);
-                        // `d_lo` is hoisted out of the unchecked run loop:
-                        // the chunk base is invariant across the task.
-                        drain_chunk(ci, bi, mk(ti as usize, j), w, yseg, t.d_lo, &mut cursor);
+                    Some(cs) => {
+                        let (w, at) = (weights.chunk(task), cs.block_ptr[bi] as usize);
+                        m = drain(cs.entries_of(bi), r, &*cs.slot_ids, m, w, at, yseg);
                     }
                 }
             }
@@ -400,93 +420,37 @@ fn gather_walk<V, F, W, R, MK>(
     });
 }
 
-/// Drains one block's full message stream into the column's `y` segment:
-/// the next [`UNROLL`] streamed values are loaded up front, then fanned out
-/// to their destination runs in slot order — exactly the scalar walk's
-/// per-destination combine order.
+/// Gather's one loop (§4.2): a flat pass over a flagged destination stream.
+/// Each entry advances the message count by its flag bit, reads that
+/// message's streamed value and combines it into the entry's destination —
+/// no inner loop, no branch, stream order = slot order. `m` is the count
+/// before the first entry (`usize::MAX`, i.e. −1, at a stream's start) and
+/// the final count is returned; `w` is aligned with the array `stream` was
+/// sliced from at `at`.
 #[inline]
-fn drain_full<V: PropValue, R: BinRead<V>>(blk: &Block, r: R, w: impl WeightRun, yseg: &mut [V]) {
-    // One slot's fan-out; `w` is aligned with `blk.dests`.
-    let mut fan_out = |k: usize, v: V| {
-        let base = blk.dest_ptr[k] as usize;
-        for (i, &d) in blk.dests_of(k).iter().enumerate() {
-            // SAFETY: `debug_validate` guarantees every local destination
-            // is below the column width, which is exactly `yseg.len()` on
-            // the full-column path.
-            // width: fan-out in ascending slot order, destinations below the column width
-            unsafe { yseg.get_unchecked_mut(d as usize) }.combine(w.scale(v, base + i));
-        }
-    };
-    let n = r.len();
-    let mut k = 0;
-    while k + UNROLL <= n {
-        // SAFETY: `k + UNROLL <= n` keeps every front-loaded read below
-        // the stream length (the `BinRead::get` contract).
-        let vals: [V; UNROLL] = std::array::from_fn(|i| unsafe { r.get(k + i) });
-        for (i, v) in vals.into_iter().enumerate() {
-            fan_out(k + i, v);
-        }
-        k += UNROLL;
-    }
-    for i in k..n {
-        // SAFETY: `i < n` — scalar tail of the same walk.
-        fan_out(i, unsafe { r.get(i) });
-    }
-}
-
-/// Drains one block's runs of a chunk task. Each run combines into a single
-/// destination accumulator strictly sequentially — the [`UNROLL`]-wide part
-/// only front-loads slot reads — so the unroll never changes the combine
-/// order. `w` is aligned with `ci.slots`, so `cursor` addresses both.
-#[inline]
-fn drain_chunk<V: PropValue, R: BinRead<V>>(
-    ci: &ChunkIndex,
-    bi: usize,
+fn drain<V: PropValue, R: BinRead<V>, S: SlotMap>(
+    stream: &[u32],
     r: R,
+    slots: S,
+    mut m: usize,
     w: impl WeightRun,
+    at: usize,
     yseg: &mut [V],
-    d_lo: u32,
-    cursor: &mut usize,
-) {
-    let runs = ci.runs_of(bi);
-    for (ri, run) in runs.iter().enumerate() {
-        if let Some(ahead) = runs.get(ri + PREFETCH_AHEAD) {
-            // Touch the next run's destination — the y side is the random
-            // access of a chunk walk.
-            if let Some(slot) = yseg.get((ahead.d - d_lo) as usize) {
-                prefetch_read(slot);
-            }
-        }
-        // Hoisted invariants: the run's destination and length are loop
-        // constants for the inner slot walk.
-        let rl = run.len as usize;
-        let at = *cursor;
-        let span = &ci.slots[at..at + rl];
-        // SAFETY: `debug_validate` rebuilds the chunk index from the
-        // blocks and compares exactly, so `run.d` lies in `[d_lo, d_hi)`
-        // and the shifted index is below `yseg.len()`.
-        let y = unsafe { yseg.get_unchecked_mut((run.d - d_lo) as usize) }; // width: run destination, invariant across the run (hoisted load)
-        let mut i = 0;
-        while i + UNROLL <= rl {
-            // SAFETY: `i + UNROLL <= rl` keeps the span reads in bounds,
-            // and every slot is a valid message index of this block (same
-            // rebuild check).
-            let vals: [V; UNROLL] = std::array::from_fn(|p| unsafe {
-                r.get(*span.get_unchecked(i + p) as usize) // width: UNROLL front-loaded slot reads under the chunk bound i + UNROLL <= rl
-            });
-            // Strictly sequential fold — the exact scalar combine order.
-            for (p, v) in vals.into_iter().enumerate() {
-                y.combine(w.scale(v, at + i + p));
-            }
-            i += UNROLL;
-        }
-        for p in i..rl {
-            // SAFETY: `p < rl` — scalar tail over the same validated span.
-            // width: scalar tail under the span bound
-            y.combine(w.scale(unsafe { r.get(*span.get_unchecked(p) as usize) }, at + p));
-        }
-        *cursor += rl;
+) -> usize {
+    for (i, &e) in stream.iter().enumerate() {
+        m = m.wrapping_add(entry_step(e));
+        // SAFETY: `debug_validate` proves the bounds. The first entry of a
+        // block's stream (or chunk segment) is flagged, so `m` counts this
+        // block's messages before any read; a block's flags equal its
+        // message count (`r.len()`), and a chunk's flags equal its
+        // `slot_ids`, each below its block's message count.
+        let v = unsafe { r.get(slots.slot(m)) };
+        // SAFETY: masked destinations are validated below the column width
+        // (full column) or the task length (chunk) — `yseg.len()` either way.
+        let y = unsafe { yseg.get_unchecked_mut(entry_dest(e) as usize) }; // width: masked destination < yseg.len(), validated per stream
+        y.combine(w.scale(v, at + i));
     }
+    m
 }
 
 /// One sparse BFS level over the blocked structure: merge-join the sorted
@@ -538,7 +502,7 @@ pub fn bfs_level_sparse(
                 }
                 let blk = &rows[ti as usize].blocks[j];
                 for &k in &acts[j] {
-                    for &d in blk.dests_of(k as usize) {
+                    for d in blk.dests_of(k as usize) {
                         let v = col_base + d;
                         if depth[v as usize]
                             // ordering: the depth claim only needs
@@ -586,7 +550,7 @@ pub fn bfs_level_dense(
                     if depth[u as usize].load(Ordering::Relaxed) != level {
                         continue;
                     }
-                    for &d in blk.dests_of(k) {
+                    for d in blk.dests_of(k) {
                         let v = col_base + d;
                         if depth[v as usize]
                             // ordering: same claim protocol as the sparse
@@ -909,6 +873,96 @@ mod tests {
         assert_eq!(spmv_under(&csr, &o, &x), spmv_reference(&csr, &x));
     }
 
+    /// The degenerate shapes of a flagged destination stream, each through
+    /// the one walk at every encoding, bit-for-bit against a serial
+    /// source-ascending sum of the streamed values.
+    #[test]
+    fn degenerate_destination_streams_match_the_serial_sum() {
+        use crate::bins::{plan_codec, BinEncoding};
+        use crate::block::MSG_START;
+        let flags = |s: &[u32]| s.iter().map(|&e| entry_step(e)).sum::<usize>();
+        type Shape = fn(&BlockedSubgraph);
+        let ring: Vec<(u32, u32)> = (0..12u32).map(|u| (u, (u + 5) % 12)).collect();
+        let mut fan: Vec<(u32, u32)> = (0..4u32).map(|d| (0, d)).collect();
+        fan.push((5, 6));
+        let ends = [(0, 1), (1, 0), (10, 11), (11, 10), (0, 11)];
+        let fixtures: [(&str, Csr, usize, Shape); 5] = [
+            ("every entry flagged", Csr::from_edges(12, &ring), 4, |b| {
+                let blocks = b.rows().iter().flat_map(|row| row.blocks.iter());
+                assert!(blocks
+                    .flat_map(|blk| blk.dests.iter())
+                    .all(|&e| e >= MSG_START));
+            }),
+            (
+                "one flag for a whole column",
+                Csr::from_edges(8, &fan),
+                4,
+                |b| {
+                    let blk = &b.rows()[0].blocks[0];
+                    assert_eq!((blk.nnz(), blk.msg_count()), (4, 1));
+                    assert_eq!(*blk.dests, [MSG_START, 1, 2, 3]);
+                },
+            ),
+            ("a chunk boundary cuts message runs", skewed_csr(), 8, |b| {
+                // A tail chunk opens mid-run: its first entry is a message's
+                // second-or-later destination, flagged all the same.
+                let (t, cs) = b
+                    .gather_tasks()
+                    .iter()
+                    .zip(b.chunk_streams())
+                    .find_map(|(t, cs)| cs.as_ref().filter(|_| t.d_lo > 0).map(|cs| (t, cs)))
+                    .expect("a tail chunk");
+                let first = &b.rows()[b.nonempty_rows(0)[0] as usize].blocks[0];
+                assert!(first.dests_of(cs.slot_ids[0] as usize).next().unwrap() < t.d_lo);
+                assert_eq!(cs.entries[0], MSG_START);
+            }),
+            ("block side 1", skewed_csr(), 1, |b| {
+                assert_eq!(b.n_col_blocks(), 32);
+                assert!(b.chunk_streams().iter().all(Option::is_none));
+            }),
+            (
+                "an empty middle column",
+                Csr::from_edges(12, &ends),
+                2,
+                |b| {
+                    assert!(b.nonempty_rows(2).is_empty());
+                },
+            ),
+        ];
+        for (name, csr, c, shape) in fixtures {
+            let o = MixenOpts {
+                block_side: c,
+                min_tasks_per_thread: 1,
+                ..MixenOpts::default()
+            };
+            let b = BlockedSubgraph::new(&csr, &o, 1);
+            b.debug_validate(&csr, &o).unwrap();
+            shape(&b);
+            // Flags count messages, in blocks and in chunk streams alike.
+            for blk in b.rows().iter().flat_map(|row| row.blocks.iter()) {
+                assert_eq!(flags(&blk.dests), blk.msg_count(), "{name}");
+            }
+            for cs in b.chunk_streams().iter().flatten() {
+                assert_eq!(flags(&cs.entries), cs.slot_ids.len(), "{name}");
+            }
+            let n = csr.n_rows();
+            let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).cos()).collect();
+            for enc in BinEncoding::ALL {
+                let codec = plan_codec::<f32>(enc, &x).unwrap();
+                let streamed: Vec<f32> = if enc.is_compressed() {
+                    x.iter().map(|&v| codec.decode(codec.encode(v))).collect()
+                } else {
+                    x.clone()
+                };
+                let mut bins: DynamicBins<f32> = DynamicBins::with_encoding(&b, enc);
+                let mut y = vec![0.0f32; n];
+                try_scatter_with(&b, &mut x.clone(), &mut bins, None, None).unwrap();
+                gather(&b, &bins, &mut y, |_, s| s);
+                assert_eq!(y, spmv_reference(&csr, &streamed), "{name}, {}", enc.name());
+            }
+        }
+    }
+
     #[test]
     fn bfs_sparse_skips_inactive_rows() {
         use std::sync::atomic::{AtomicI32, Ordering};
@@ -931,8 +985,8 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// A skewed fixture exercising both gather paths (chunked hub column +
-    /// full-column tasks) and the non-contiguous scatter path.
+    /// A skewed fixture exercising both gather stream kinds (chunked hub
+    /// column + full-column tasks) and the non-contiguous scatter path.
     fn skewed_csr() -> Csr {
         let mut edges = Vec::new();
         for u in 0..32u32 {

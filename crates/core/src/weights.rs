@@ -12,9 +12,8 @@
 //! * filtering/relabeling only looks at topology,
 //! * dynamic bins still stream one (unweighted) value per source per block
 //!   — the edge weight is applied at Gather time from a weight array
-//!   aligned with each block's destination list (or, for a chunked hub
-//!   column, with the chunk's destination-major slot order), preserving the
-//!   edge compression,
+//!   aligned with each block's destination stream (or, for a chunked hub
+//!   column, with the chunk's own stream), preserving the edge compression,
 //! * the static bin caches `⊕ seed ⊗ w` — weighted seed contributions are
 //!   just as constant as unweighted ones,
 //! * the Post-Phase pulls `x ⊗ w` for sinks once.
@@ -22,11 +21,11 @@
 use mixen_graph::nid;
 use mixen_graph::{GraphError, NodeId, PropValue, WGraph};
 
-use crate::block::BlockedSubgraph;
+use crate::block::{entry_dest, entry_step, BlockedSubgraph};
 use crate::filter::FilteredGraph;
 
 /// One run of edge weights aligned with a static edge array (a block's
-/// `dests`, a chunk's `slots`, the seed CSR or the sink CSC).
+/// `dests`, a chunk's `entries`, the seed CSR or the sink CSC).
 pub trait WeightRun: Copy + Send + Sync {
     /// `v ⊗ w`, with `w` the weight at position `edge` of the aligned array.
     fn scale<V: PropValue>(self, v: V, edge: usize) -> V;
@@ -38,7 +37,7 @@ pub trait WeightRun: Copy + Send + Sync {
 pub trait Weights: Send + Sync {
     /// Weights aligned with the `dests` of block `(row, col)`.
     fn block(&self, row: usize, col: usize) -> impl WeightRun + '_;
-    /// Weights aligned with the `slots` of chunked gather task `task`.
+    /// Weights aligned with the `entries` of chunked gather task `task`.
     fn chunk(&self, task: usize) -> impl WeightRun + '_;
     /// Weights aligned with `FilteredGraph::seed_csr().idx()`.
     fn seed(&self) -> impl WeightRun + '_;
@@ -94,8 +93,8 @@ pub struct Weighted {
     /// Per (block-row, block-column): weights aligned with the block's
     /// `dests`. Empty for chunked columns, which read `chunks` instead.
     blocks: Vec<Vec<Box<[f32]>>>,
-    /// Per gather task: weights aligned with the task's `ChunkIndex::slots`
-    /// (empty for full-column tasks).
+    /// Per gather task: weights aligned with the task's
+    /// `ChunkStream::entries` (empty for full-column tasks).
     chunks: Vec<Box<[f32]>>,
     seed: Box<[f32]>,
     sink: Box<[f32]>,
@@ -121,11 +120,11 @@ impl Weighted {
         let c = blocked.block_side();
         let rows = blocked.rows();
         let tasks = blocked.gather_tasks();
-        let indexes = blocked.chunk_indexes();
+        let streams = blocked.chunk_streams();
 
         let mut chunked_col = vec![false; blocked.n_col_blocks()];
-        for (t, idx) in tasks.iter().zip(indexes) {
-            chunked_col[t.col as usize] = idx.is_some();
+        for (t, cs) in tasks.iter().zip(streams) {
+            chunked_col[t.col as usize] = cs.is_some();
         }
 
         let blocks = mixen_pool::par_parts(rows.len(), |part| {
@@ -141,7 +140,7 @@ impl Weighted {
                         let col_base = nid(j * c);
                         let mut w = Vec::with_capacity(blk.dests.len());
                         for (k, &src) in blk.src_ids.iter().enumerate() {
-                            for &d in blk.dests_of(k) {
+                            for d in blk.dests_of(k) {
                                 w.push(weight_of(row.src_start + src, col_base + d)?);
                             }
                         }
@@ -157,21 +156,22 @@ impl Weighted {
 
         let chunks = mixen_pool::par_parts(tasks.len(), |part| {
             part.map(|task| {
-                let (t, idx) = (&tasks[task], &indexes[task]);
-                let Some(ci) = idx else {
+                let (t, Some(cs)) = (&tasks[task], &streams[task]) else {
                     return Ok(Box::default());
                 };
                 let j = t.col as usize;
-                let col_base = nid(j * c);
-                let mut w = Vec::with_capacity(ci.slots.len());
+                let base = nid(j * c) + t.d_lo;
+                let mut w = Vec::with_capacity(cs.entries.len());
+                // The gather walk: one running flag count names each
+                // entry's message slot through `slot_ids`.
+                let mut m = usize::MAX;
                 for (bi, &ti) in blocked.nonempty_rows(j).iter().enumerate() {
                     let row = &rows[ti as usize];
                     let src_ids = &row.blocks[j].src_ids;
-                    for run in ci.runs_of(bi) {
-                        for &k in &ci.slots[w.len()..w.len() + run.len as usize] {
-                            let src = row.src_start + src_ids[k as usize];
-                            w.push(weight_of(src, col_base + run.d)?);
-                        }
+                    for &e in cs.entries_of(bi) {
+                        m = m.wrapping_add(entry_step(e));
+                        let src = row.src_start + src_ids[cs.slot_ids[m] as usize];
+                        w.push(weight_of(src, base + entry_dest(e))?);
                     }
                 }
                 Ok(w.into_boxed_slice())

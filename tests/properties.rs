@@ -89,7 +89,7 @@ proptest! {
             for (j, blk) in row.blocks.iter().enumerate() {
                 let col_base = (j * blocked.block_side()) as u32;
                 for (k, &src) in blk.src_ids.iter().enumerate() {
-                    for &d in blk.dests_of(k) {
+                    for d in blk.dests_of(k) {
                         got.push((row.src_start + src, col_base + d));
                     }
                 }
@@ -173,12 +173,13 @@ proptest! {
 
     #[test]
     fn kernels_match_a_scalar_slot_order_walk_bit_for_bit(csr in arb_hub_csr()) {
-        // DESIGN.md §11: the unrolled kernels front-load *loads*, never
-        // reorder *combines*, and prefetch is a pure hint — so one Scatter +
-        // Gather round must produce exactly the bits of a scalar walk that
-        // visits, per block-column, block-rows ascending and message slots
-        // ascending. This is the oracle every `// width:` justification in
-        // `scga.rs` rests on.
+        // DESIGN.md §11: Gather's flat pass over the flagged destination
+        // streams (blocks' own or a chunk's cut) never reorders *combines*,
+        // and prefetch is a pure hint — so one Scatter + Gather round must
+        // produce exactly the bits of a scalar walk that visits, per
+        // block-column, block-rows ascending and message slots ascending.
+        // This is the oracle every `// width:` justification in `scga.rs`
+        // rests on.
         use mixen_core::bins::{plan_codec, DynamicBins};
         use mixen_core::{scga, BinEncoding, BlockedSubgraph};
         let opts = MixenOpts { block_side: 8, min_tasks_per_thread: 1, ..MixenOpts::default() };
@@ -194,7 +195,7 @@ proptest! {
                     let blk = &row.blocks[j];
                     for (k, &src) in blk.src_ids.iter().enumerate() {
                         let v = streamed(x[(row.src_start + src) as usize]);
-                        for &d in blk.dests_of(k) {
+                        for d in blk.dests_of(k) {
                             want[j * b.block_side() + d as usize] += v;
                         }
                     }
@@ -206,6 +207,62 @@ proptest! {
             scga::gather_with(&b, &bins, &mut got, |_, s| s, None);
             for (d, (a, w)) in got.iter().zip(&want).enumerate() {
                 prop_assert_eq!(a.to_bits(), w.to_bits(), "{:?} dest {}: {} vs {}", enc, d, a, w);
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_kernels_match_a_scalar_scale_edge_walk_bit_for_bit(
+        (n, extra) in (24u32..48).prop_flat_map(|n| {
+            (Just(n), proptest::collection::vec((0..n, 0..n), 0..60))
+        })
+    ) {
+        // The weighted twin of the oracle above, through the engine (weight
+        // alignment is its business). A ring makes every node regular, so
+        // one `iterate` round is exactly one Scatter + Gather over the
+        // blocks; every node pointing at 0..4 forces the hub column to
+        // chunk, so both weight alignments (block `dests`, chunk `entries`)
+        // are walked.
+        use mixen_core::bins::plan_codec;
+        use mixen_core::BinEncoding;
+        use mixen_graph::{PropValue, WGraph};
+        let mut pairs = extra;
+        for u in 0..n {
+            pairs.push((u, (u + 1) % n));
+            pairs.extend((0..4).map(|d| (u, d)));
+        }
+        pairs.sort_unstable();
+        pairs.dedup(); // weights need a simple graph
+        let g = Graph::from_pairs(n as usize, &pairs);
+        let wg = WGraph::with_hash_weights(&g, 0.25, 4.0, 11);
+        let x = |v: u32| (v as f32).mul_add(0.37, 1.0).sin();
+        for enc in BinEncoding::ALL {
+            let opts = MixenOpts { bin_encoding: enc, ..small_opts() };
+            let engine = MixenEngine::try_weighted(&wg, opts).unwrap();
+            let (f, b) = (engine.filtered(), engine.blocked());
+            prop_assert_eq!(f.num_regular(), g.n());
+            prop_assert!(b.split_stats().gather_splits > 0);
+            let xs: Vec<f32> = (0..n).map(|new| x(f.to_old(new))).collect();
+            let codec = plan_codec::<f32>(enc, &xs).unwrap();
+            let streamed = |v: f32| if enc.is_compressed() { codec.decode(codec.encode(v)) } else { v };
+            let mut want = vec![0.0f32; g.n()];
+            for j in 0..b.n_col_blocks() {
+                for &ti in b.nonempty_rows(j) {
+                    let row = &b.rows()[ti as usize];
+                    let blk = &row.blocks[j];
+                    for (k, &src) in blk.src_ids.iter().enumerate() {
+                        let u = f.to_old(row.src_start + src);
+                        let v = streamed(x(u));
+                        for d in blk.dests_of(k) {
+                            let dst = f.to_old((j * b.block_side()) as u32 + d);
+                            want[dst as usize] += v.scale_edge(wg.weight(u, dst).unwrap());
+                        }
+                    }
+                }
+            }
+            let got = engine.iterate::<f32, _, _>(x, |_, s| s, 1);
+            for (d, (a, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(a.to_bits(), w.to_bits(), "{:?} node {}: {} vs {}", enc, d, a, w);
             }
         }
     }

@@ -79,6 +79,16 @@ impl Terms {
             .map(|(&p, &odeg)| p * odeg as f32)
             .collect()
     }
+
+    /// Max-norm distance between the ranks of two propagated states: what
+    /// comparing their [`Terms::scores`] gives, without materialising either.
+    fn score_distance(&self, a: &[f32], b: &[f32]) -> f64 {
+        a.iter()
+            .zip(b)
+            .zip(&self.out_deg)
+            .map(|((&p, &q), &odeg)| (p * odeg as f32 - q * odeg as f32).abs() as f64)
+            .fold(0.0, f64::max)
+    }
 }
 
 /// Runs a fixed number of PageRank iterations; returns per-node scores.
@@ -206,17 +216,14 @@ impl<'a, E: Engine> PageRankStream<'a, E> {
         if iters == 0 {
             return 0.0;
         }
-        let before = self.scores();
         let (state, t) = (&self.state, &self.terms);
-        self.state = self
+        let next = self
             .engine
             .iterate(|v| state[v as usize], |v, sum| t.apply(v, sum), iters);
+        let residual = t.score_distance(&next, state);
+        self.state = next;
         self.iterations += iters;
-        self.scores()
-            .iter()
-            .zip(&before)
-            .map(|(a, b)| (a - b).abs() as f64)
-            .fold(0.0, f64::max)
+        residual
     }
 
     /// The current per-node scores (rank values).
@@ -315,6 +322,28 @@ mod tests {
         let full_bits: Vec<u32> = full.iter().map(|s| s.to_bits()).collect();
         let stream_bits: Vec<u32> = streamed.iter().map(|s| s.to_bits()).collect();
         assert_eq!(full_bits, stream_bits);
+    }
+
+    /// The residual is computed from the two propagated states in one pass;
+    /// it must be the very number comparing the two score vectors gives.
+    #[test]
+    fn stream_residual_is_the_max_norm_of_the_score_change() {
+        use mixen_graph::{Dataset, Scale};
+        let g = Dataset::Wiki.generate(Scale::Tiny, 7);
+        let engine = MixenEngine::new(&g, MixenOpts::default());
+        let mut stream = PageRankStream::new(&g, &engine, PageRankOpts::default());
+        for batch in [1usize, 2, 4] {
+            let before = stream.scores();
+            let residual = stream.advance(batch);
+            let want = stream
+                .scores()
+                .iter()
+                .zip(&before)
+                .map(|(a, b)| (a - b).abs() as f64)
+                .fold(0.0, f64::max);
+            assert!(want > 0.0);
+            assert_eq!(residual.to_bits(), want.to_bits(), "batch {batch}");
+        }
     }
 
     #[test]

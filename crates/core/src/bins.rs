@@ -507,10 +507,11 @@ pub struct StaticBin<V> {
 
 impl<V: PropValue> StaticBin<V> {
     /// Pre-Phase: pushes every seed's value along its seed→regular edges and
-    /// accumulates per destination. Seed rows are cut by the pool's split
-    /// rule ([`mixen_pool::split`]), each part accumulates into a vector of
-    /// its own, and the parts are combined per destination in part order —
-    /// so for a given lane count the bin is reproducible bit for bit.
+    /// accumulates per destination. Seed rows are cut at equal edge counts,
+    /// one part per pool lane (`edge_cuts`); each part accumulates into a
+    /// vector of its own — the first part's is the result — and the others
+    /// are combined into it per destination in part order, so for a given
+    /// lane count the bin is reproducible bit for bit.
     pub fn compute(seed_csr: &Csr, seed_vals: &[V], r: usize) -> Self {
         Self::compute_weighted(seed_csr, seed_vals, r, Unweighted)
     }
@@ -525,7 +526,8 @@ impl<V: PropValue> StaticBin<V> {
     ) -> Self {
         assert_eq!(seed_csr.n_rows(), seed_vals.len());
         assert_eq!(seed_csr.n_cols(), r);
-        let parts: Vec<_> = mixen_pool::split(seed_csr.n_rows()).collect();
+        let ptr = seed_csr.ptr();
+        let parts = edge_cuts(ptr, mixen_pool::current_num_threads());
         // All accumulators come from the calling thread's allocator. A pool
         // worker allocating its own `r`-length vector takes it from that
         // thread's malloc arena, and whether the arena maps and unmaps a
@@ -533,7 +535,6 @@ impl<V: PropValue> StaticBin<V> {
         // to allocate earlier: the same call then costs 1x or 2x from one
         // process to the next (`results/e2e_ab_pr12.txt`, "Reading").
         let mut accs: Vec<Vec<V>> = parts.iter().map(|_| vec![V::identity(); r]).collect();
-        let ptr = seed_csr.ptr();
         mixen_pool::par_parts_mut(&mut accs, |first, accs| {
             for (acc, part) in accs.iter_mut().zip(&parts[first..]) {
                 for s in part.clone() {
@@ -546,7 +547,9 @@ impl<V: PropValue> StaticBin<V> {
             }
         });
         let mut accs = accs.into_iter();
-        let mut vals = accs.next().unwrap_or_default();
+        let Some(mut vals) = accs.next() else {
+            return Self::zero(r);
+        };
         let rest: Vec<Vec<V>> = accs.collect();
         if !rest.is_empty() {
             // Parts ascending for every destination, so a value's bits do
@@ -575,6 +578,31 @@ impl<V: PropValue> StaticBin<V> {
     pub fn values(&self) -> &[V] {
         &self.vals
     }
+}
+
+/// The Pre-Phase split: the rows of a CSR row-pointer array (`n_rows + 1`
+/// entries) cut into at most `lanes` (the pool's, so at least one) contiguous
+/// parts of near-equal *edge* count — part `p` starts at the first
+/// row whose edges begin at or after `nnz · p / lanes` — keeping only parts
+/// that own an edge. Seeds are as skewed as everything else (one seed row can
+/// own most seed edges), so equal row counts would leave one lane the work;
+/// and an accumulator costs `r` values to zero and `r` to combine, so there
+/// is one per lane, not one per stealable part. A pure function of
+/// `(ptr, lanes)`.
+fn edge_cuts(ptr: &[usize], lanes: usize) -> Vec<std::ops::Range<usize>> {
+    let n_rows = ptr.len() - 1;
+    let nnz = ptr[n_rows];
+    let cut = |p: usize| {
+        if p == lanes {
+            n_rows
+        } else {
+            ptr.partition_point(|&e| e < nnz * p / lanes)
+        }
+    };
+    (0..lanes)
+        .map(|p| cut(p)..cut(p + 1))
+        .filter(|rows| ptr[rows.start] < ptr[rows.end])
+        .collect()
 }
 
 #[cfg(test)]
@@ -653,8 +681,8 @@ mod tests {
         assert_eq!(sta.values(), &[[0.0, 0.0], [1.0, 2.0]]);
     }
 
-    /// Pins the combine order: seed rows in order within a part, parts
-    /// ascending per destination.
+    /// Pins the combine order: seed rows in order within a part, one part
+    /// per lane cut at equal edge counts, parts ascending per destination.
     #[test]
     fn static_bin_bits_are_the_ordered_part_fold() {
         let (n, r) = (1003usize, 97usize);
@@ -665,21 +693,38 @@ mod tests {
         };
         let mut edges = Vec::new();
         for s in 0..n {
-            for _ in 0..next() % 7 {
+            // Skewed on purpose: every 97th seed owns a few hundred edges,
+            // so equal-edge cuts are far from equal-row cuts.
+            let deg = if s % 97 == 5 { 300 } else { next() % 7 };
+            for _ in 0..deg {
                 edges.push((nid(s), next() % nid(r)));
             }
         }
         let seed_csr = Csr::from_edges_rect(n, r, &edges);
+        let ptr = seed_csr.ptr();
+        let nnz = seed_csr.nnz();
         let vals: Vec<[f32; 2]> = (0..n)
             .map(|_| [next() as f32 / 3.0e6, 1.0 / (1 + next() % 1000) as f32])
             .collect();
         for lanes in [1usize, 2, 3] {
             let got = mixen_pool::with_threads(lanes, || StaticBin::compute(&seed_csr, &vals, r));
-            let parts = if lanes == 1 { 1 } else { lanes * 4 };
+            // Part `p` starts at the first row whose edges begin at or after
+            // `nnz * p / lanes`, found here by a linear scan.
+            let cut = |p: usize| {
+                if p == lanes {
+                    n
+                } else {
+                    (0..=n).find(|&s| ptr[s] >= nnz * p / lanes).unwrap()
+                }
+            };
+            assert!(
+                lanes == 1 || cut(1) != n / lanes,
+                "cuts must not be row cuts"
+            );
             let mut want = vec![<[f32; 2]>::identity(); r];
-            for part in 0..parts {
+            for part in 0..lanes {
                 let mut acc = vec![<[f32; 2]>::identity(); r];
-                let rows = n * part / parts..n * (part + 1) / parts;
+                let rows = cut(part)..cut(part + 1);
                 for (s, &v) in rows.clone().zip(&vals[rows]) {
                     for &d in seed_csr.neighbors(nid(s)) {
                         acc[d as usize].combine(v);
@@ -693,6 +738,78 @@ mod tests {
                 v.iter().map(|x| x.map(f32::to_bits)).collect()
             };
             assert_eq!(bits(got.values()), bits(&want), "lanes {lanes}");
+        }
+    }
+
+    #[test]
+    fn edge_cuts_balance_edges_and_drop_edgeless_parts() {
+        // Rows of 0, 4, 0, 4 edges: two lanes get four edges each, and the
+        // edgeless row between them goes with the part it precedes.
+        assert_eq!(edge_cuts(&[0, 0, 4, 4, 8], 2), vec![0..2, 2..4]);
+        // One row owns every edge: one part, whatever the lane count (the
+        // edgeless row after it belongs to nobody).
+        assert_eq!(edge_cuts(&[0, 0, 9, 9], 4), vec![0..2]);
+        // More lanes than rows.
+        assert_eq!(edge_cuts(&[0, 1, 2], 8), vec![0..1, 1..2]);
+        // No rows, or rows without edges: no part at all.
+        assert_eq!(edge_cuts(&[0], 3), Vec::<std::ops::Range<usize>>::new());
+        assert_eq!(
+            edge_cuts(&[0, 0, 0], 3),
+            Vec::<std::ops::Range<usize>>::new()
+        );
+        // Whatever the skew, the parts cover every edge once, in order.
+        let ptr = [0usize, 1, 1, 50, 51, 51, 60, 100];
+        for lanes in 1..10 {
+            let parts = edge_cuts(&ptr, lanes);
+            assert!(parts.len() <= lanes);
+            let mut edge = 0;
+            for rows in parts {
+                assert_eq!(ptr[rows.start], edge, "lanes {lanes}");
+                edge = ptr[rows.end];
+            }
+            assert_eq!(edge, 100, "lanes {lanes}");
+        }
+    }
+
+    /// Degenerate Pre-Phase inputs, at more lanes than most of them have
+    /// rows: each must equal the serial row-order sum.
+    #[test]
+    fn static_bin_degenerate_inputs_match_the_serial_sum() {
+        let serial = |csr: &Csr, vals: &[f32], r: usize| {
+            let mut want = vec![0f32; r];
+            for (s, &v) in vals.iter().enumerate() {
+                for &d in csr.neighbors(nid(s)) {
+                    want[d as usize] += v;
+                }
+            }
+            want
+        };
+        let hub: Vec<(u32, u32)> = (0..64).map(|d| (1, d % 5)).collect();
+        let cases: Vec<(Csr, Vec<f32>, usize)> = vec![
+            // No seeds.
+            (Csr::from_edges_rect(0, 5, &[]), vec![], 5),
+            // Seeds without a single edge into the regular set.
+            (Csr::from_edges_rect(3, 5, &[]), vec![1.0, 2.0, 3.0], 5),
+            // One seed owns every edge.
+            (Csr::from_edges_rect(3, 5, &hub), vec![1.0, 0.5, 4.0], 5),
+            // Fewer seed rows than lanes.
+            (
+                Csr::from_edges_rect(2, 3, &[(0, 0), (1, 2), (1, 0)]),
+                vec![1.5, 2.0],
+                3,
+            ),
+            // No regular node to receive anything.
+            (Csr::from_edges_rect(2, 0, &[]), vec![1.0, 2.0], 0),
+        ];
+        for lanes in [1usize, 2, 4] {
+            for (i, (csr, vals, r)) in cases.iter().enumerate() {
+                let got = mixen_pool::with_threads(lanes, || StaticBin::compute(csr, vals, *r));
+                assert_eq!(
+                    got.values(),
+                    serial(csr, vals, *r),
+                    "case {i}, lanes {lanes}"
+                );
+            }
         }
     }
 

@@ -23,11 +23,20 @@
 //! Edge weights are a parameter of this pipeline, not a second one: see
 //! [`crate::weights`] and [`MixenEngine::try_weighted`].
 //!
+//! A run's cost is meant to be its edges. Serving loops and supervised
+//! runners re-enter the driver every few iterations, so what a call needs
+//! besides the graph — the two value vectors, the dynamic bins, the static
+//! bin with the seed values it was computed from — stays with the engine
+//! between calls (DESIGN.md DR-10): a call on a warm engine allocates its
+//! result and nothing else, and repeats the Pre-Phase only when the seed
+//! values moved.
+//!
 //! BFS (a non-link-analysis control in the paper) runs on the same blocked
 //! structure with frontier-sparse scatter and a dense fallback; it gains
 //! nothing from the Cache step, as the paper notes.
 
 use mixen_graph::nid;
+use std::any::Any;
 use std::sync::atomic::{AtomicI32, Ordering};
 
 use mixen_graph::{Graph, GraphError, NodeId, PropValue, WGraph};
@@ -35,6 +44,7 @@ use mixen_graph::{Graph, GraphError, NodeId, PropValue, WGraph};
 use crate::bins::{BinEncoding, DynamicBins, StaticBin};
 use crate::block::BlockedSubgraph;
 use crate::filter::FilteredGraph;
+use crate::msync::Mutex;
 use crate::obs::{Json, Metrics, Span};
 use crate::opts::MixenOpts;
 use crate::weights::{Unweighted, WeightRun, Weighted, Weights};
@@ -51,6 +61,10 @@ pub struct PhaseStats {
     pub gather_seconds: f64,
     /// Post-Phase: one-shot sink pull + assembly into original IDs.
     pub post_seconds: f64,
+    /// Entry cost that is none of the phases: acquiring the resident run
+    /// state, evaluating `init` for the seed and regular nodes, priming the
+    /// first accumulator.
+    pub init_seconds: f64,
     /// Iterations executed.
     pub iterations: usize,
 }
@@ -65,11 +79,12 @@ impl PhaseStats {
     /// seed-dominated graphs like weibo, where Mixen schedules most traffic
     /// out of the iteration (Fig. 4 discussion).
     pub fn out_of_main_fraction(&self) -> f64 {
-        let total = self.pre_seconds + self.main_seconds() + self.post_seconds;
+        let outside = self.pre_seconds + self.post_seconds + self.init_seconds;
+        let total = outside + self.main_seconds();
         if total <= 0.0 {
             0.0
         } else {
-            (self.pre_seconds + self.post_seconds) / total
+            outside / total
         }
     }
 
@@ -84,6 +99,7 @@ impl PhaseStats {
             ),
             ("gather_seconds".into(), Json::from_f64(self.gather_seconds)),
             ("post_seconds".into(), Json::from_f64(self.post_seconds)),
+            ("init_seconds".into(), Json::from_f64(self.init_seconds)),
             ("main_seconds".into(), Json::from_f64(self.main_seconds())),
             (
                 "out_of_main_fraction".into(),
@@ -109,6 +125,7 @@ pub struct MixenEngine<W = Unweighted> {
     filter_seconds: f64,
     partition_seconds: f64,
     metrics: Metrics,
+    scratch: ScratchCell,
 }
 
 impl MixenEngine {
@@ -144,6 +161,7 @@ impl MixenEngine {
             filter_seconds,
             partition_seconds,
             metrics: Metrics::default(),
+            scratch: ScratchCell::default(),
         };
         engine.stamp_gauges(opts.bin_encoding);
         engine
@@ -190,6 +208,7 @@ impl MixenEngine<Weighted> {
             filter_seconds: base.filter_seconds,
             partition_seconds: base.partition_seconds + align_seconds,
             metrics: base.metrics,
+            scratch: base.scratch,
         })
     }
 }
@@ -358,6 +377,11 @@ impl<W: Weights> MixenEngine<W> {
     /// original-ID order and the per-phase breakdown
     /// ([`PhaseStats::iterations`] is the number performed).
     ///
+    /// The working vectors, the dynamic bins and the static bin stay with
+    /// the engine between calls (`RunScratch`), so a call on a warm engine
+    /// allocates only its result, and skips the Pre-Phase when `init` gives
+    /// the seeds the values it gave them last time.
+    ///
     /// A compressed bin encoding whose measured accuracy budget is violated
     /// surfaces as [`GraphError::Numeric`] stamped with the failing
     /// iteration; infallible under the default `F32` encoding.
@@ -373,72 +397,112 @@ impl<W: Weights> MixenEngine<W> {
         FI: Fn(NodeId) -> V + Sync,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        let f = &self.filtered;
-        let n = f.n();
-        let r = f.num_regular();
-        let s = f.num_seed();
         let mut stats = PhaseStats::default();
-
         if max_iters == 0 {
-            let x0 = mixen_pool::par_parts(n, |part| part.map(nid).map(&init).collect::<Vec<_>>());
-            return Ok((x0.into_iter().flatten().collect(), stats));
+            let mut x0 = vec![V::identity(); self.filtered.n()];
+            fill(&mut x0, |old| init(nid(old)));
+            return Ok((x0, stats));
         }
+        let mut scratch: Box<RunScratch<V>> = {
+            let _span = Span::new(&mut stats.init_seconds);
+            self.scratch.take().unwrap_or_default()
+        };
+        // A panic in `init` or `apply` unwinds past the `put`: the state is
+        // dropped with the frame and the next call starts from an empty cell.
+        let out = self.run_on(&mut scratch, &mut stats, &init, &apply, max_iters, tol);
+        self.scratch.put(scratch);
+        Ok((out?, stats))
+    }
+
+    /// [`MixenEngine::try_run`] over the run state it took from the cell.
+    fn run_on<V, FI, FA>(
+        &self,
+        scratch: &mut RunScratch<V>,
+        stats: &mut PhaseStats,
+        init: &FI,
+        apply: &FA,
+        max_iters: usize,
+        tol: Option<f64>,
+    ) -> Result<Vec<V>, GraphError>
+    where
+        V: PropValue,
+        FI: Fn(NodeId) -> V + Sync,
+        FA: Fn(NodeId, V) -> V + Sync,
+    {
+        let f = &self.filtered;
+        let r = f.num_regular();
+        let RunScratch {
+            seed_vals,
+            sta,
+            x,
+            y,
+            prev,
+            bins,
+        } = scratch;
 
         // Seed values are constant for the whole run.
-        let seed_vals: Vec<V> = mixen_pool::par_parts(s, |part| {
-            part.map(|i| init(f.to_old(nid(r + i)))).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let seeds_changed = {
+            let _span = Span::new(&mut stats.init_seconds);
+            seed_vals.resize(f.num_seed(), V::identity());
+            fill(seed_vals, |i| init(f.to_old(nid(r + i))))
+        };
 
-        // Pre-Phase: cache seed→regular contributions. With the Cache step
-        // disabled (ablation), this work is redone every iteration below.
-        let sta: StaticBin<V> = {
+        // Pre-Phase: cache seed→regular contributions, unless the bin kept
+        // from the last run was computed from these very values. With the
+        // Cache step disabled (ablation) there is no bin: the push is redone
+        // wherever one would have been read.
+        let sta: Option<&StaticBin<V>> = {
             let _span = Span::new(&mut stats.pre_seconds);
             if self.opts.cache_step {
-                self.seed_push(&seed_vals)
+                if seeds_changed || sta.is_none() {
+                    *sta = Some(self.seed_push(seed_vals));
+                }
+                sta.as_ref()
             } else {
-                StaticBin::zero(r)
+                None
             }
         };
-        self.metrics
-            .static_bin_entries
-            .set(sta.values().len() as u64);
+        self.metrics.static_bin_entries.set(r as u64);
 
-        let mut x: Vec<V> = mixen_pool::par_parts(r, |part| {
-            part.map(|v| init(f.to_old(nid(v)))).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let mut y: Vec<V> = vec![V::identity(); r];
-        self.prime(&mut y, &sta, &seed_vals);
-        let mut bins: DynamicBins<V> =
-            DynamicBins::with_encoding(&self.blocked, self.opts.bin_encoding);
+        let bins = {
+            let _span = Span::new(&mut stats.init_seconds);
+            x.resize(r, V::identity());
+            fill(x, |v| init(f.to_old(nid(v))));
+            y.resize(r, V::identity());
+            self.prime(y, sta, seed_vals);
+            if tol.is_some() {
+                prev.resize(r, V::identity());
+            }
+            // Never re-zeroed: Scatter overwrites every slot before Gather
+            // reads one.
+            bins.get_or_insert_with(|| {
+                DynamicBins::with_encoding(&self.blocked, self.opts.bin_encoding)
+            })
+        };
         self.metrics
             .dynamic_bin_slots
             .set(self.blocked.total_msg_slots() as u64);
         self.stamp_gauges(bins.encoding());
-        let mut prev: Vec<V> = if tol.is_some() { x.clone() } else { Vec::new() };
 
         for t in 0..max_iters {
             let last_fixed = tol.is_none() && t + 1 == max_iters;
             if tol.is_some() {
-                prev.copy_from_slice(&x);
+                // Scatter's Cache step is about to overwrite `x`, and both
+                // the convergence check and the Post-Phase need it.
+                par_copy(prev, x);
             }
             // Scatter + Cache (parallel over block-rows).
-            let cache_from = if !last_fixed && self.opts.cache_step {
-                Some(sta.values())
-            } else {
+            let cache_from = if last_fixed {
                 None
+            } else {
+                sta.map(StaticBin::values)
             };
             {
                 let _span = Span::new(&mut stats.scatter_seconds);
                 crate::scga::try_scatter_with(
                     &self.blocked,
-                    &mut x,
-                    &mut bins,
+                    x,
+                    bins,
                     cache_from,
                     Some(&self.metrics),
                 )
@@ -447,10 +511,10 @@ impl<W: Weights> MixenEngine<W> {
                     self.metrics.static_bin_reuses.inc();
                 }
             }
-            if !last_fixed && !self.opts.cache_step {
+            if !last_fixed && sta.is_none() {
                 // Ablation: redo the seed push and re-prime x by hand, the
                 // redundant traffic Mixen normally avoids.
-                x.copy_from_slice(self.seed_push(&seed_vals).values());
+                self.prime(x, None, seed_vals);
             }
             // Gather + Apply (parallel over block-columns).
             {
@@ -458,36 +522,31 @@ impl<W: Weights> MixenEngine<W> {
                 crate::scga::gather_weighted(
                     &self.blocked,
                     &self.weights,
-                    &bins,
-                    &mut y,
+                    bins,
+                    y,
                     |new, sum| apply(f.to_old(new), sum),
                     Some(&self.metrics),
                 );
             }
-            std::mem::swap(&mut x, &mut y);
+            // The buffer Scatter streamed from is primed already, so after
+            // the swap `y` is the next round's accumulator as it stands.
+            std::mem::swap(x, y);
             stats.iterations += 1;
-            if let Some(tol) = tol {
-                let diff = mixen_graph::max_diff(&x, &prev);
-                // Re-prime the (now dead) y for the next round.
-                self.prime(&mut y, &sta, &seed_vals);
-                if diff <= tol {
-                    break;
-                }
+            if tol.is_some_and(|tol| par_max_diff(x, prev) <= tol) {
+                break;
             }
         }
 
         // The values regular nodes propagated in the final iteration.
-        let x_prev: &[V] = if tol.is_some() { &prev } else { &y };
+        let x_prev: &[V] = if tol.is_some() { prev } else { y };
 
-        let out = {
-            let _span = Span::new(&mut stats.post_seconds);
-            self.assemble(&x, x_prev, &seed_vals, &apply)
-        };
-        Ok((out, stats))
+        let _span = Span::new(&mut stats.post_seconds);
+        Ok(self.assemble(x, x_prev, seed_vals, apply))
     }
 
-    /// The seed push `⊕ seed ⊗ w` into a fresh static bin: once per run in
-    /// the Pre-Phase, or redundantly wherever the Cache step is ablated.
+    /// The seed push `⊕ seed ⊗ w` into a fresh static bin: in the Pre-Phase
+    /// of a run whose seed values are new, or redundantly wherever the Cache
+    /// step is ablated.
     fn seed_push<V: PropValue>(&self, seed_vals: &[V]) -> StaticBin<V> {
         self.metrics.static_bin_recomputes.inc();
         StaticBin::compute_weighted(
@@ -499,79 +558,61 @@ impl<W: Weights> MixenEngine<W> {
     }
 
     /// Primes an accumulator with the static-bin contents (or recomputes the
-    /// seed push when the Cache step is ablated away).
-    fn prime<V: PropValue>(&self, y: &mut [V], sta: &StaticBin<V>, seed_vals: &[V]) {
-        if self.opts.cache_step {
-            self.metrics.static_bin_reuses.inc();
-            y.copy_from_slice(sta.values());
-        } else {
-            y.copy_from_slice(self.seed_push(seed_vals).values());
+    /// seed push when the Cache step is ablated away and there is no bin).
+    fn prime<V: PropValue>(&self, y: &mut [V], sta: Option<&StaticBin<V>>, seed_vals: &[V]) {
+        match sta {
+            Some(sta) => {
+                self.metrics.static_bin_reuses.inc();
+                par_copy(y, sta.values());
+            }
+            None => par_copy(y, self.seed_push(seed_vals).values()),
         }
     }
 
-    /// Post-Phase plus final assembly into original-ID order.
+    /// Post-Phase plus final assembly, one pass over the result in
+    /// original-ID order: a regular node reads its value, a sink pulls once
+    /// from the values propagated last, seeds and isolated nodes sit at
+    /// their fixed point.
     fn assemble<V, FA>(&self, x: &[V], x_prev: &[V], seed_vals: &[V], apply: &FA) -> Vec<V>
     where
         V: PropValue,
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let f = &self.filtered;
-        let n = f.n();
         let r = f.num_regular();
-        let s = f.num_seed();
-        let sink_base = r + s;
-
-        // Post-Phase: sinks pull from the final propagated values.
+        let sink_base = r + f.num_seed();
+        let sinks = sink_base..sink_base + f.num_sink();
         let sink_ptr = f.sink_csc().ptr();
         let w = self.weights.sink();
-        let sink_vals: Vec<V> = mixen_pool::par_parts(f.num_sink(), |part| {
-            part.map(|k| {
-                let k = nid(k);
-                let mut sum = V::identity();
-                let base = sink_ptr[k as usize];
-                for (i, &v) in f.sink_csc().neighbors(k).iter().enumerate() {
-                    let msg = if (v as usize) < r {
-                        x_prev[v as usize]
-                    } else {
-                        seed_vals[v as usize - r]
-                    };
-                    sum.combine(w.scale(msg, base + i));
-                }
-                apply(f.to_old(nid(sink_base) + k), sum)
-            })
-            .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
 
-        mixen_pool::par_parts(n, |part| {
-            part.map(|new| {
-                let old = f.to_old(nid(new));
-                if new < r {
+        let mut out = vec![V::identity(); f.n()];
+        mixen_pool::par_parts_mut(&mut out, |lo, out| {
+            for (i, val) in out.iter_mut().enumerate() {
+                let old = nid(lo + i);
+                let new = f.to_new(old) as usize;
+                *val = if new < r {
                     x[new]
-                } else if new < sink_base {
-                    // Seeds (in-degree 0) sit at their fixed point.
-                    apply(old, V::identity())
-                } else if new < sink_base + f.num_sink() {
-                    sink_vals[new - sink_base]
+                } else if sinks.contains(&new) {
+                    let k = new - sink_base;
+                    let mut sum = V::identity();
+                    let base = sink_ptr[k];
+                    for (e, &v) in f.sink_csc().neighbors(nid(k)).iter().enumerate() {
+                        let msg = if (v as usize) < r {
+                            x_prev[v as usize]
+                        } else {
+                            seed_vals[v as usize - r]
+                        };
+                        sum.combine(w.scale(msg, base + e));
+                    }
+                    apply(old, sum)
                 } else {
-                    // Isolated nodes also sit at their fixed point.
+                    // Seeds (in-degree 0) and isolated nodes sit at their
+                    // fixed point.
                     apply(old, V::identity())
-                }
-            })
-            .collect::<Vec<V>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect::<Vec<V>>()
-        // Values above are in new-ID order; put them back.
-        .into_iter()
-        .enumerate()
-        .fold(vec![V::identity(); n], |mut out, (new, val)| {
-            out[f.to_old(nid(new)) as usize] = val;
-            out
-        })
+                };
+            }
+        });
+        out
     }
 
     /// Breadth-first search from `root`, returning depths in original-ID
@@ -677,6 +718,150 @@ impl<W: Weights> MixenEngine<W> {
     }
 }
 
+/// Run state a [`MixenEngine`] keeps between calls, for one property type.
+/// Every buffer is overwritten before it is read — `init` rewrites `x`, the
+/// seed values and (under `tol`) `prev`, priming rewrites `y`, Scatter
+/// rewrites every dynamic-bin slot — so a call on a warm engine allocates and
+/// zeroes none of them. Sizes depend on the engine alone, hence a buffer is
+/// either empty (first use) or already the right length.
+struct RunScratch<V> {
+    /// The seed values of the last run and, under the Cache step, the static
+    /// bin computed from exactly them.
+    seed_vals: Vec<V>,
+    sta: Option<StaticBin<V>>,
+    x: Vec<V>,
+    y: Vec<V>,
+    /// `tol` runs only: the values the iteration in flight started from.
+    prev: Vec<V>,
+    bins: Option<DynamicBins<V>>,
+}
+
+impl<V> Default for RunScratch<V> {
+    fn default() -> Self {
+        Self {
+            seed_vals: Vec::new(),
+            sta: None,
+            x: Vec::new(),
+            y: Vec::new(),
+            prev: Vec::new(),
+            bins: None,
+        }
+    }
+}
+
+/// Where an engine parks its [`RunScratch`] between calls: taken on entry,
+/// put back on exit, type-erased because one engine serves every property
+/// type. The lock is held for the move alone, never across a run, so
+/// callers do not serialize: whoever finds the cell empty — a concurrent
+/// caller, or the first one after a run of another type — allocates state of
+/// its own, and the last one out leaves its state behind.
+struct ScratchCell(Mutex<Option<Box<dyn Any + Send>>>);
+
+impl ScratchCell {
+    /// The parked state, if there is one and it is a `T`.
+    fn take<T: Any + Send>(&self) -> Option<Box<T>> {
+        let parked = crate::snap::lock_recover(&self.0).take();
+        parked.and_then(|state| state.downcast().ok())
+    }
+
+    /// Parks `state`, replacing (and freeing, outside the lock) what another
+    /// caller left meanwhile.
+    fn put<T: Any + Send>(&self, state: Box<T>) {
+        let replaced = crate::snap::lock_recover(&self.0).replace(state);
+        drop(replaced);
+    }
+}
+
+impl Default for ScratchCell {
+    fn default() -> Self {
+        Self(Mutex::new(None))
+    }
+}
+
+/// A clone starts cold: run state is never shared between engines.
+impl Clone for ScratchCell {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl std::fmt::Debug for ScratchCell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Opaque like `SnapCell`: locking inside Debug could interleave with
+        // a model execution.
+        f.debug_struct("ScratchCell").finish_non_exhaustive()
+    }
+}
+
+/// Model probe over the scratch cell, compiled only under `model-check`.
+#[cfg(feature = "model-check")]
+pub mod mc {
+    use std::any::Any;
+
+    /// A [`MixenEngine`](super::MixenEngine)'s scratch cell on its own, so
+    /// `mixen-check` can explore callers racing `take` and `put` without
+    /// building an engine.
+    #[derive(Default)]
+    pub struct ScratchProbe(super::ScratchCell);
+
+    impl ScratchProbe {
+        /// What `try_run` does on entry.
+        pub fn take<T: Any + Send>(&self) -> Option<Box<T>> {
+            self.0.take()
+        }
+
+        /// What `try_run` does on exit.
+        pub fn put<T: Any + Send>(&self, state: Box<T>) {
+            self.0.put(state)
+        }
+    }
+}
+
+/// Rewrites `vals[i] = value_of(i)` in place on the pool; reports whether
+/// any slot got a value that does not compare equal to the one it held (a
+/// `NaN` never compares equal, so it always reports a change).
+fn fill<V: PropValue>(vals: &mut [V], value_of: impl Fn(usize) -> V + Sync) -> bool {
+    // `par_parts_mut` hands out no results, so each part carries its own
+    // flag: (offset, part, changed).
+    let mut rest = vals;
+    let mut parts: Vec<(usize, &mut [V], bool)> = mixen_pool::split(rest.len())
+        .map(|part| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(part.len());
+            rest = tail;
+            (part.start, head, false)
+        })
+        .collect();
+    mixen_pool::par_parts_mut(&mut parts, |_, parts| {
+        for (lo, part, changed) in parts {
+            for (i, slot) in part.iter_mut().enumerate() {
+                let v = value_of(*lo + i);
+                *changed |= *slot != v;
+                *slot = v;
+            }
+        }
+    });
+    parts.iter().any(|&(_, _, changed)| changed)
+}
+
+/// `dst.copy_from_slice(src)` on the pool.
+fn par_copy<V: PropValue>(dst: &mut [V], src: &[V]) {
+    assert_eq!(dst.len(), src.len());
+    mixen_pool::par_parts_mut(dst, |lo, part| {
+        part.copy_from_slice(&src[lo..lo + part.len()])
+    });
+}
+
+/// [`mixen_graph::max_diff`] on the pool (a maximum, so the cut cannot move
+/// its value).
+fn par_max_diff<V: PropValue>(a: &[V], b: &[V]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    mixen_pool::par_parts(a.len(), |part| {
+        mixen_graph::max_diff(&a[part.clone()], &b[part])
+    })
+    .into_iter()
+    .fold(0.0, f64::max)
+}
+
 /// Re-stamps a [`GraphError::Numeric`] raised inside an iteration with the
 /// iteration number it failed on. The codec planner runs before the graph
 /// walk and reports iteration 0; the engine is the only layer that knows
@@ -691,6 +876,7 @@ fn stamp_iteration(e: GraphError, t: usize) -> GraphError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     /// Serial reference: x'[v] = apply(v, Σ_{u→v} x[u]).
     fn reference<V: PropValue>(
@@ -1103,8 +1289,9 @@ mod tests {
         // Two runs of 3 iterations each hit the gather kernel 6 times.
         assert_eq!(snap.get("edges_gathered"), 6 * reg_nnz);
         assert_eq!(snap.get("edges_scattered"), 6 * reg_nnz);
-        // One weighted static-bin build per run entry.
-        assert_eq!(snap.get("static_bin_recomputes"), 2);
+        // One weighted static-bin build: the second run starts from the same
+        // seed values and finds the bin the engine kept.
+        assert_eq!(snap.get("static_bin_recomputes"), 1);
     }
 
     #[test]
@@ -1146,6 +1333,345 @@ mod tests {
         let e = MixenEngine::try_new(&g, side(MixenOpts::MAX_BLOCK_SIDE)).unwrap();
         let want = MixenEngine::new(&g, small_opts()).iterate::<f32, _, _>(|_| 1.0, |_, s| s, 2);
         assert_eq!(e.iterate::<f32, _, _>(|_| 1.0, |_, s| s, 2), want);
+    }
+
+    // ---- Counters under `tol`, entry-cost accounting ----
+
+    #[test]
+    fn tol_runs_prime_once_per_iteration() {
+        let g = mixed_graph();
+        let apply = |_: NodeId, sum: f32| 0.25 * sum + 1.0;
+        let e = MixenEngine::new(&g, small_opts());
+        let (_, iters) = e.iterate_until::<f32, _, _>(|_| 1.0, apply, 1e-7, 200);
+        assert!((2..200).contains(&iters), "took {iters}");
+        let snap = e.metrics().snapshot();
+        assert_eq!(snap.get("static_bin_recomputes"), 1);
+        // The first accumulator, then Scatter's Cache step every iteration
+        // (none is known to be the last) — and nothing else.
+        assert_eq!(snap.get("static_bin_reuses"), 1 + iters as u64);
+
+        let ablated = MixenEngine::new(
+            &g,
+            MixenOpts {
+                cache_step: false,
+                ..small_opts()
+            },
+        );
+        let (_, iters) = ablated.iterate_until::<f32, _, _>(|_| 1.0, apply, 1e-7, 200);
+        let snap = ablated.metrics().snapshot();
+        // The first accumulator plus one redundant push per iteration.
+        assert_eq!(snap.get("static_bin_recomputes"), 1 + iters as u64);
+        assert_eq!(snap.get("static_bin_reuses"), 0);
+    }
+
+    /// Wherever a `tol` run stops — converged, or cut off by `max_iters` —
+    /// the sinks pull from the values propagated in its last iteration.
+    #[test]
+    fn tol_runs_match_the_reference_wherever_they_stop() {
+        let g = skewed_toy();
+        let apply = |v: NodeId, sum: f32| 0.125 * sum + 0.01 * (v % 7) as f32;
+        // Seed-fixed-point contract: in-degree-0 nodes start at apply(v, 0).
+        let init = |v: NodeId| {
+            if g.in_degree(v) == 0 {
+                apply(v, 0.0)
+            } else {
+                0.01 * (v % 13) as f32
+            }
+        };
+        for lanes in [1usize, 2] {
+            mixen_pool::with_threads(lanes, || {
+                let e = MixenEngine::new(&g, toy_opts());
+                for (tol, max_iters) in [(0.0, 1), (0.0, 2), (0.0, 5), (1e-6, 40)] {
+                    let (got, iters) = e.iterate_until::<f32, _, _>(init, apply, tol, max_iters);
+                    assert!(tol > 0.0 || iters == max_iters);
+                    assert!(iters < 40, "took {iters}");
+                    let want = reference::<f32>(&g, init, apply, iters);
+                    for (v, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            (a - b).abs() < 1e-5,
+                            "node {v}, {iters} iterations: {a} vs {b}"
+                        );
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn phases_and_init_account_for_a_call() {
+        let g = skewed_toy();
+        let e = MixenEngine::new(&g, toy_opts());
+        let apply = |v: NodeId, sum: f32| 0.5 * sum + 0.1 * (v % 7) as f32;
+        for call in 0..2 {
+            let clock = std::time::Instant::now();
+            let (_, stats) = e.iterate_with_stats::<f32, _, _>(|v| (v % 5) as f32, apply, 4);
+            let wall = clock.elapsed().as_secs_f64();
+            let parts = [
+                stats.pre_seconds,
+                stats.scatter_seconds,
+                stats.gather_seconds,
+                stats.post_seconds,
+                stats.init_seconds,
+            ];
+            assert!(parts.iter().all(|&s| s >= 0.0), "{stats:?}");
+            assert!(stats.init_seconds > 0.0, "{stats:?}");
+            assert!(parts.iter().sum::<f64>() <= wall, "{stats:?} vs {wall}");
+            let json = stats.to_json().render();
+            assert!(json.contains("\"init_seconds\""), "{json}");
+            // Unchanged seed values: the second call finds the bin.
+            let snap = e.metrics().snapshot();
+            assert_eq!(snap.get("static_bin_recomputes"), 1, "call {call}");
+        }
+    }
+
+    // ---- Resident run state ----
+
+    /// 120 regular nodes (a ring plus pseudo-random chords), 30 seeds the
+    /// first of which is a hub, 20 sinks fed by regulars and seeds, 2
+    /// isolated nodes; `(src, dst, weight)`.
+    fn toy_triples() -> (usize, Vec<(NodeId, NodeId, f32)>) {
+        let mut state = 0x2545_f491u32;
+        let mut next = |m: u32| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) % m
+        };
+        let mut t = Vec::new();
+        for u in 0..120u32 {
+            t.push((u, (u + 1) % 120, 0.5));
+            for _ in 0..next(4) {
+                t.push((u, next(120), 0.25 + next(8) as f32 / 8.0));
+            }
+        }
+        for s in 120..150u32 {
+            for _ in 0..if s == 120 { 90 } else { 1 + next(3) } {
+                t.push((s, next(120), 0.5 + next(4) as f32 / 4.0));
+            }
+            t.push((s, 150 + next(20), 1.5));
+        }
+        for k in 150..170u32 {
+            t.push((next(120), k, 0.75));
+        }
+        (172, t)
+    }
+
+    fn skewed_toy() -> Graph {
+        let (n, t) = toy_triples();
+        let pairs: Vec<_> = t.iter().map(|&(u, v, _)| (u, v)).collect();
+        Graph::from_pairs(n, &pairs)
+    }
+
+    fn toy_opts() -> MixenOpts {
+        MixenOpts {
+            block_side: 16,
+            min_tasks_per_thread: 1,
+            ..MixenOpts::default()
+        }
+    }
+
+    /// One of four kinds of run — `f32` or `[f32; 8]`, fixed-count or `tol`
+    /// — as result bits; `salt` moves every initial value, the seeds'
+    /// included.
+    fn run_kind<W: Weights>(e: &MixenEngine<W>, kind: usize, salt: u32) -> Vec<u32> {
+        let init = move |v: NodeId| 0.01 * ((v + salt) % 13) as f32;
+        let apply = |v: NodeId, sum: f32| 0.125 * sum + 0.01 * (v % 7) as f32;
+        let init8 = move |v: NodeId| std::array::from_fn(|k| init(v) + 0.001 * k as f32);
+        let apply8 =
+            |v: NodeId, sum: [f32; 8]| std::array::from_fn(|k| apply(v, sum[k]) + k as f32);
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        match kind % 4 {
+            0 => bits(e.iterate::<f32, _, _>(init, apply, 3)),
+            1 => bits(e.iterate::<[f32; 8], _, _>(init8, apply8, 2).concat()),
+            2 => {
+                let (vals, iters) = e.iterate_until::<f32, _, _>(init, apply, 1e-6, 40);
+                assert!((2..40).contains(&iters), "took {iters}");
+                bits(vals)
+            }
+            _ => {
+                // Cut off by `max_iters`, never converged.
+                let (vals, iters) = e.iterate_until::<[f32; 8], _, _>(init8, apply8, 0.0, 5);
+                assert_eq!(iters, 5);
+                bits(vals.concat())
+            }
+        }
+    }
+
+    /// Kinds and salts in an order that has every transition: same type and
+    /// same seeds (bin kept), same type and new seeds, another type,
+    /// fixed-count after `tol` and back, a `tol` run cut off by `max_iters`.
+    const SCHEDULE: [(usize, u32); 12] = [
+        (0, 0),
+        (0, 0),
+        (0, 1),
+        (2, 1),
+        (1, 1),
+        (1, 1),
+        (3, 1),
+        (3, 2),
+        (2, 2),
+        (0, 2),
+        (1, 0),
+        (2, 0),
+    ];
+
+    #[test]
+    fn a_warm_engine_returns_the_bits_of_a_fresh_one() {
+        let (n, triples) = toy_triples();
+        let wg = WGraph::from_triples(n, &triples);
+        let g = skewed_toy();
+        for lanes in [1usize, 2] {
+            mixen_pool::with_threads(lanes, || {
+                let warm = MixenEngine::new(&g, toy_opts());
+                let warm_w = MixenEngine::try_weighted(&wg, toy_opts()).unwrap();
+                for (step, (kind, salt)) in SCHEDULE.into_iter().enumerate() {
+                    let at = format!("lanes {lanes}, step {step}");
+                    let fresh = MixenEngine::new(&g, toy_opts());
+                    assert_eq!(
+                        run_kind(&warm, kind, salt),
+                        run_kind(&fresh, kind, salt),
+                        "{at}"
+                    );
+                    let fresh_w = MixenEngine::try_weighted(&wg, toy_opts()).unwrap();
+                    assert_eq!(
+                        run_kind(&warm_w, kind, salt),
+                        run_kind(&fresh_w, kind, salt),
+                        "weighted, {at}"
+                    );
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_on_one_engine_both_get_the_fresh_bits() {
+        use std::sync::Barrier;
+        let g = skewed_toy();
+        let init = |v: NodeId| 0.01 * (v % 13) as f32;
+        let apply = |v: NodeId, sum: f32| 0.125 * sum + 0.01 * (v % 7) as f32;
+        let want = MixenEngine::new(&g, toy_opts()).iterate::<f32, _, _>(init, apply, 3);
+        let e = MixenEngine::new(&g, toy_opts());
+        assert_eq!(e.iterate::<f32, _, _>(init, apply, 3), want);
+
+        // The first caller stops inside its run — holding the state it took
+        // from the warm engine — until the second has run start to finish.
+        let (entered, resume) = (Barrier::new(2), Barrier::new(2));
+        let first_call = AtomicBool::new(true);
+        let gated_init = |v: NodeId| {
+            if first_call.swap(false, Ordering::Relaxed) {
+                entered.wait();
+                resume.wait();
+            }
+            init(v)
+        };
+        std::thread::scope(|s| {
+            let first = s.spawn(|| e.iterate::<f32, _, _>(gated_init, apply, 3));
+            entered.wait();
+            assert!(e.scratch.take::<RunScratch<f32>>().is_none());
+            assert_eq!(e.iterate::<f32, _, _>(init, apply, 3), want);
+            resume.wait();
+            assert_eq!(first.join().unwrap(), want);
+        });
+        assert!(e.scratch.take::<RunScratch<f32>>().is_some());
+    }
+
+    #[test]
+    fn a_clone_starts_cold_and_shares_nothing() {
+        let g = skewed_toy();
+        let e = MixenEngine::new(&g, toy_opts());
+        let first = run_kind(&e, 0, 0);
+        let c = e.clone();
+        assert!(c.scratch.take::<RunScratch<f32>>().is_none());
+        // The original kept its state, and neither run disturbs the other's.
+        let kept = e.scratch.take::<RunScratch<f32>>().unwrap();
+        let kept_x = kept.x.as_ptr();
+        e.scratch.put(kept);
+        assert_eq!(run_kind(&c, 0, 0), first);
+        assert_eq!(run_kind(&e, 0, 0), first);
+        let mine = c.scratch.take::<RunScratch<f32>>().unwrap();
+        let theirs = e.scratch.take::<RunScratch<f32>>().unwrap();
+        assert!(mine.x.as_ptr() != theirs.x.as_ptr() && mine.y.as_ptr() != theirs.x.as_ptr());
+        assert!([theirs.x.as_ptr(), theirs.y.as_ptr()].contains(&kept_x));
+    }
+
+    #[test]
+    fn a_warm_call_reuses_every_buffer() {
+        let g = skewed_toy();
+        let e = MixenEngine::new(&g, toy_opts());
+        let first = run_kind(&e, 2, 0);
+        let buffers = |s: &RunScratch<f32>| {
+            let mut xy = [s.x.as_ptr(), s.y.as_ptr()];
+            xy.sort();
+            let bins = s.bins.as_ref().unwrap().tasks();
+            let first_stream = bins
+                .iter()
+                .flat_map(|t| (0..e.blocked().n_col_blocks()).map(|j| t.col(j)))
+                .find(|col| !col.is_empty())
+                .unwrap();
+            (
+                xy,
+                s.prev.as_ptr(),
+                s.seed_vals.as_ptr(),
+                s.sta.as_ref().unwrap().values().as_ptr(),
+                first_stream.as_ptr(),
+            )
+        };
+        let parked = e.scratch.take::<RunScratch<f32>>().unwrap();
+        let before = buffers(&parked);
+        assert_eq!(parked.x.len(), e.filtered().num_regular());
+        e.scratch.put(parked);
+        // Fixed-count and `tol`, same seed values: nothing is reallocated
+        // (x and y may have traded places).
+        assert_eq!(run_kind(&e, 2, 0), first);
+        let _ = run_kind(&e, 0, 0);
+        let parked = e.scratch.take::<RunScratch<f32>>().unwrap();
+        assert_eq!(buffers(&parked), before);
+    }
+
+    #[test]
+    fn changed_or_nan_seed_values_miss_the_kept_bin() {
+        let g = skewed_toy();
+        let e = MixenEngine::new(&g, toy_opts());
+        let recomputes = || e.metrics().snapshot().get("static_bin_recomputes");
+        let seeds_at = |seed_val: f32| {
+            let g = &g;
+            move |v: NodeId| if g.in_degree(v) == 0 { seed_val } else { 1.0 }
+        };
+        let run = |seed_val: f32| e.iterate::<f32, _, _>(seeds_at(seed_val), |_, s| 0.1 * s, 2);
+        let fresh = |seed_val: f32| {
+            let fresh = MixenEngine::new(&g, toy_opts());
+            fresh.iterate::<f32, _, _>(seeds_at(seed_val), |_, s| 0.1 * s, 2)
+        };
+        let a = run(2.0);
+        assert_eq!(recomputes(), 1);
+        assert_eq!(run(2.0), a);
+        assert_eq!(recomputes(), 1, "equal seed values must find the bin");
+        // Only the seeds' values moved; the regular nodes start where they did.
+        assert_eq!(run(3.0), fresh(3.0));
+        assert_eq!(recomputes(), 2, "new seed values must rebuild it");
+        assert_eq!(run(2.0), a);
+        assert_eq!(recomputes(), 3);
+        // NaN never compares equal, not even to the NaN of the last run.
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let nan = bits(run(f32::NAN));
+        assert_eq!(recomputes(), 4);
+        assert_eq!(bits(run(f32::NAN)), nan);
+        assert_eq!(recomputes(), 5);
+        assert_eq!(nan, bits(fresh(f32::NAN)));
+    }
+
+    #[test]
+    fn a_panicking_apply_leaves_the_engine_usable() {
+        let g = skewed_toy();
+        let e = MixenEngine::new(&g, toy_opts());
+        let want = run_kind(&e, 0, 0);
+        let blown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.iterate::<f32, _, _>(|_| 1.0, |v, _| panic!("apply blew up at {v}"), 2)
+        }));
+        assert!(blown.is_err());
+        // The run state went down with the panicking call: the cell is
+        // empty, not poisoned, and the next call builds its own.
+        assert!(e.scratch.take::<RunScratch<f32>>().is_none());
+        assert_eq!(run_kind(&e, 0, 0), want);
+        assert!(e.scratch.take::<RunScratch<f32>>().is_some());
     }
 
     #[test]

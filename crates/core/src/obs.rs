@@ -48,11 +48,14 @@
 //!   gather-column chunks) and the heaviest single task in edges (the
 //!   straggler bound). Stamped at engine construction from
 //!   `BlockedSubgraph::split_stats`.
-//! * `static_bin_recomputes` counts every `StaticBin::compute` (the first
-//!   Pre-Phase build *and* any redundant rebuild: the cache-step ablation,
-//!   or a supervised batch re-entry); `static_bin_reuses` counts Cache-step
-//!   re-primes from the already-built bin. `recomputes - 1` per logical run
-//!   is therefore redundant work.
+//! * `static_bin_recomputes` counts every `StaticBin::compute`: the
+//!   Pre-Phase build of a run whose seed values differ from the last run's
+//!   on that engine, and every redundant rebuild of the cache-step
+//!   ablation. A re-entry with unchanged seed values (a supervised batch, a
+//!   `PageRankStream::advance`) finds the bin the engine kept and adds
+//!   nothing. `static_bin_reuses` counts primes from the already-built bin:
+//!   the first accumulator of a run plus one Cache step per iteration that
+//!   has a successor.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};

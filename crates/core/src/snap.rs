@@ -129,7 +129,7 @@ impl<T> SnapCell<T> {
 /// Locks, recovering from poisoning: a reader that panicked mid-clone
 /// cannot leave the cell unusable (the content is a plain `Arc`, never
 /// partially updated under the lock).
-fn lock_recover<T>(m: &Mutex<T>) -> impl std::ops::DerefMut<Target = T> + '_ {
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> impl std::ops::DerefMut<Target = T> + '_ {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 

@@ -3,15 +3,19 @@
 //! A [`Csr`] stores, for each of `n` rows, a sorted run of column indices.
 //! Interpreted as a graph it is the out-adjacency of a directed graph; the
 //! CSC of the same graph is the [`Csr`] of its transpose (see
-//! [`Csr::transpose`]). Construction and transposition run on `mixen-pool`:
-//! degree counting uses per-part histograms, placement uses atomic cursors,
-//! and per-row sorting is embarrassingly parallel.
+//! [`Csr::transpose`]).
+//!
+//! Construction and transposition are count → prefix-sum → fill on
+//! `mixen-pool`, race-free by ownership (DESIGN.md DR-11): every task owns one
+//! contiguous range of *output* rows, receives that range's counters and
+//! entries as `&mut` chunks, and scans the whole input for what lands there.
+//! Entries are placed in input order, so the result is a pure function of the
+//! input — whatever the lane count or the schedule.
 
-use crate::nid;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
 
 use crate::error::GraphError;
-use crate::NodeId;
+use crate::{nid, NodeId};
 
 /// Compressed sparse row adjacency structure.
 ///
@@ -37,39 +41,54 @@ impl Csr {
     }
 
     /// Builds a rectangular CSR (`n_rows x n_cols`) from an edge slice.
+    /// Panics on an endpoint outside the matrix.
     pub fn from_edges_rect(n_rows: usize, n_cols: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        debug_assert!(
-            edges
-                .iter()
-                .all(|&(s, d)| (s as usize) < n_rows && (d as usize) < n_cols),
-            "edge endpoint out of range"
-        );
-        let ptr = prefix_sum(&count_rows(n_rows, edges, |&(s, _)| s));
-        let mut idx = vec![0 as NodeId; edges.len()].into_boxed_slice();
-        let cursors = row_cursors(&ptr[..n_rows]);
-        {
-            // SAFETY-free parallel placement: each edge reserves a distinct
-            // slot via its row cursor; slots never overlap because cursors
-            // start at row offsets and each row's reservation count equals
-            // its degree.
-            let idx_cell = SliceWriter::new(&mut idx);
-            mixen_pool::par_range(0..edges.len(), |e| {
-                let (s, d) = edges[e];
-                // ordering: the cursor only reserves a unique slot; the
-                // written values are published by the pool scope's
-                // Release/Acquire completion below.
-                let slot = cursors[s as usize].fetch_add(1, Ordering::Relaxed);
-                idx_cell.write(slot, d);
-            });
+        let check = |e: &(NodeId, NodeId)| {
+            assert!(
+                (e.0 as usize) < n_rows && (e.1 as usize) < n_cols,
+                "edge endpoint out of range: {e:?} in a {n_rows} x {n_cols} matrix"
+            );
+        };
+        // `get_mut` on the wrapped difference is the ownership test: it is
+        // `Some` exactly for sources inside the task's row range.
+        let ptr = par_count(n_rows, |first, counts| {
+            for e in edges {
+                if let Some(c) = counts.get_mut((e.0 as usize).wrapping_sub(first)) {
+                    check(e);
+                    *c += 1;
+                }
+            }
+        });
+        // A source past the last row is owned, and so counted, by no task.
+        if ptr[n_rows] != edges.len() {
+            edges.iter().for_each(check);
         }
-        let mut csr = Self {
+        let mut idx = vec![0 as NodeId; edges.len()].into_boxed_slice();
+        // The input is unordered, so each task sorts the rows it placed. No
+        // value rides along: the per-entry payload is a slice of `()`.
+        par_fill(
+            &ptr,
+            &mut idx,
+            &mut vec![(); edges.len()],
+            |rows, cursors, idx, _| {
+                let base = ptr[rows.start];
+                for &(s, d) in edges {
+                    if let Some(c) = cursors.get_mut((s as usize).wrapping_sub(rows.start)) {
+                        idx[*c - base] = d;
+                        *c += 1;
+                    }
+                }
+                for r in rows {
+                    idx[ptr[r] - base..ptr[r + 1] - base].sort_unstable();
+                }
+            },
+        );
+        Self {
             n_rows,
             n_cols,
             ptr: ptr.into_boxed_slice(),
             idx,
-        };
-        csr.sort_rows();
-        csr
+        }
     }
 
     /// Builds a CSR by asking `row` to emit the neighbours of each row into a
@@ -80,29 +99,25 @@ impl Csr {
     where
         F: Fn(NodeId, &mut Vec<NodeId>) + Sync,
     {
-        let rows: Vec<Vec<NodeId>> = mixen_pool::par_parts(n_rows, |part| {
-            part.map(|u| {
-                let mut scratch = Vec::new();
+        // One `(row lengths, entries)` buffer per part, not one vector per row.
+        let parts = mixen_pool::par_parts(n_rows, |part| {
+            let mut lens = Vec::with_capacity(part.len());
+            let (mut idx, mut scratch) = (Vec::new(), Vec::new());
+            for u in part {
+                scratch.clear();
                 row(nid(u), &mut scratch);
                 scratch.sort_unstable();
                 debug_assert!(scratch.iter().all(|&v| (v as usize) < n_cols));
-                scratch
-            })
-            .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let mut ptr = Vec::with_capacity(n_rows + 1);
-        ptr.push(0usize);
-        let mut acc = 0usize;
-        for r in &rows {
-            acc += r.len();
-            ptr.push(acc);
-        }
-        let mut idx = Vec::with_capacity(acc);
-        for r in rows {
-            idx.extend_from_slice(&r);
+                lens.push(scratch.len());
+                idx.extend_from_slice(&scratch);
+            }
+            (lens, idx)
+        });
+        let lens: Vec<usize> = parts.iter().flat_map(|(lens, _)| lens).copied().collect();
+        let ptr = prefix_sum(&lens);
+        let mut idx = Vec::with_capacity(ptr[n_rows]);
+        for (_, part) in &parts {
+            idx.extend_from_slice(part);
         }
         Self {
             n_rows,
@@ -200,31 +215,58 @@ impl Csr {
         (0..nid(self.n_rows)).flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
     }
 
-    /// Transposes the matrix in parallel: counting pass, prefix sum, atomic
-    /// scatter, then per-row sort. The result's rows are the columns of
-    /// `self`.
+    /// Transposes the matrix in parallel. The result's rows are the columns
+    /// of `self`.
     pub fn transpose(&self) -> Self {
-        let ptr = prefix_sum(&count_rows(self.n_cols, &self.idx, |&v| v));
-        let mut idx = vec![0 as NodeId; self.nnz()].into_boxed_slice();
-        let cursors = row_cursors(&ptr[..self.n_cols]);
-        {
-            let idx_cell = SliceWriter::new(&mut idx);
-            mixen_pool::par_range(0..self.n_rows, |u| {
-                for &v in &self.idx[self.ptr[u]..self.ptr[u + 1]] {
-                    // ordering: slot reservation only, as in from_edges_rect.
-                    let slot = cursors[v as usize].fetch_add(1, Ordering::Relaxed);
-                    idx_cell.write(slot, nid(u));
+        self.transpose_with(&vec![(); self.nnz()]).0
+    }
+
+    /// [`Csr::transpose`] carrying one value per entry (`vals[e]` belongs to
+    /// `idx[e]`) to the entry's place in the transpose.
+    ///
+    /// A task owns a range of columns. Rows are sorted, so what a row holds of
+    /// that range is one sub-slice found by `partition_point`, and walking the
+    /// rows in order emits every output row already sorted.
+    pub(crate) fn transpose_with<T>(&self, vals: &[T]) -> (Self, Box<[T]>)
+    where
+        T: Copy + Default + Send + Sync,
+    {
+        assert_eq!(vals.len(), self.nnz());
+        // Entry positions of row `u` whose column lies in `cols`.
+        let run = |u: usize, cols: &Range<usize>| {
+            let lo = self.ptr[u];
+            let row = &self.idx[lo..self.ptr[u + 1]];
+            lo + row.partition_point(|&v| (v as usize) < cols.start)
+                ..lo + row.partition_point(|&v| (v as usize) < cols.end)
+        };
+        let ptr = par_count(self.n_cols, |first, counts| {
+            let cols = first..first + counts.len();
+            for u in 0..self.n_rows {
+                for &v in &self.idx[run(u, &cols)] {
+                    counts[v as usize - first] += 1;
                 }
-            });
-        }
-        let mut t = Self {
+            }
+        });
+        let mut idx = vec![0 as NodeId; self.nnz()].into_boxed_slice();
+        let mut out = vec![T::default(); self.nnz()].into_boxed_slice();
+        par_fill(&ptr, &mut idx, &mut out, |cols, cursors, idx, out| {
+            let base = ptr[cols.start];
+            for u in 0..self.n_rows {
+                for e in run(u, &cols) {
+                    let c = &mut cursors[self.idx[e] as usize - cols.start];
+                    idx[*c - base] = nid(u);
+                    out[*c - base] = vals[e];
+                    *c += 1;
+                }
+            }
+        });
+        let t = Self {
             n_rows: self.n_cols,
             n_cols: self.n_rows,
             ptr: ptr.into_boxed_slice(),
             idx,
         };
-        t.sort_rows();
-        t
+        (t, out)
     }
 
     /// Checks every structural invariant; reports the first violation as a
@@ -264,126 +306,59 @@ impl Csr {
         }
         Ok(())
     }
+}
 
-    fn sort_rows(&mut self) {
-        let ptr = std::mem::take(&mut self.ptr);
-        let idx = &mut self.idx;
-        // Split the index array sequentially into per-row `&mut [NodeId]`
-        // slices (unsafe-free), then sort the rows independently.
-        let mut rows: Vec<&mut [NodeId]> = Vec::with_capacity(self.n_rows);
-        let mut rest: &mut [NodeId] = idx;
-        let mut prev = 0usize;
-        for &p in ptr[1..].iter() {
-            let (row, tail) = rest.split_at_mut(p - prev);
-            rows.push(row);
-            rest = tail;
-            prev = p;
+/// The counting step: `count(first, counts)` runs once per pool lane on one
+/// contiguous chunk of a zeroed `n`-entry array, `first` being the output row
+/// of `counts[0]`, and adds what the input holds for those rows. Returns the
+/// prefix-summed row pointers.
+fn par_count(n: usize, count: impl Fn(usize, &mut [usize]) + Sync) -> Vec<usize> {
+    let mut counts = vec![0usize; n];
+    let chunk = n.div_ceil(mixen_pool::current_num_threads()).max(1);
+    mixen_pool::par_chunks_mut(&mut counts, chunk, |part, counts| {
+        count(part * chunk, counts)
+    });
+    prefix_sum(&counts)
+}
+
+/// The fill step: cuts the output rows of `ptr` into one range per pool lane
+/// at near-equal *entry* counts (range `p` starts at the first row whose
+/// entries begin at or after `nnz · p / lanes`, as `bins::edge_cuts` in
+/// `mixen-core` cuts seed rows — one hub column must not be one lane's whole
+/// share) and runs `fill(rows, cursors, idx, vals)` on each range that owns
+/// an entry. `cursors[r - rows.start]` starts at `ptr[r]`, the next free slot
+/// of row `r`; `idx` and `vals` are the range's entries, so slot `s` is at
+/// `s - ptr[rows.start]`.
+fn par_fill<T: Send>(
+    ptr: &[usize],
+    idx: &mut [NodeId],
+    vals: &mut [T],
+    fill: impl Fn(Range<usize>, &mut [usize], &mut [NodeId], &mut [T]) + Sync,
+) {
+    let (n, nnz) = (ptr.len() - 1, idx.len());
+    let lanes = mixen_pool::current_num_threads();
+    let cut = |p: usize| {
+        if p == lanes {
+            n
+        } else {
+            ptr.partition_point(|&e| e < nnz * p / lanes)
         }
-        mixen_pool::par_parts_mut(&mut rows, |_, part| {
-            part.iter_mut().for_each(|row| row.sort_unstable());
-        });
-        self.ptr = ptr;
-    }
-}
-
-/// Shared writable view of a slice used for disjoint-slot parallel writes.
-///
-/// Every writer must target a distinct index; the constructors in this module
-/// guarantee that by reserving slots through atomic cursors.
-///
-/// Under `debug_assertions` or the `race-detector` feature, a shadow
-/// ownership map records every written slot and the writer panics on an
-/// overlapping or double write — turning a silent data race into a loud,
-/// attributable failure.
-pub(crate) struct SliceWriter<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    /// Shadow ownership map, routed through [`crate::msync`] so
-    /// `model-check` builds explore the claim protocol itself.
-    #[cfg(any(debug_assertions, feature = "race-detector"))]
-    claimed: Box<[crate::msync::atomic::AtomicU8]>,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: SliceWriter is a raw-pointer view of a `&mut [T]` whose lifetime it
-// captures, so the underlying buffer outlives it; sending it to another
-// thread moves only the pointer and is safe whenever `T: Send` (the values
-// written cross threads).
-unsafe impl<T: Send> Send for SliceWriter<'_, T> {}
-// SAFETY: sharing `&SliceWriter` across threads is safe because the only
-// mutation path is `write`, which bounds-checks and requires callers to
-// reserve distinct slots through atomic cursors — concurrent writes never
-// alias, and no method reads the buffer.
-unsafe impl<T: Send> Sync for SliceWriter<'_, T> {}
-
-impl<'a, T> SliceWriter<'a, T> {
-    pub(crate) fn new(slice: &'a mut [T]) -> Self {
-        Self {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            #[cfg(any(debug_assertions, feature = "race-detector"))]
-            claimed: (0..slice.len())
-                .map(|_| crate::msync::atomic::AtomicU8::new(0))
-                .collect(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn write(&self, i: usize, value: T) {
-        assert!(i < self.len);
-        #[cfg(any(debug_assertions, feature = "race-detector"))]
-        // ordering: the claim byte is a diagnostic tripwire — the buffer
-        // itself is published by the construction's pool scope, so the swap
-        // needs only same-location atomicity to expose a double write.
-        if self.claimed[i].swap(1, Ordering::Relaxed) != 0 {
-            // lint: allow(panic) reason=race detector turning a violated disjoint-write contract into a diagnosable failure
-            panic!("SliceWriter race detected: slot {i} written more than once");
-        }
-        // SAFETY: `i < len` is checked above, and callers reserve distinct
-        // slots via atomic fetch_add so no two threads write the same index.
-        unsafe { self.ptr.add(i).write(value) }
-    }
-}
-
-/// One atomic slot cursor per row, starting at the row's `ptr` offset.
-fn row_cursors(starts: &[usize]) -> Vec<AtomicUsize> {
-    mixen_pool::par_parts(starts.len(), |part| {
-        starts[part]
-            .iter()
-            .map(|&p| AtomicUsize::new(p))
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Parallel degree count: one histogram per [`mixen_pool::split`] part of
-/// `items`, summed per row. Every histogram comes from the calling thread's
-/// allocator, never a pool worker's (see `StaticBin::compute` in
-/// `mixen-core` for what worker-side `n`-length allocations cost).
-fn count_rows<T: Sync>(n: usize, items: &[T], row_of: impl Fn(&T) -> NodeId + Sync) -> Vec<usize> {
-    let parts: Vec<_> = mixen_pool::split(items.len()).collect();
-    let mut hists: Vec<Vec<usize>> = parts.iter().map(|_| vec![0usize; n]).collect();
-    mixen_pool::par_parts_mut(&mut hists, |first, hists| {
-        for (hist, part) in hists.iter_mut().zip(&parts[first..]) {
-            for item in &items[part.clone()] {
-                hist[row_of(item) as usize] += 1;
+    };
+    let mut cursors = ptr[..n].to_vec();
+    let (mut cursors, mut idx, mut vals) = (&mut cursors[..], idx, vals);
+    mixen_pool::scope(|s| {
+        for rows in (0..lanes).map(|p| cut(p)..cut(p + 1)) {
+            let len = ptr[rows.end] - ptr[rows.start];
+            let (c, i, v);
+            (c, cursors) = std::mem::take(&mut cursors).split_at_mut(rows.len());
+            (i, idx) = std::mem::take(&mut idx).split_at_mut(len);
+            (v, vals) = std::mem::take(&mut vals).split_at_mut(len);
+            if len > 0 {
+                let fill = &fill;
+                s.spawn(move || fill(rows, c, i, v));
             }
         }
     });
-    let mut hists = hists.into_iter();
-    let mut total = hists.next().unwrap_or_default();
-    let rest: Vec<Vec<usize>> = hists.collect();
-    if !rest.is_empty() {
-        mixen_pool::par_parts_mut(&mut total, |lo, out| {
-            for hist in &rest {
-                out.iter_mut().zip(&hist[lo..]).for_each(|(x, y)| *x += y);
-            }
-        });
-    }
-    total
 }
 
 /// Exclusive prefix sum producing a `len + 1` pointer array.
@@ -398,82 +373,9 @@ pub fn prefix_sum(counts: &[usize]) -> Vec<usize> {
     ptr
 }
 
-/// Model probes over the CSR construction write path, compiled only under
-/// `model-check`.
-#[cfg(feature = "model-check")]
-pub mod mc {
-    use super::SliceWriter;
-
-    /// A leaked [`SliceWriter`] over a small `u32` buffer, exposing the
-    /// disjoint-slot write contract to `mixen-check` model tests:
-    /// concurrent model threads race `try_write` on the same slot and the
-    /// checker proves the shadow map catches every overlap under every
-    /// schedule.
-    #[derive(Clone, Copy)]
-    pub struct SliceWriterProbe {
-        writer: &'static SliceWriter<'static, u32>,
-    }
-
-    impl SliceWriterProbe {
-        /// Builds a probe over a fresh leaked `len`-slot buffer (leaking
-        /// keeps the probe `'static` and trivially shareable across model
-        /// threads; model tests are short-lived processes).
-        pub fn new(len: usize) -> Self {
-            let buf: &'static mut [u32] = Vec::leak(vec![0; len]);
-            let writer = Box::leak(Box::new(SliceWriter::new(buf)));
-            SliceWriterProbe { writer }
-        }
-
-        /// Writes `value` into `slot` exactly as a construction task would.
-        /// Returns `true` when this writer legitimately owned the slot and
-        /// `false` when the race detector caught an overlapping write.
-        pub fn try_write(&self, slot: usize, value: u32) -> bool {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.writer.write(slot, value);
-            }))
-            .is_ok()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The race detector must catch an intentionally overlapping write.
-    #[test]
-    #[cfg(any(debug_assertions, feature = "race-detector"))]
-    #[should_panic(expected = "SliceWriter race detected")]
-    fn race_detector_catches_double_write() {
-        let mut buf = vec![0u32; 8];
-        let w = SliceWriter::new(&mut buf);
-        w.write(3, 1);
-        w.write(3, 2); // same slot twice — a violated disjoint-write contract
-    }
-
-    /// Seeded stress: thousands of concurrent disjoint writes through the
-    /// shadow map must neither panic nor lose a value.
-    #[test]
-    fn race_detector_stress_disjoint_writes_are_clean() {
-        use rand::prelude::*;
-        let n = 1 << 14;
-        let mut rng = StdRng::seed_from_u64(0x5eed);
-        let mut order: Vec<usize> = (0..n).collect();
-        order.shuffle(&mut rng);
-        let mut buf = vec![u32::MAX; n];
-        {
-            let w = SliceWriter::new(&mut buf);
-            let cursor = AtomicUsize::new(0);
-            mixen_pool::par_range(0..n, |_| {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                let slot = order[k];
-                w.write(slot, nid(slot).wrapping_mul(2654435761));
-            });
-        }
-        for (i, &v) in buf.iter().enumerate() {
-            assert_eq!(v, nid(i).wrapping_mul(2654435761));
-        }
-    }
 
     fn toy() -> Csr {
         // 0 -> 1, 0 -> 2, 2 -> 0, 3 -> 3 (self loop), plus node 1 with no out.
@@ -573,20 +475,126 @@ mod tests {
         let _ = Csr::from_parts(3, vec![0, 2, 1, 2], vec![2, 0]);
     }
 
+    /// Serial reference the owned placement must reproduce bit for bit: sort
+    /// the pairs, read the CSR off them.
+    fn by_sorting(n_rows: usize, n_cols: usize, edges: &[(NodeId, NodeId)]) -> Csr {
+        let mut sorted = edges.to_vec();
+        sorted.sort_unstable();
+        let mut counts = vec![0usize; n_rows];
+        for &(s, _) in &sorted {
+            counts[s as usize] += 1;
+        }
+        let idx = sorted.iter().map(|&(_, d)| d).collect();
+        Csr::from_parts(n_cols, prefix_sum(&counts), idx)
+    }
+
+    fn xorshift_edges(n_rows: u32, n_cols: u32, m: usize) -> Vec<(NodeId, NodeId)> {
+        let mut x = 0x2545F4914F6CDD1Du64;
+        (0..m)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ((x >> 32) as u32 % n_rows, x as u32 % n_cols)
+            })
+            .collect()
+    }
+
+    /// `(n_rows, n_cols, edges)` shapes that stress the range cuts.
+    fn shapes() -> Vec<(usize, usize, Vec<(NodeId, NodeId)>)> {
+        let hub_column = (0..40).map(|s| (s, 3)).collect();
+        let hub_row = (0..40).map(|d| (3, d)).collect();
+        // Columns 0 and 99 hold every edge: both the equal-column cut of the
+        // count pass and the equal-entry cut of the fill pass land inside the
+        // run of empty columns between them.
+        let far_apart = (0..30).map(|s| (s, if s % 2 == 0 { 0 } else { 99 }));
+        vec![
+            (0, 0, vec![]),
+            (0, 5, vec![]),
+            (5, 0, vec![]),
+            (4, 4, vec![]),
+            (1, 1, vec![(0, 0), (0, 0), (0, 0)]),
+            (2, 3, vec![(1, 2), (0, 0), (1, 0)]),
+            (2, 9, vec![(0, 8), (1, 3), (0, 0), (1, 8)]),
+            (9, 2, vec![(8, 0), (3, 1), (0, 0), (8, 1)]),
+            (3, 3, vec![(0, 1), (0, 1), (1, 0), (2, 2), (0, 1), (2, 2)]),
+            (40, 8, hub_column),
+            (8, 40, hub_row),
+            (30, 100, far_apart.clone().collect()),
+            (100, 30, far_apart.map(|(s, d)| (d, s)).collect()),
+            (50, 70, xorshift_edges(50, 70, 3000)),
+        ]
+    }
+
+    #[test]
+    fn construction_is_the_same_at_every_lane_count() {
+        for (n_rows, n_cols, edges) in shapes() {
+            let want = by_sorting(n_rows, n_cols, &edges);
+            let flipped: Vec<_> = edges.iter().map(|&(s, d)| (d, s)).collect();
+            let want_t = by_sorting(n_cols, n_rows, &flipped);
+            for threads in [1, 2, 4, 7] {
+                mixen_pool::with_threads(threads, || {
+                    let got = Csr::from_edges_rect(n_rows, n_cols, &edges);
+                    got.validate().unwrap();
+                    assert_eq!(got, want, "{n_rows} x {n_cols}, {threads} lanes");
+                    let t = got.transpose();
+                    t.validate().unwrap();
+                    assert_eq!(t, want_t, "{n_rows} x {n_cols}, {threads} lanes");
+                    assert_eq!(t.transpose(), got, "{n_rows} x {n_cols}, {threads} lanes");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn edge_order_does_not_change_the_result() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for (n_rows, n_cols, mut edges) in shapes() {
+            let want = Csr::from_edges_rect(n_rows, n_cols, &edges);
+            for _ in 0..3 {
+                edges.shuffle(&mut rng);
+                let got =
+                    mixen_pool::with_threads(2, || Csr::from_edges_rect(n_rows, n_cols, &edges));
+                assert_eq!(got, want, "{n_rows} x {n_cols}");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_carries_each_value_to_its_entry() {
+        let edges = xorshift_edges(50, 70, 3000);
+        let c = Csr::from_edges_rect(50, 70, &edges);
+        // The value of an entry names the entry: its (row, column) pair.
+        let vals: Vec<(NodeId, NodeId)> = c.edges().collect();
+        for threads in [1, 2, 4, 7] {
+            let (t, moved) = mixen_pool::with_threads(threads, || c.transpose_with(&vals));
+            assert_eq!(t, c.transpose());
+            let want: Vec<_> = t.edges().map(|(col, row)| (row, col)).collect();
+            assert_eq!(&moved[..], &want[..], "{threads} lanes");
+        }
+    }
+
+    // The two bounds tests hold in every build profile (`cargo test --release`
+    // included): an out-of-range endpoint would otherwise reach kernels that
+    // index unchecked.
+    #[test]
+    #[should_panic(expected = "edge endpoint out of range: (1, 3)")]
+    fn from_edges_rect_rejects_a_destination_past_the_last_column() {
+        let _ = Csr::from_edges_rect(2, 3, &[(0, 1), (1, 3), (1, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge endpoint out of range: (2, 0)")]
+    fn from_edges_rect_rejects_a_source_past_the_last_row() {
+        let _ = Csr::from_edges_rect(2, 3, &[(0, 1), (2, 0), (1, 0)]);
+    }
+
     #[test]
     fn large_random_build_parallel_consistency() {
         // Deterministic pseudo-random edges; check ptr sums and sortedness.
         let n = 1000usize;
-        let mut x = 0x2545F4914F6CDD1Du64;
-        let mut edges = Vec::new();
-        for _ in 0..20_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let s = (x >> 32) as u32 % n as u32;
-            let d = x as u32 % n as u32;
-            edges.push((s, d));
-        }
+        let edges = xorshift_edges(1000, 1000, 20_000);
         let c = Csr::from_edges(n, &edges);
         c.validate().unwrap();
         assert_eq!(c.nnz(), edges.len());

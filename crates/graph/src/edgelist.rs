@@ -22,8 +22,9 @@ impl EdgeList {
         }
     }
 
-    /// Creates an edge list from existing pairs. Panics (in debug builds) on
-    /// out-of-range endpoints.
+    /// Creates an edge list from existing pairs. Out-of-range endpoints panic
+    /// here in debug builds only (a check would be one more pass over
+    /// `edges`); [`crate::Csr::from_edges`] rejects them in every build.
     pub fn from_pairs(n: usize, edges: Vec<(NodeId, NodeId)>) -> Self {
         debug_assert!(edges
             .iter()
@@ -46,10 +47,14 @@ impl EdgeList {
         self.edges.is_empty()
     }
 
-    /// Appends one edge.
+    /// Appends one edge. Panics on an out-of-range endpoint.
     #[inline]
     pub fn push(&mut self, src: NodeId, dst: NodeId) {
-        debug_assert!((src as usize) < self.n && (dst as usize) < self.n);
+        assert!(
+            (src as usize) < self.n && (dst as usize) < self.n,
+            "edge endpoint out of range: ({src}, {dst}) over {} nodes",
+            self.n
+        );
         self.edges.push((src, dst));
     }
 

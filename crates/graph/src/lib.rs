@@ -5,7 +5,9 @@
 //!
 //! * [`EdgeList`] — a mutable edge buffer with parallel sort/dedup.
 //! * [`Csr`] — compressed sparse row storage with parallel construction and
-//!   transposition. A CSC is simply the [`Csr`] of the transposed graph.
+//!   transposition in safe Rust, each task owning a contiguous range of
+//!   the output (no atomics). A CSC is simply the [`Csr`] of the transposed
+//!   graph.
 //! * [`Graph`] — a directed graph holding both the out-edge CSR and the
 //!   in-edge CSC, the unit every engine is built from.
 //! * [`classify`] — connectivity classification (regular / seed / sink /
@@ -23,35 +25,12 @@
 //! Node identifiers are `u32` (the paper uses 32-bit node IDs); edge offsets
 //! are `usize` so graphs larger than 4 G edges remain representable.
 
+#![forbid(unsafe_code)]
+
 pub mod ckpt;
 pub mod classify;
 pub mod components;
 pub mod csr;
-
-/// Atomics facade for the concurrency-audited write path (the
-/// [`csr`]-internal `SliceWriter` claim bytes): under `model-check` these
-/// route through the `mixen-check` instrumented types so schedule
-/// exploration sees every access; otherwise they are plain
-/// `std::sync::atomic` re-exports with identical codegen. The claim bytes
-/// exist only under `debug_assertions` / `race-detector`, so the plain
-/// re-export is gated the same way.
-#[cfg(feature = "model-check")]
-pub(crate) mod msync {
-    pub(crate) use mixen_check::sync::atomic;
-}
-#[cfg(all(
-    not(feature = "model-check"),
-    any(debug_assertions, feature = "race-detector")
-))]
-pub(crate) mod msync {
-    pub(crate) use std::sync::atomic;
-}
-
-/// Model probes (`model-check` feature) for `mixen-check` tests.
-#[cfg(feature = "model-check")]
-pub mod mc {
-    pub use crate::csr::mc::SliceWriterProbe;
-}
 pub mod datasets;
 pub mod degree;
 pub mod edgelist;

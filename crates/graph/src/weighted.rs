@@ -15,8 +15,7 @@
 //! weights of duplicate edges, because per-edge weight alignment is
 //! ambiguous under multi-edges.
 
-use crate::nid;
-
+use crate::csr::prefix_sum;
 use crate::{Csr, Graph, NodeId};
 
 /// A directed graph with one `f32` weight per edge.
@@ -43,14 +42,17 @@ impl WGraph {
                 _ => merged.push(t),
             }
         }
-        let pairs: Vec<(NodeId, NodeId)> = merged.iter().map(|&(s, d, _)| (s, d)).collect();
-        let out = Csr::from_edges(n, &pairs);
-        // `merged` is sorted exactly like the CSR layout (row-major, columns
-        // ascending, no duplicates), so weights align 1:1.
+        // `merged` is row-major with ascending, distinct columns — the CSR
+        // layout itself — so the out-CSR and its weights are read off it and
+        // the in-weights ride along with the transposition.
+        let mut degree = vec![0usize; n];
+        for &(s, _, _) in &merged {
+            degree[s as usize] += 1;
+        }
+        let idx = merged.iter().map(|&(_, d, _)| d).collect();
+        let out = Csr::from_parts(n, prefix_sum(&degree), idx);
         let wout: Box<[f32]> = merged.iter().map(|&(_, _, w)| w).collect();
-        let inn = out.transpose();
-        // Align in-weights by looking each transposed edge up in `merged`.
-        let win = align_weights(&inn, &merged, true);
+        let (inn, win) = out.transpose_with(&wout);
         Self {
             g: Graph::from_parts(out, inn),
             wout,
@@ -143,37 +145,6 @@ impl WGraph {
     pub fn memory_bytes(&self) -> usize {
         self.g.memory_bytes() + (self.wout.len() + self.win.len()) * std::mem::size_of::<f32>()
     }
-}
-
-/// Aligns a weight per `csr` entry by looking `(row, col)` (or `(col, row)`
-/// when `transposed`) up in the sorted, deduplicated triple list.
-fn align_weights(csr: &Csr, sorted: &[(NodeId, NodeId, f32)], transposed: bool) -> Box<[f32]> {
-    let find = |s: NodeId, d: NodeId| -> f32 {
-        let key = (s, d);
-        let i = sorted.partition_point(|&(a, b, _)| (a, b) < key);
-        debug_assert!(i < sorted.len() && (sorted[i].0, sorted[i].1) == key);
-        sorted[i].2
-    };
-    mixen_pool::par_parts(csr.n_rows(), |part| {
-        part.flat_map(|row| {
-            let row = nid(row);
-            csr.neighbors(row)
-                .iter()
-                .map(move |&col| {
-                    if transposed {
-                        find(col, row)
-                    } else {
-                        find(row, col)
-                    }
-                })
-                .collect::<Vec<f32>>()
-        })
-        .collect::<Vec<f32>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect::<Vec<f32>>()
-    .into_boxed_slice()
 }
 
 #[cfg(test)]

@@ -113,8 +113,8 @@ pub fn pagerank_until<E: Engine>(
 }
 
 /// Supervised PageRank through [`mixen_core::RobustRunner`]: per-iteration
-/// numeric health checks (NaN / Inf / divergence), preprocessing validation
-/// with graceful degradation to the pull baseline, and a populated
+/// numeric health checks (NaN / Inf / divergence), the pull baseline when
+/// the Mixen engine fails to build, and a populated
 /// [`mixen_core::RunReport`] on success *and* failure.
 ///
 /// Returns the scores alongside the report; a numeric fault surfaces as
@@ -141,7 +141,9 @@ pub fn pagerank_fingerprint_extra(opts: &PageRankOpts) -> u64 {
 
 /// Resumes a supervised PageRank run from the `CKPT1` snapshot at the
 /// runner's configured [`mixen_core::RunnerOpts::checkpoint_path`], then
-/// continues until `iters` *total* iterations (checkpointed ones included).
+/// continues until `iters` *total* iterations (checkpointed ones included);
+/// a snapshot already past `iters` is a typed
+/// [`mixen_graph::GraphError::Format`].
 ///
 /// The snapshot must have been written by a run with the same graph, the
 /// same runner options (including [`pagerank_fingerprint_extra`]), and the

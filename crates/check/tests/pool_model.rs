@@ -1,8 +1,8 @@
-//! Model tests pinning the workspace's five core concurrency protocols:
+//! Model tests pinning the workspace's four core concurrency protocols:
 //! the pool's LIFO-owner/FIFO-thief deque claim, the injector push vs.
 //! park/unpark wakeup window (plus the shutdown handshake), scope panic
-//! propagation and result publication, the runner's watchdog stall/deadline
-//! handshake, and the SCGA/CSR write-path double-claim detectors.
+//! propagation and result publication, and the SCGA write-path double-claim
+//! detector.
 //!
 //! Every protocol is explored exhaustively at 2–3 model threads with a
 //! small preemption bound; modeled `wait_timeout` never times out, so the
@@ -172,47 +172,7 @@ fn scope_completion_publishes_task_writes() {
     assert!(report.schedules > 1, "explored {}", report.schedules);
 }
 
-/// Protocol 4: the runner/watchdog handshake from the deadline-supervision
-/// work, driven with synthetic timestamps. A concurrent beat may or may not
-/// be observed — both verdicts are legal — but the deadline flag is
-/// unconditional, the stall flag is consume-once, and the heartbeat
-/// Release/Acquire pair must keep the protocol race-free under every
-/// interleaving.
-#[test]
-fn watchdog_handshake_is_race_free_and_flags_are_sticky() {
-    let report = check(
-        "watchdog_handshake",
-        Config {
-            preemption_bound: 2,
-            max_schedules: 50_000,
-            ..Config::default()
-        },
-        || {
-            let probe = mixen_core::mc::WatchdogProbe::new();
-            let w = probe.clone();
-            let watchdog = mixen_check::thread::spawn(move || {
-                // One tick at t=100ms against deadline 50ms / stall 10ms:
-                // past the deadline for sure; stalled unless the beat below
-                // was already observed.
-                w.observe(100, Some(50), Some(10));
-            });
-            probe.beat_at(95);
-            watchdog.join().unwrap();
-            assert!(probe.deadline_hit(), "t=100 is past the 50ms deadline");
-            let stalled = probe.take_stall();
-            // Consume-once: whatever the first answer, the flag is clear now.
-            assert!(!probe.take_stall(), "stall flag must be consumed");
-            // If the observation saw the beat, 100 - 95 <= 10 is in budget.
-            // Either way a second observation after the beat must be clean.
-            probe.observe(101, None, Some(10));
-            let _ = stalled;
-            assert!(!probe.take_stall(), "beat at 95 keeps t=101 in budget");
-        },
-    );
-    assert!(report.schedules > 1, "explored {}", report.schedules);
-}
-
-/// Protocol 5: the SCGA write-path double-claim detector. Two model
+/// Protocol 4: the SCGA write-path double-claim detector. Two model
 /// threads race the same scatter segment (`SegPtr`): under every schedule
 /// exactly one claimer may win.
 #[test]

@@ -1,6 +1,6 @@
 //! `mixen convert` — convert between the text edge-list format and the
 //! binary MXG2 CSR format (either direction, inferred from extensions).
-//! Legacy MXG1 inputs are read transparently.
+//! A binary input must be MXG2; any other magic is a typed format error.
 
 use std::io::BufReader;
 

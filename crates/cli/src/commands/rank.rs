@@ -1,26 +1,25 @@
 //! `mixen rank` — run a link-analysis algorithm and print/save the scores.
 //!
 //! `--supervised true` (PageRank only) routes the computation through
-//! [`mixen_core::RobustRunner`]: preprocessing is validated (degrading to the
-//! pull baseline if it fails), values are health-checked every iteration, and
-//! a NaN/Inf/divergence fault exits with code 1 and a typed error. All other
+//! [`mixen_core::RobustRunner`]: an engine that fails to build falls back to
+//! the pull baseline, values are health-checked every iteration, and a
+//! NaN/Inf/divergence fault exits with code 1 and a typed error. All other
 //! algorithm/engine combinations get a final non-finite score scan.
 //!
-//! Durability and supervision (all supervised-only):
+//! Durability (all supervised-only):
 //!
 //! * `--checkpoint PATH [--checkpoint-every N]` snapshots the value vector
 //!   atomically every N iterations (`CKPT1`, see `mixen_graph::ckpt`).
 //! * `--resume true` warm-starts from that snapshot and continues to
 //!   `--iters` total iterations; at a fixed `--threads` the scores are
-//!   bit-identical to an uninterrupted run.
-//! * `--deadline-ms N` stops the run at the next batch boundary once the
+//!   bit-identical to an uninterrupted run. A snapshot already past
+//!   `--iters` is a runtime error (exit 1) naming both counts.
+//! * `--deadline-ms N` stops the run before the next iteration once the
 //!   wall-clock budget expires — exit code 3, with a final checkpoint when
 //!   `--checkpoint` is set, so a scheduler can resume instead of restart.
-//! * `--stall-ms N` arms the watchdog's per-batch stall budget; stalled
-//!   batches walk the lane-degradation ladder instead of hanging.
 //!
 //! `--metrics-json PATH` (supervised only) writes the full machine-readable
-//! [`mixen_core::RunReport`] — phase timings, counters, degradations — as
+//! [`mixen_core::RunReport`] — phase timings, counters, the fallback — as
 //! pretty-printed JSON. The file is written on failed runs too, so a faulted
 //! run still leaves its diagnostic trail behind.
 
@@ -64,9 +63,6 @@ pub const FLAGS: &[&str] = &[
     "checkpoint-every",
     "resume",
     "deadline-ms",
-    "stall-ms",
-    "inject-stall-ms",
-    "exit-after-checkpoints",
 ];
 
 pub fn run(args: &Args) -> Result<(), CliError> {
@@ -98,17 +94,8 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     let checkpoint = args.opt("checkpoint").map(PathBuf::from);
     let resume: bool = args.opt_or("resume", false)?;
     let deadline_ms: Option<u64> = args.opt_parse("deadline-ms")?;
-    let stall_ms: Option<u64> = args.opt_parse("stall-ms")?;
     if !supervised {
-        for flag in [
-            "checkpoint",
-            "checkpoint-every",
-            "resume",
-            "deadline-ms",
-            "stall-ms",
-            "inject-stall-ms",
-            "exit-after-checkpoints",
-        ] {
+        for flag in ["checkpoint", "checkpoint-every", "resume", "deadline-ms"] {
             if args.opt(flag).is_some() {
                 return Err(CliError::usage(format!(
                     "--{flag} requires --supervised true (it is a supervised-runner feature)"
@@ -129,12 +116,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
             checkpoint_path: checkpoint,
             checkpoint_every: args.opt_or("checkpoint-every", 5usize)?.max(1),
             deadline: deadline_ms.map(Duration::from_millis),
-            stall_budget: stall_ms.map(Duration::from_millis),
             fingerprint_extra: pagerank_fingerprint_extra(&pr_opts),
-            inject_stall: args
-                .opt_parse::<u64>("inject-stall-ms")?
-                .map(Duration::from_millis),
-            inject_exit_after_checkpoints: args.opt_parse("exit-after-checkpoints")?,
             mixen: {
                 let mut m = MixenOpts::default();
                 // `auto` resolves against the loaded graph before the
@@ -150,7 +132,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 }
                 m
             },
-            ..RunnerOpts::default()
         };
         let runner = RobustRunner::new(runner_opts);
         let result = if resume {
@@ -179,29 +160,8 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         if let Some(path) = metrics_json {
             write_metrics_json(path, &report)?;
         }
-        for d in &report.degradations {
-            match d {
-                DegradationEvent::LoadRetry { attempt, error } => {
-                    eprintln!("warning: load retry {attempt}: {error}")
-                }
-                DegradationEvent::EngineFallback { reason } => {
-                    eprintln!("warning: degraded to pull baseline: {reason}")
-                }
-                DegradationEvent::WorkerPanic { stage, message } => {
-                    eprintln!("warning: worker panic at stage {stage}: {message}")
-                }
-                DegradationEvent::Stall {
-                    elapsed_ms,
-                    budget_ms,
-                } => eprintln!(
-                    "warning: batch stalled ({elapsed_ms} ms against a {budget_ms} ms budget)"
-                ),
-                DegradationEvent::LaneDegraded {
-                    from_lanes,
-                    to_lanes,
-                    reason,
-                } => eprintln!("warning: degraded {from_lanes} -> {to_lanes} lanes: {reason}"),
-            }
+        for DegradationEvent::EngineFallback { reason } in &report.degradations {
+            eprintln!("warning: degraded to pull baseline: {reason}");
         }
         let engine_name = match report.engine {
             EngineUsed::Mixen => "mixen",

@@ -97,7 +97,7 @@ fn usage(err: Option<&str>) -> ! {
          \x20          [--iters N] [--top K] [--out scores.tsv] [--supervised true] [--metrics-json report.json]\n\
          \x20          [--reorder auto|original|hubs-first|by-in-degree|dbg|hubsort] [--bin-encoding f32|f16|q16]\n\
          \x20          supervised-only: [--checkpoint snap.ckpt] [--checkpoint-every N] [--resume true]\n\
-         \x20          [--deadline-ms N] [--stall-ms N]\n\
+         \x20          [--deadline-ms N]\n\
          \x20 bfs      <graph.mxg> [--root N] [--engine ...]\n\
          \x20 serve    <graph.mxg> [--addr host:port] [--workers N] [--queue-cap N] [--batch-cap N]\n\
          \x20          [--deadline-ms N] [--refresh-every N] [--iters N] [--damping D] [--port-file PATH]\n\

@@ -56,6 +56,32 @@ fn close_typos_get_a_did_you_mean_hint() {
 }
 
 #[test]
+fn deleted_supervision_flags_are_unknown() {
+    // The stall budget, its injected stall and the crash hook are gone; a
+    // script still passing them must fail loudly, not run without them.
+    for flag in [
+        "--stall-ms",
+        "--inject-stall-ms",
+        "--exit-after-checkpoints",
+    ] {
+        let out = run_bin(&[
+            "rank",
+            "does-not-exist.mxg",
+            "--supervised",
+            "true",
+            flag,
+            "1",
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: unknown flag {flag}")),
+            "{flag}: stderr was:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn known_flags_still_pass_the_gate() {
     // Same commands with the flag spelled right get past the parser (and
     // then fail on the missing file with a *runtime* exit, code 1).

@@ -866,7 +866,7 @@ fn par_max_diff<V: PropValue>(a: &[V], b: &[V]) -> f64 {
 /// iteration number it failed on. The codec planner runs before the graph
 /// walk and reports iteration 0; the engine is the only layer that knows
 /// which sweep was in flight.
-fn stamp_iteration(e: GraphError, t: usize) -> GraphError {
+pub(crate) fn stamp_iteration(e: GraphError, t: usize) -> GraphError {
     match e {
         GraphError::Numeric { msg, .. } => GraphError::Numeric { iteration: t, msg },
         other => other,

@@ -51,9 +51,9 @@ pub mod snap;
 pub mod weights;
 
 /// Atomics facade for the concurrency-audited sites (the SCGA claim flags,
-/// the watchdog handshake, the snapshot and scratch cells): under
-/// `model-check` these route through the `mixen-check` instrumented types
-/// so schedule exploration sees every access; otherwise they are plain `std::sync::atomic` re-exports and the
+/// the snapshot and scratch cells): under `model-check` these route through
+/// the `mixen-check` instrumented types so schedule exploration sees every
+/// access; otherwise they are plain `std::sync::atomic` re-exports and the
 /// compiled code is identical to using std directly.
 #[cfg(feature = "model-check")]
 pub(crate) mod msync {
@@ -67,13 +67,11 @@ pub(crate) mod msync {
 }
 
 /// Model probes (`model-check` feature): handles that let `mixen-check`
-/// tests drive the SCGA write-path claim flags, the watchdog stall/
-/// deadline handshake and the engine's scratch cell through the
-/// instrumented facade, with synthetic timestamps instead of real clocks.
+/// tests drive the SCGA write-path claim flags and the engine's scratch
+/// cell through the instrumented facade.
 #[cfg(feature = "model-check")]
 pub mod mc {
     pub use crate::engine::mc::ScratchProbe;
-    pub use crate::runner::mc::WatchdogProbe;
     pub use crate::scga::mc::SegProbe;
 }
 

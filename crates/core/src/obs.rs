@@ -131,19 +131,18 @@ impl Gauge {
 /// The fixed counter catalogue. Names are the JSON keys of the `counters`
 /// object in every report; see DESIGN.md §6d for the full schema.
 ///
-/// The `pool_*` entries and the durability/supervision block
-/// (`checkpoints_written` … `lane_degradations`) are *report-level*
-/// counters: they describe the process-wide `mixen-pool` executor or
-/// supervision events of one run rather than one engine, so they are
-/// written into report snapshots by the supervised runner (`pool_workers`
-/// and `watchdog_wakeups` with gauge semantics, the rest as per-run
-/// counts) and have no field in the live [`Metrics`] registry.
+/// The `pool_*` entries and the durability block (`checkpoints_written` …
+/// `deadline_exceeded`) are *report-level* counters: they describe the
+/// process-wide `mixen-pool` executor or supervision events of one run
+/// rather than one engine, so they are written into report snapshots by the
+/// supervised runner (`pool_workers` with gauge semantics, the rest as
+/// per-run counts) and have no field in the live [`Metrics`] registry.
 ///
 /// The serving block (`requests_served` … `max_batch_size`) is owned by the
 /// `mixen-serve` request path: the server keeps its own [`Metrics`] registry
 /// and exposes it at `/metrics`, merged with the resident engine's kernel
 /// counters (which use the same catalogue, so the merge is by name).
-pub const COUNTER_NAMES: [&str; 33] = [
+pub const COUNTER_NAMES: [&str; 29] = [
     "edges_scattered",
     "edges_gathered",
     "bin_bytes_streamed",
@@ -160,18 +159,14 @@ pub const COUNTER_NAMES: [&str; 33] = [
     "static_bin_recomputes",
     "bfs_sparse_levels",
     "bfs_dense_levels",
-    "load_retries",
     "engine_fallbacks",
     "batch_reentries",
-    "fault_bisect_steps",
     "pool_workers",
     "pool_tasks_executed",
     "checkpoints_written",
     "checkpoint_bytes",
     "resumes",
-    "watchdog_wakeups",
     "deadline_exceeded",
-    "lane_degradations",
     "requests_served",
     "requests_rejected",
     "snapshot_swaps",
@@ -223,14 +218,10 @@ pub struct Metrics {
     pub bfs_sparse_levels: Counter,
     /// BFS levels expanded with the dense fallback kernel.
     pub bfs_dense_levels: Counter,
-    /// Transient graph-load retries (runner).
-    pub load_retries: Counter,
     /// Mixen-to-pull-baseline degradations (runner).
     pub engine_fallbacks: Counter,
-    /// Supervised engine re-entries beyond the first batch (runner).
+    /// Supervised engine re-entries beyond the first iteration (runner).
     pub batch_reentries: Counter,
-    /// Single-iteration re-runs spent locating a fault inside a batch.
-    pub fault_bisect_steps: Counter,
     /// Requests answered with any response, including error statuses
     /// (serve).
     pub requests_served: Counter,
@@ -278,10 +269,8 @@ impl Metrics {
             ("static_bin_recomputes", self.static_bin_recomputes.get()),
             ("bfs_sparse_levels", self.bfs_sparse_levels.get()),
             ("bfs_dense_levels", self.bfs_dense_levels.get()),
-            ("load_retries", self.load_retries.get()),
             ("engine_fallbacks", self.engine_fallbacks.get()),
             ("batch_reentries", self.batch_reentries.get()),
-            ("fault_bisect_steps", self.fault_bisect_steps.get()),
             ("requests_served", self.requests_served.get()),
             ("requests_rejected", self.requests_rejected.get()),
             ("snapshot_swaps", self.snapshot_swaps.get()),
@@ -310,10 +299,8 @@ impl Metrics {
         self.static_bin_recomputes.set(0);
         self.bfs_sparse_levels.set(0);
         self.bfs_dense_levels.set(0);
-        self.load_retries.set(0);
         self.engine_fallbacks.set(0);
         self.batch_reentries.set(0);
-        self.fault_bisect_steps.set(0);
         self.requests_served.set(0);
         self.requests_rejected.set(0);
         self.snapshot_swaps.set(0);
@@ -344,10 +331,8 @@ impl Clone for Metrics {
             .set(self.static_bin_recomputes.get());
         m.bfs_sparse_levels.set(self.bfs_sparse_levels.get());
         m.bfs_dense_levels.set(self.bfs_dense_levels.get());
-        m.load_retries.set(self.load_retries.get());
         m.engine_fallbacks.set(self.engine_fallbacks.get());
         m.batch_reentries.set(self.batch_reentries.get());
-        m.fault_bisect_steps.set(self.fault_bisect_steps.get());
         m.requests_served.set(self.requests_served.get());
         m.requests_rejected.set(self.requests_rejected.get());
         m.snapshot_swaps.set(self.snapshot_swaps.get());
@@ -889,10 +874,10 @@ mod tests {
         a.add("edges_scattered", 5);
         let mut b = MetricsSnapshot::default();
         b.add("edges_scattered", 2);
-        b.add("load_retries", 1);
+        b.add("engine_fallbacks", 1);
         a.merge(&b);
         assert_eq!(a.get("edges_scattered"), 7);
-        assert_eq!(a.get("load_retries"), 1);
+        assert_eq!(a.get("engine_fallbacks"), 1);
     }
 
     #[test]

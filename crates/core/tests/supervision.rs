@@ -1,100 +1,27 @@
-//! Integration tests for the supervised-execution ladder: stall-driven lane
-//! degradation and (feature-gated) injected worker panics.
-//!
-//! These tests drive the real `RobustRunner` loop end to end on a pinned
-//! 4-lane pool, so they exercise the watchdog thread, the batch-boundary
-//! stall accounting, and the stage-pool handoff exactly as production does.
-//! The pool's fault-injection hooks are process-global, so every test in
-//! this file takes a shared lock.
+//! Integration tests for the supervised runner on a pinned pool: a healthy
+//! run under a generous deadline, and a deadline that expires mid-run —
+//! stopped between iterations, checkpointed, and resumed to the same bits
+//! an uninterrupted run produces at that lane count.
 //
-// RunFailure carries the full RunReport by design (the degradation trail
-// must survive the error path), so the closure's Err variant is large.
+// RunFailure carries the full RunReport by design (the trail must survive
+// the error path), so the closure's Err variant is large.
 #![allow(clippy::result_large_err)]
 
-use std::sync::Mutex;
 use std::time::Duration;
 
-use mixen_core::{DegradationEvent, EngineUsed, RobustRunner, RunnerOpts};
+use mixen_core::{EngineUsed, RobustRunner, RunnerOpts};
 use mixen_graph::gen::{rmat, RmatParams};
-use mixen_graph::NodeId;
-
-static SERIAL: Mutex<()> = Mutex::new(());
+use mixen_graph::{GraphError, NodeId};
 
 fn skewed_graph() -> mixen_graph::Graph {
     rmat(8, 8, RmatParams::default(), 42)
 }
 
-fn count_kind(events: &[DegradationEvent], want: &str) -> usize {
-    events
-        .iter()
-        .filter(|e| {
-            matches!(
-                (e, want),
-                (DegradationEvent::Stall { .. }, "stall")
-                    | (DegradationEvent::LaneDegraded { .. }, "lane_degraded")
-                    | (DegradationEvent::WorkerPanic { .. }, "worker_panic")
-            )
-        })
-        .count()
-}
-
-/// A per-apply sleep makes every batch blow a 1 ms stall budget, so the run
-/// must walk the whole ladder — Full → Halved → Single → Pull — and still
-/// complete with correct supervision bookkeeping. Stalls degrade but never
-/// abort: the terminal Pull stage keeps stalling and keeps running.
-#[test]
-fn stall_budget_walks_the_full_ladder_and_completes() {
-    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    let g = skewed_graph();
-    let opts = RunnerOpts {
-        check_every: 1,
-        stall_budget: Some(Duration::from_millis(1)),
-        // Every apply call sleeps 40 µs; with ~n applies per iteration the
-        // batch time is far past the budget at every stage.
-        inject_stall: Some(Duration::from_micros(40)),
-        ..RunnerOpts::default()
-    };
-    let runner = RobustRunner::new(opts);
-    let (vals, report) = mixen_pool::with_threads(4, || {
-        runner.run::<f32, _, _>(&g, |_| 1.0, |_: NodeId, s| 0.5 * s + 0.1, 6)
-    })
-    .unwrap();
-    assert_eq!(vals.len(), g.n());
-    assert_eq!(report.iterations, 6);
-    assert_eq!(report.threads, 4);
-    // The ladder has exactly three rungs below Full; each stall past the
-    // last rung is recorded but degrades nothing further.
-    assert_eq!(report.metrics.get("lane_degradations"), 3);
-    assert_eq!(count_kind(&report.degradations, "lane_degraded"), 3);
-    assert!(count_kind(&report.degradations, "stall") >= 3);
-    assert_eq!(report.engine, EngineUsed::PullFallback);
-    assert!(report.metrics.get("engine_fallbacks") >= 1);
-    // The watchdog was alive and sampling.
-    assert!(report.metrics.get("watchdog_wakeups") > 0);
-    // Lane walk: 4 → 2 → 1 → 1.
-    let lanes: Vec<(usize, usize)> = report
-        .degradations
-        .iter()
-        .filter_map(|e| match e {
-            DegradationEvent::LaneDegraded {
-                from_lanes,
-                to_lanes,
-                ..
-            } => Some((*from_lanes, *to_lanes)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(lanes, vec![(4, 2), (2, 1), (1, 1)]);
-}
-
-/// A healthy run under the same pool shape records no ladder activity.
+/// A healthy run under a deadline it never reaches records nothing.
 #[test]
 fn healthy_run_reports_no_degradations() {
-    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let g = skewed_graph();
     let opts = RunnerOpts {
-        check_every: 2,
-        stall_budget: Some(Duration::from_secs(30)),
         deadline: Some(Duration::from_secs(120)),
         ..RunnerOpts::default()
     };
@@ -105,55 +32,70 @@ fn healthy_run_reports_no_degradations() {
     .unwrap();
     assert_eq!(report.iterations, 6);
     assert!(report.degradations.is_empty());
-    assert_eq!(report.metrics.get("lane_degradations"), 0);
     assert_eq!(report.metrics.get("deadline_exceeded"), 0);
     assert_eq!(report.engine, EngineUsed::Mixen);
 }
 
-/// With every pooled task armed to panic, nothing multi-lane can survive:
-/// engine preprocessing panics (caught → pull fallback), then the Full and
-/// Halved pull stages panic, and the ladder lands on single-lane inline
-/// execution — which runs no pooled tasks and therefore escapes injection
-/// entirely. The run still completes, and its values match a clean 1-lane
-/// pull run bit-for-bit.
-#[cfg(feature = "fault-injection")]
+/// The deadline is checked between iterations. An `apply` that sleeps
+/// 50 µs per node makes every iteration take milliseconds, so a 25 ms budget
+/// stops a 400-iteration run part-way; the final snapshot sits at the
+/// iteration the report names, and resuming it to the full count (with the
+/// fast `apply`, which computes the same values) is bit-identical to an
+/// uninterrupted run on the same lanes.
 #[test]
-fn injected_worker_panics_degrade_to_single_lane() {
-    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+fn deadline_mid_run_checkpoints_and_resumes_bit_identical() {
     let g = skewed_graph();
-    mixen_pool::inject::arm_worker_panics(u64::MAX);
-    let opts = RunnerOpts {
-        check_every: 1,
+    let total = 400usize;
+    let dir = std::env::temp_dir().join("mixen_supervision_deadline");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.ckpt");
+    let init = |_: NodeId| 1.0f32;
+    // A contraction on any graph: an in-sum is at most `n` times the
+    // largest value, so values stay below 0.2.
+    let n = g.n() as f32;
+    let apply = move |_: NodeId, s: f32| 0.5 * s / n + 0.1;
+    let slow_apply = |v: NodeId, s: f32| {
+        std::thread::sleep(Duration::from_micros(50));
+        apply(v, s)
+    };
+    let durable = RunnerOpts {
+        checkpoint_path: Some(path.clone()),
+        // Only the deadline stop writes a snapshot.
+        checkpoint_every: total,
         ..RunnerOpts::default()
     };
-    let runner = RobustRunner::new(opts);
-    let result = mixen_pool::with_threads(4, || {
-        runner.run::<f32, _, _>(&g, |_| 1.0, |_: NodeId, s| 0.5 * s + 0.1, 4)
-    });
-    mixen_pool::inject::clear();
-    let (vals, report) = result.unwrap();
-    assert_eq!(vals.len(), g.n());
-    assert_eq!(report.iterations, 4);
-    // Preprocess + Full + Halved all panicked; Single (inline) succeeded,
-    // so the ladder stopped two rungs down and never needed its last rung.
-    assert!(count_kind(&report.degradations, "worker_panic") >= 3);
-    assert_eq!(report.metrics.get("lane_degradations"), 2);
-    assert_eq!(report.engine, EngineUsed::PullFallback);
-    assert!(report.metrics.get("engine_fallbacks") >= 1);
-
-    // Reference: a clean single-lane run forced onto the pull baseline
-    // (determinism is per lane count — see tests/parallel_determinism.rs).
-    let reference = mixen_pool::with_threads(1, || {
-        RobustRunner::new(RunnerOpts {
-            check_every: 1,
-            inject_preprocess_fault: Some("force pull baseline".into()),
-            ..RunnerOpts::default()
+    let (want, failure, got) = mixen_pool::with_threads(2, || {
+        let want = RobustRunner::default()
+            .run::<f32, _, _>(&g, init, apply, total)
+            .unwrap()
+            .0;
+        let failure = RobustRunner::new(RunnerOpts {
+            deadline: Some(Duration::from_millis(25)),
+            ..durable.clone()
         })
-        .run::<f32, _, _>(&g, |_| 1.0, |_: NodeId, s| 0.5 * s + 0.1, 4)
-    })
-    .unwrap()
-    .0;
-    for (a, b) in vals.iter().zip(&reference) {
-        assert_eq!(a.to_bits(), b.to_bits(), "degraded run must stay exact");
+        .run::<f32, _, _>(&g, init, slow_apply, total)
+        .unwrap_err();
+        assert!(
+            matches!(failure.error, GraphError::Deadline { .. }),
+            "{}",
+            failure.error
+        );
+        // The deadline is not fingerprinted: a runner without one resumes.
+        let runner = RobustRunner::new(durable.clone());
+        let resumed = runner.resume_from::<f32>(&g, &path).unwrap();
+        assert_eq!(resumed.iteration, failure.report.iterations);
+        let got = runner.run_resumed(&g, resumed, apply, total).unwrap();
+        (want, failure, got)
+    });
+    let stopped = failure.report.iterations;
+    assert!(0 < stopped && stopped < total, "stopped at {stopped}");
+    assert_eq!(failure.report.metrics.get("deadline_exceeded"), 1);
+    assert_eq!(failure.report.metrics.get("checkpoints_written"), 1);
+    let (got, report) = got;
+    assert_eq!(report.iterations, total);
+    assert_eq!(report.metrics.get("resumes"), 1);
+    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "node {i}: {a} vs {b}");
     }
+    std::fs::remove_file(&path).ok();
 }

@@ -500,8 +500,11 @@ mod tests {
             .collect()
     }
 
-    /// `(n_rows, n_cols, edges)` shapes that stress the range cuts.
-    fn shapes() -> Vec<(usize, usize, Vec<(NodeId, NodeId)>)> {
+    /// `(n_rows, n_cols, edges)`.
+    type Shape = (usize, usize, Vec<(NodeId, NodeId)>);
+
+    /// Shapes that stress the range cuts.
+    fn shapes() -> Vec<Shape> {
         let hub_column = (0..40).map(|s| (s, 3)).collect();
         let hub_row = (0..40).map(|d| (3, d)).collect();
         // Columns 0 and 99 hold every edge: both the equal-column cut of the

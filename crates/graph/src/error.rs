@@ -35,8 +35,8 @@ pub enum GraphError {
     Checksum { stored: u32, computed: u32 },
     /// A supervised run detected NaN/Inf values or divergence.
     Numeric { iteration: usize, msg: String },
-    /// A supervised run exceeded its wall-clock deadline. The run stops at
-    /// the next batch boundary; if checkpointing is enabled the last state
+    /// A supervised run exceeded its wall-clock deadline. The run stops
+    /// before the next iteration; if checkpointing is enabled the last state
     /// is durable, so the run can be resumed with a fresh budget.
     Deadline { elapsed_ms: u64, budget_ms: u64 },
 }
@@ -90,21 +90,6 @@ impl From<io::Error> for GraphError {
 }
 
 impl GraphError {
-    /// True for failures worth retrying (transient I/O), false for anything
-    /// deterministic (a corrupt file stays corrupt).
-    pub fn is_transient(&self) -> bool {
-        match self {
-            GraphError::Io(e) => matches!(
-                e.kind(),
-                io::ErrorKind::Interrupted
-                    | io::ErrorKind::TimedOut
-                    | io::ErrorKind::WouldBlock
-                    | io::ErrorKind::ResourceBusy
-            ),
-            _ => false,
-        }
-    }
-
     /// Short machine-friendly tag for logs and CLI messages.
     pub fn kind_name(&self) -> &'static str {
         match self {
@@ -147,14 +132,5 @@ mod tests {
         let e: GraphError = io::Error::new(io::ErrorKind::UnexpectedEof, "eof").into();
         assert_eq!(e.kind_name(), "io");
         assert!(std::error::Error::source(&e).is_some());
-    }
-
-    #[test]
-    fn transience_classification() {
-        let t: GraphError = io::Error::new(io::ErrorKind::Interrupted, "sig").into();
-        assert!(t.is_transient());
-        let p: GraphError = io::Error::new(io::ErrorKind::NotFound, "gone").into();
-        assert!(!p.is_transient());
-        assert!(!GraphError::Format("x".into()).is_transient());
     }
 }

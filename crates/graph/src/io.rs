@@ -1,14 +1,10 @@
 //! Graph serialization.
 //!
 //! * A compact binary CSR format mirroring the paper's setup, where GPOP and
-//!   Mixen ingest a prebuilt CSR binary directly (§6.5 / Table 4). Two
-//!   versions exist:
-//!   * `MXG1` (legacy): `magic | n:u64 | m:u64 | ptr[(n+1)×u64] | idx[m×u32]`,
-//!     all little-endian, no integrity check. Still readable and writable
-//!     (via [`write_csr_v1`]) for compatibility with seed-era files.
-//!   * `MXG2` (current): same payload, preceded by a CRC-32/IEEE checksum of
-//!     the payload bytes: `magic | n:u64 | m:u64 | crc32:u32 | payload`.
-//!     [`write_csr`] emits this; [`read_csr`] verifies the checksum.
+//!   Mixen ingest a prebuilt CSR binary directly (§6.5 / Table 4): `MXG2`,
+//!   `magic | n:u64 | m:u64 | crc32:u32 | ptr[(n+1)×u64] | idx[m×u32]`, all
+//!   little-endian, with a CRC-32/IEEE checksum of the payload bytes.
+//!   [`write_csr`] emits it; [`read_csr`] verifies the checksum.
 //! * A whitespace text edge-list format (`src dst` per line, `#` comments)
 //!   matching what Ligra/Polymer/GraphMat-style frameworks convert from.
 //!
@@ -23,7 +19,6 @@ use std::path::Path;
 use crate::error::{GraphError, Result};
 use crate::{Csr, EdgeList, Graph, NodeId};
 
-const MAGIC_V1: &[u8; 4] = b"MXG1";
 const MAGIC_V2: &[u8; 4] = b"MXG2";
 
 /// Hard cap on node counts accepted from untrusted headers. Node IDs are
@@ -124,8 +119,7 @@ impl<R: Read> Read for Crc32Reader<'_, R> {
 // Binary CSR
 // ---------------------------------------------------------------------------
 
-/// Writes the out-CSR of `g` in the current binary format (`MXG2`,
-/// checksummed). Use [`write_csr_v1`] for the legacy format.
+/// Writes the out-CSR of `g` in the binary format (`MXG2`, checksummed).
 pub fn write_csr<W: Write>(g: &Graph, w: &mut W) -> io::Result<()> {
     let csr = g.out_csr();
     // First pass over the payload computes the checksum so the header can be
@@ -161,37 +155,17 @@ pub fn graph_checksum(g: &Graph) -> u32 {
     crc.finish()
 }
 
-/// Writes the out-CSR of `g` in the legacy `MXG1` format (no checksum),
-/// byte-identical to what the seed code produced.
-pub fn write_csr_v1<W: Write>(g: &Graph, w: &mut W) -> io::Result<()> {
-    let csr = g.out_csr();
-    w.write_all(MAGIC_V1)?;
-    w.write_all(&(csr.n_rows() as u64).to_le_bytes())?;
-    w.write_all(&(csr.nnz() as u64).to_le_bytes())?;
-    for &p in csr.ptr() {
-        w.write_all(&(p as u64).to_le_bytes())?;
-    }
-    for &v in csr.idx() {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Reads a binary graph in either `MXG1` (legacy, unchecksummed) or `MXG2`
-/// (checksummed) format; the in-CSC is rebuilt by transposition.
+/// Reads a binary graph in the `MXG2` format and verifies its checksum;
+/// the in-CSC is rebuilt by transposition.
 pub fn read_csr<R: Read>(r: &mut R) -> Result<Graph> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic).map_err(GraphError::Io)?;
-    let versioned = match &magic {
-        m if m == MAGIC_V1 => false,
-        m if m == MAGIC_V2 => true,
-        _ => {
-            return Err(GraphError::Format(format!(
-                "bad magic {:02x?}: not an MXG1/MXG2 file",
-                magic
-            )))
-        }
-    };
+    if &magic != MAGIC_V2 {
+        return Err(GraphError::Format(format!(
+            "bad magic {:02x?}: not an MXG2 file",
+            magic
+        )));
+    }
     let n64 = read_u64(r)?;
     let m64 = read_u64(r)?;
     if n64 >= MAX_NODES {
@@ -211,18 +185,12 @@ pub fn read_csr<R: Read>(r: &mut R) -> Result<Graph> {
     let n = checked_usize(n64, "node count")?;
     let m = checked_usize(m64, "edge count")?;
 
-    let (csr, stored, computed) = if versioned {
-        let stored = read_u32(r)?;
-        let mut cr = Crc32Reader::new(r);
-        let csr = read_payload(&mut cr, n, m)?;
-        (csr, Some(stored), cr.crc.finish())
-    } else {
-        (read_payload(r, n, m)?, None, 0)
-    };
-    if let Some(stored) = stored {
-        if stored != computed {
-            return Err(GraphError::Checksum { stored, computed });
-        }
+    let stored = read_u32(r)?;
+    let mut cr = Crc32Reader::new(r);
+    let csr = read_payload(&mut cr, n, m)?;
+    let computed = cr.crc.finish();
+    if stored != computed {
+        return Err(GraphError::Checksum { stored, computed });
     }
     Ok(Graph::from_csr(csr))
 }
@@ -251,7 +219,7 @@ pub fn save(g: &Graph, path: impl AsRef<Path>) -> io::Result<()> {
     w.flush()
 }
 
-/// Loads a binary CSR graph (`MXG1` or `MXG2`) from a file.
+/// Loads a binary CSR graph (`MXG2`) from a file.
 pub fn load(path: impl AsRef<Path>) -> Result<Graph> {
     let mut r = BufReader::new(std::fs::File::open(path).map_err(GraphError::Io)?);
     read_csr(&mut r)
@@ -397,16 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_roundtrip() {
-        let g = toy();
-        let mut buf = Vec::new();
-        write_csr_v1(&g, &mut buf).unwrap();
-        assert_eq!(&buf[..4], MAGIC_V1);
-        let back = read_csr(&mut buf.as_slice()).unwrap();
-        assert_eq!(g.out_csr(), back.out_csr());
-    }
-
-    #[test]
     fn binary_rejects_bad_magic() {
         let err = read_csr(&mut &b"NOPE"[..]).unwrap_err();
         assert!(matches!(err, GraphError::Format(_)), "{err}");
@@ -441,7 +399,7 @@ mod tests {
     #[test]
     fn binary_rejects_absurd_header_without_allocating() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V1);
+        buf.extend_from_slice(MAGIC_V2);
         buf.extend_from_slice(&u64::MAX.to_le_bytes()); // n
         buf.extend_from_slice(&0u64.to_le_bytes()); // m
         let err = read_csr(&mut buf.as_slice()).unwrap_err();

@@ -17,7 +17,7 @@
 //!   uniform-random, road lattices and the profile generator that stands in
 //!   for the paper's crawled datasets.
 //! * [`datasets`] — the eight named stand-in datasets at selectable scales.
-//! * [`io`] — binary CSR (`MXG1`/`MXG2`) and text edge-list readers/writers,
+//! * [`io`] — binary CSR (`MXG2`) and text edge-list readers/writers,
 //!   hardened against hostile inputs.
 //! * [`error`] — the [`GraphError`] type every fallible path returns.
 //! * [`faults`] — deterministic I/O fault injection for robustness tests.

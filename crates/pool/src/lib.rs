@@ -119,84 +119,6 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(50);
 const HELP_TIMEOUT: Duration = Duration::from_millis(1);
 
 // ---------------------------------------------------------------------------
-// Fault injection (feature-gated, test-only)
-// ---------------------------------------------------------------------------
-
-/// Deterministic fault hooks for pooled tasks, compiled in only with the
-/// `fault-injection` feature.
-///
-/// Both hooks fire from the pooled-task wrapper — the path taken exactly
-/// when the executing pool has background workers. Inline execution on a
-/// single-lane pool never passes through the wrapper, so injected faults
-/// vanish once a supervisor degrades to one lane: the property that makes
-/// the degradation ladder terminate deterministically under test.
-///
-/// The hooks are process-global; tests that use them must serialize (the
-/// runner test suite keeps them in one `#[test]`) and call [`clear`] when
-/// done.
-#[cfg(feature = "fault-injection")]
-pub mod inject {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
-
-    /// Pooled tasks remaining to panic (consumed one per task).
-    static PANICS_ARMED: AtomicU64 = AtomicU64::new(0);
-    /// Per-task sleep in nanoseconds (0 = disabled).
-    static SLOW_NANOS: AtomicU64 = AtomicU64::new(0);
-
-    /// Arms the next `count` pooled tasks to panic with
-    /// `"injected worker panic"`. Use `u64::MAX` for "every pooled task",
-    /// which makes multi-lane execution fail deterministically while
-    /// single-lane inline execution still succeeds.
-    pub fn arm_worker_panics(count: u64) {
-        // ordering: independent test-only flag; tests that arm hooks run
-        // serialized and synchronize with workers via scope completion.
-        PANICS_ARMED.store(count, Ordering::Relaxed);
-    }
-
-    /// Makes every pooled task sleep for `per_task` before running — a
-    /// deterministic stalled-worker simulation for watchdog tests.
-    pub fn set_worker_slowdown(per_task: Duration) {
-        let nanos = u64::try_from(per_task.as_nanos()).unwrap_or(u64::MAX);
-        // ordering: independent test-only flag, see arm_worker_panics.
-        SLOW_NANOS.store(nanos, Ordering::Relaxed);
-    }
-
-    /// Disarms all hooks.
-    pub fn clear() {
-        // ordering: independent test-only flags, see arm_worker_panics.
-        PANICS_ARMED.store(0, Ordering::Relaxed);
-        SLOW_NANOS.store(0, Ordering::Relaxed);
-    }
-
-    /// Called by the pooled-task wrapper before the user closure runs.
-    pub(crate) fn before_task() {
-        // ordering: each hook is a self-contained counter/flag; the only
-        // cross-thread contract is the same-location modification order,
-        // which Relaxed already guarantees.
-        let slow = SLOW_NANOS.load(Ordering::Relaxed);
-        if slow > 0 {
-            std::thread::sleep(Duration::from_nanos(slow));
-        }
-        // ordering: same-location modification order is all the decrement
-        // loop needs; CAS atomicity makes each armed panic consumed once.
-        let mut armed = PANICS_ARMED.load(Ordering::Relaxed);
-        while armed > 0 {
-            let next = if armed == u64::MAX { armed } else { armed - 1 };
-            match PANICS_ARMED.compare_exchange_weak(
-                armed,
-                next,
-                Ordering::Relaxed, // ordering: see the armed load above
-                Ordering::Relaxed, // ordering: failure retries the load
-            ) {
-                Ok(_) => panic!("injected worker panic"),
-                Err(seen) => armed = seen,
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Pool core
 // ---------------------------------------------------------------------------
 
@@ -443,16 +365,6 @@ pub fn current_num_threads() -> usize {
     current_core().threads
 }
 
-/// True when the current thread is a background worker of any mixen pool
-/// (as opposed to a caller thread, even one helping inside a scope).
-///
-/// Robustness tests use this to build faults that only fire under real
-/// multi-threaded execution — e.g. an `apply` closure that stalls on worker
-/// lanes but runs clean once the runner has degraded to inline execution.
-pub fn on_worker_thread() -> bool {
-    WORKER.with(|w| w.borrow().is_some())
-}
-
 /// Runs `f` with a temporary pool of `threads` lanes installed as the
 /// ambient pool on this thread, then tears the pool down.
 ///
@@ -647,11 +559,7 @@ impl<'scope> Scope<'scope> {
         self.state.pending.fetch_add(1, Ordering::Relaxed);
         let state = Arc::clone(&self.state);
         let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(feature = "fault-injection")]
-                crate::inject::before_task();
-                f()
-            })) {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
                 let mut slot = state.panic.lock().unwrap();
                 // Keep the first panic; later ones are duplicates of the
                 // same logical failure as far as the scope is concerned.
@@ -1283,50 +1191,6 @@ mod tests {
         assert_eq!(parse_threads_env(Some("-2")), None);
         assert_eq!(parse_threads_env(Some("many")), None);
         assert_eq!(parse_threads_env(None), None);
-    }
-
-    /// All fault-injection assertions live in one test because the hooks
-    /// are process-global and the harness runs tests concurrently.
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn injection_hits_pooled_tasks_and_spares_inline_execution() {
-        // Armed panics make multi-lane scopes fail deterministically.
-        inject::arm_worker_panics(u64::MAX);
-        let pool = ThreadPool::new(4);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for _ in 0..8 {
-                    s.spawn(|| {});
-                }
-            });
-        }));
-        let payload = caught.expect_err("pooled tasks should hit the armed panic");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "injected worker panic");
-
-        // Single-lane inline execution never passes through the pooled-task
-        // wrapper, so the same armed state leaves it untouched.
-        let single = ThreadPool::new(1);
-        let ran = AtomicUsize::new(0);
-        single.scope(|s| {
-            for _ in 0..8 {
-                let ran = &ran;
-                s.spawn(move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 8);
-
-        // Slowdown delays pooled tasks without failing them.
-        inject::clear();
-        inject::set_worker_slowdown(Duration::from_millis(5));
-        let t0 = std::time::Instant::now();
-        pool.scope(|s| {
-            s.spawn(|| {});
-        });
-        assert!(t0.elapsed() >= Duration::from_millis(5));
-        inject::clear();
     }
 
     #[test]

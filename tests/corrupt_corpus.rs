@@ -1,7 +1,7 @@
 //! Corrupted-input corpus: every malformed, truncated, or bit-flipped graph
-//! file must surface as a typed `Err(GraphError)` — never a panic — through
-//! both format versions, and numeric poison must be caught by the supervised
-//! runner with a populated report.
+//! file must surface as a typed `Err(GraphError)` — never a panic — and
+//! numeric poison must be caught by the supervised runner with a populated
+//! report.
 //!
 //! Fault-injection cases are driven by `mixen_graph::faults`, so each
 //! failure is reproducible from `(input, plan)`.
@@ -36,10 +36,23 @@ fn v2_bytes(g: &Graph) -> Vec<u8> {
     out
 }
 
-fn v1_bytes(g: &Graph) -> Vec<u8> {
-    let mut out = Vec::new();
-    io::write_csr_v1(g, &mut out).unwrap();
-    out
+/// An `MXG2` file around a hand-built payload, with a correct checksum, so
+/// a structural defect in the payload is the only thing wrong with it.
+fn mxg2_with_payload(n: u64, ptr: &[u64], idx: &[u32]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for p in ptr {
+        payload.extend_from_slice(&p.to_le_bytes());
+    }
+    for i in idx {
+        payload.extend_from_slice(&i.to_le_bytes());
+    }
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(b"MXG2");
+    bytes.extend_from_slice(&n.to_le_bytes());
+    bytes.extend_from_slice(&(idx.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes
 }
 
 fn assert_same(a: &Graph, b: &Graph) {
@@ -59,33 +72,21 @@ fn v2_roundtrip_with_checksum() {
 }
 
 #[test]
-fn v1_files_still_load() {
-    // Read-compat with files written by the seed (pre-checksum) format.
-    let g = sample_graph();
-    let bytes = v1_bytes(&g);
-    assert_eq!(&bytes[..4], b"MXG1");
-    let loaded = io::read_csr(&mut bytes.as_slice()).unwrap();
-    assert_same(&g, &loaded);
-}
-
-#[test]
 fn every_truncation_errors_never_panics() {
-    let g = sample_graph();
-    for bytes in [v1_bytes(&g), v2_bytes(&g)] {
-        for cut in 0..bytes.len() {
-            let err = io::read_csr(&mut &bytes[..cut]).expect_err(&format!(
-                "prefix of {cut}/{} bytes must not parse",
-                bytes.len()
-            ));
-            // Truncation may surface as plain I/O (header EOF), an
-            // invariant breach, or a checksum mismatch — but always typed.
-            match err {
-                GraphError::Io(_)
-                | GraphError::Format(_)
-                | GraphError::Invariant(_)
-                | GraphError::Checksum { .. } => {}
-                other => panic!("unexpected variant for cut {cut}: {other}"),
-            }
+    let bytes = v2_bytes(&sample_graph());
+    for cut in 0..bytes.len() {
+        let err = io::read_csr(&mut &bytes[..cut]).expect_err(&format!(
+            "prefix of {cut}/{} bytes must not parse",
+            bytes.len()
+        ));
+        // Truncation may surface as plain I/O (header EOF), an invariant
+        // breach, or a checksum mismatch — but always typed.
+        match err {
+            GraphError::Io(_)
+            | GraphError::Format(_)
+            | GraphError::Invariant(_)
+            | GraphError::Checksum { .. } => {}
+            other => panic!("unexpected variant for cut {cut}: {other}"),
         }
     }
 }
@@ -137,7 +138,7 @@ fn flipped_stored_crc_is_a_checksum_error() {
 
 #[test]
 fn bad_magic_is_a_format_error() {
-    for magic in [*b"MXG0", *b"GXM1", *b"\0\0\0\0", *b"MXG3"] {
+    for magic in [*b"MXG0", *b"MXG1", *b"GXM1", *b"\0\0\0\0", *b"MXG3"] {
         let mut bytes = v2_bytes(&sample_graph());
         bytes[..4].copy_from_slice(&magic);
         match io::read_csr(&mut bytes.as_slice()) {
@@ -157,37 +158,26 @@ fn absurd_headers_are_capacity_errors() {
         (1, u64::MAX),
         (1, MAX_EDGES + 1),
     ] {
-        for magic in [*b"MXG1", *b"MXG2"] {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(&magic);
-            bytes.extend_from_slice(&n.to_le_bytes());
-            bytes.extend_from_slice(&m.to_le_bytes());
-            bytes.extend_from_slice(&[0u8; 64]);
-            match io::read_csr(&mut bytes.as_slice()) {
-                Err(GraphError::Capacity {
-                    requested, limit, ..
-                }) => {
-                    assert!(requested > limit);
-                }
-                other => panic!("n={n} m={m}: expected capacity error, got {other:?}"),
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(b"MXG2");
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&m.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 64]);
+        match io::read_csr(&mut bytes.as_slice()) {
+            Err(GraphError::Capacity {
+                requested, limit, ..
+            }) => {
+                assert!(requested > limit);
             }
+            other => panic!("n={n} m={m}: expected capacity error, got {other:?}"),
         }
     }
 }
 
 #[test]
 fn non_monotone_ptr_is_an_invariant_error() {
-    // Hand-build a v1 file whose ptr array decreases.
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"MXG1");
-    bytes.extend_from_slice(&3u64.to_le_bytes());
-    bytes.extend_from_slice(&2u64.to_le_bytes());
-    for p in [0u64, 2, 1, 2] {
-        bytes.extend_from_slice(&p.to_le_bytes());
-    }
-    for i in [0u32, 1] {
-        bytes.extend_from_slice(&i.to_le_bytes());
-    }
+    // A checksummed file whose ptr array decreases.
+    let bytes = mxg2_with_payload(3, &[0, 2, 1, 2], &[0, 1]);
     match io::read_csr(&mut bytes.as_slice()) {
         Err(GraphError::Invariant(msg)) => assert!(!msg.is_empty()),
         other => panic!("expected invariant error, got {other:?}"),
@@ -196,16 +186,7 @@ fn non_monotone_ptr_is_an_invariant_error() {
 
 #[test]
 fn out_of_range_idx_is_an_invariant_error() {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"MXG1");
-    bytes.extend_from_slice(&3u64.to_le_bytes());
-    bytes.extend_from_slice(&2u64.to_le_bytes());
-    for p in [0u64, 1, 2, 2] {
-        bytes.extend_from_slice(&p.to_le_bytes());
-    }
-    for i in [1u32, 99] {
-        bytes.extend_from_slice(&i.to_le_bytes());
-    }
+    let bytes = mxg2_with_payload(3, &[0, 1, 2, 2], &[1, 99]);
     match io::read_csr(&mut bytes.as_slice()) {
         Err(GraphError::Invariant(msg)) => assert!(!msg.is_empty()),
         other => panic!("expected invariant error, got {other:?}"),
@@ -431,10 +412,7 @@ fn nan_poisoned_pagerank_is_a_numeric_error_with_report() {
 #[test]
 fn divergent_iteration_is_a_numeric_error() {
     let g = sample_graph();
-    let runner = RobustRunner::new(RunnerOpts {
-        divergence_limit: 1e6,
-        ..RunnerOpts::default()
-    });
+    let runner = RobustRunner::new(RunnerOpts::default());
     let failure = runner
         .run::<f32, _, _>(&g, |_| 1.0, |_, s| 100.0 * s + 100.0, 64)
         .expect_err("exponential blowup must be caught");

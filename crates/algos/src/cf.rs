@@ -9,8 +9,8 @@
 //! Table 3's CF rows are uniformly slower than InDegree's.
 
 use crate::Engine;
-use mixen_graph::nid;
-use mixen_graph::NodeId;
+use mixen_graph::rng::{mix, GOLDEN};
+use mixen_graph::{nid, NodeId};
 
 /// The latent dimensionality used throughout the benchmarks.
 pub const LATENT_DIM: usize = 8;
@@ -33,16 +33,11 @@ impl Default for CfOpts {
     }
 }
 
-/// Deterministic pseudo-random anchor vector of node `v` (splitmix64-style
-/// hashing, identical across engines and runs).
+/// Deterministic pseudo-random anchor vector of node `v` (the splitmix64
+/// finalizer over `(v, k)`, identical across engines and runs).
 pub fn anchor(v: NodeId) -> [f32; LATENT_DIM] {
     std::array::from_fn(|k| {
-        let mut z = (v as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(k as u64 + 1);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = mix((v as u64).wrapping_mul(GOLDEN).wrapping_add(k as u64 + 1));
         // Map to [0, 1).
         (z >> 40) as f32 / (1u64 << 24) as f32
     })

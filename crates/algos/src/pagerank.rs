@@ -83,11 +83,10 @@ impl Terms {
     /// Max-norm distance between the ranks of two propagated states: what
     /// comparing their [`Terms::scores`] gives, without materialising either.
     fn score_distance(&self, a: &[f32], b: &[f32]) -> f64 {
-        a.iter()
-            .zip(b)
-            .zip(&self.out_deg)
-            .map(|((&p, &q), &odeg)| (p * odeg as f32 - q * odeg as f32).abs() as f64)
-            .fold(0.0, f64::max)
+        let deltas = a.iter().zip(b).zip(&self.out_deg);
+        mixen_graph::max_distance(
+            deltas.map(|((&p, &q), &odeg)| (p * odeg as f32 - q * odeg as f32).abs() as f64),
+        )
     }
 }
 

@@ -6,6 +6,8 @@
 //! between score vectors, plus the top-k selection the examples and the
 //! CLI print.
 
+use mixen_graph::rng::{SplitMix64, GOLDEN};
+
 /// The serving-path rank order: descending score, NaN *last*, ties broken
 /// by node ID (ascending) so results are deterministic.
 ///
@@ -94,20 +96,13 @@ pub fn kendall_tau_sampled(a: &[f32], b: &[f32], samples: usize, seed: u64) -> f
     if n < 2 {
         return 1.0;
     }
-    let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut rng = SplitMix64::new(seed.wrapping_add(GOLDEN));
     let mut concordant = 0i64;
     let mut discordant = 0i64;
     let mut counted = 0i64;
     for _ in 0..samples {
-        let i = (next() % n as u64) as usize;
-        let j = (next() % n as u64) as usize;
+        let i = (rng.next_u64() % n as u64) as usize;
+        let j = (rng.next_u64() % n as u64) as usize;
         if i == j {
             continue;
         }

@@ -58,6 +58,19 @@ pub fn parse_reorder(args: &crate::args::Args) -> Result<Option<ReorderChoice>, 
     }
 }
 
+/// Parses `--damping` (default 0.85). `f32` parsing accepts `nan`, `inf`
+/// and `5`; anything outside the finite range [0, 1] is a usage error.
+pub fn parse_damping(args: &crate::args::Args) -> Result<f32, CliError> {
+    let d: f32 = args.opt_or("damping", 0.85)?;
+    if (0.0..=1.0).contains(&d) {
+        Ok(d)
+    } else {
+        Err(CliError::usage(format!(
+            "--damping must be in [0, 1], got {d}"
+        )))
+    }
+}
+
 /// Parses `--bin-encoding`: the dynamic-bin value encoding (`f32` lossless
 /// default, `f16`/`q16` compressed 16-bit streams).
 pub fn parse_bin_encoding(args: &crate::args::Args) -> Result<Option<BinEncoding>, CliError> {

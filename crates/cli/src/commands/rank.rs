@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use crate::args::Args;
-use crate::commands::{build_engine, load_graph, parse_bin_encoding, parse_reorder};
+use crate::commands::{build_engine, load_graph, parse_bin_encoding, parse_damping, parse_reorder};
 use crate::error::CliError;
 use mixen_algos::{
     collaborative_filtering, hits, indegree, pagerank, pagerank_fingerprint_extra,
@@ -68,6 +68,7 @@ pub const FLAGS: &[&str] = &[
 pub fn run(args: &Args) -> Result<(), CliError> {
     args.expect_only(FLAGS)?;
     let path = args.positional(0, "graph.mxg")?;
+    let damping = parse_damping(args)?;
     let g = load_graph(path)?;
     let iters: usize = args.opt_or("iters", 20)?;
     let top: usize = args.opt_or("top", 10)?;
@@ -110,7 +111,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     }
 
     let (label, scores): (&str, Vec<f32>) = if supervised {
-        let damping: f32 = args.opt_or("damping", 0.85)?;
         let pr_opts = PageRankOpts { damping };
         let runner_opts = RunnerOpts {
             checkpoint_path: checkpoint,
@@ -184,13 +184,10 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         let engine = build_engine(args.opt("engine"), reorder, bin_encoding, &g)?;
         match algo {
             "indegree" => ("indegree", indegree(&engine)),
-            "pagerank" => {
-                let damping: f32 = args.opt_or("damping", 0.85)?;
-                (
-                    "pagerank",
-                    pagerank(&g, &engine, PageRankOpts { damping }, iters),
-                )
-            }
+            "pagerank" => (
+                "pagerank",
+                pagerank(&g, &engine, PageRankOpts { damping }, iters),
+            ),
             "hits" => {
                 let rev = g.reversed();
                 let engine_rev = build_engine(args.opt("engine"), reorder, bin_encoding, &rev)?;

@@ -36,6 +36,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     args.expect_only(FLAGS)?;
     let path = args.positional(0, "graph.mxg")?;
     let reorder = crate::commands::parse_reorder(args)?;
+    let damping = crate::commands::parse_damping(args)?;
     let g = load_graph(path)?;
     let opts = ServeOpts {
         addr: args.opt("addr").unwrap_or("127.0.0.1:7464").to_string(),
@@ -46,7 +47,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         refresh_iters: args.opt_or("refresh-every", 4)?,
         max_iters: args.opt_or("iters", 200)?,
         tol: args.opt_or("tol", 1e-7)?,
-        damping: args.opt_or("damping", 0.85)?,
+        damping,
         honor_signals: true,
         // `auto` resolves against the loaded graph, so the resident engine
         // preprocesses with the model-selected relabel policy.

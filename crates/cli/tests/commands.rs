@@ -229,38 +229,56 @@ fn metrics_json_sidecar_is_written_and_valid() {
         Some(mixen_core::Json::Arr(_))
     ));
 
-    // A faulted supervised run still writes the report.
+    // A supervised run that stops early still writes the report.
     let fault_json = dir.join("fault.json");
     let fault_json_s = fault_json.to_str().unwrap();
     let r = commands::rank::run(&args(&format!(
-        "{mxg_s} --algo pagerank --damping NaN --iters 3 --supervised true --metrics-json {fault_json_s}"
+        "{mxg_s} --algo pagerank --deadline-ms 0 --iters 3 --supervised true --metrics-json {fault_json_s}"
     )));
-    assert!(matches!(r, Err(CliError::Runtime(_))));
+    assert!(matches!(r, Err(CliError::Deadline(_))));
     let body = std::fs::read_to_string(&fault_json).unwrap();
     let report = mixen_core::Json::parse(&body).unwrap();
     assert!(report.get("counters").is_some());
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn nan_damping_is_a_runtime_error_not_a_panic() {
-    let dir = tmpdir("nan_rank");
+/// `--damping` values `f32` parses but PageRank cannot use: each is exit 2
+/// with a message naming the flag, before any run starts.
+const BAD_DAMPINGS: [&str; 5] = ["nan", "NaN", "inf", "5", "-0.5"];
+
+fn assert_damping_is_a_usage_error(subcommand: &str, extra: &[&str]) {
+    let dir = tmpdir(&format!("damping_{subcommand}"));
     let mxg = dir.join("g.mxg");
     let mxg_s = mxg.to_str().unwrap();
     commands::gen::run(&args(&format!(
         "--dataset urand --scale tiny --out {mxg_s}"
     )))
     .unwrap();
-    for extra in ["--supervised true", ""] {
-        let r = commands::rank::run(&args(&format!(
-            "{mxg_s} --algo pagerank --damping NaN --iters 3 {extra}"
-        )));
+    for bad in BAD_DAMPINGS {
+        let out = run_bin(&[&[subcommand, mxg_s, "--damping", bad], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{subcommand} --damping {bad}: {stderr}"
+        );
         assert!(
-            matches!(r, Err(CliError::Runtime(_))),
-            "NaN damping ({extra:?}) must be a runtime error, got {r:?}"
+            stderr.contains("--damping"),
+            "{subcommand} --damping {bad}: {stderr}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rank_rejects_damping_outside_the_unit_interval() {
+    assert_damping_is_a_usage_error("rank", &[]);
+    assert_damping_is_a_usage_error("rank", &["--supervised", "true"]);
+}
+
+#[test]
+fn serve_rejects_damping_outside_the_unit_interval() {
+    assert_damping_is_a_usage_error("serve", &["--addr", "127.0.0.1:0"]);
 }
 
 // ---------------------------------------------------------------------------

@@ -855,11 +855,9 @@ fn par_copy<V: PropValue>(dst: &mut [V], src: &[V]) {
 /// its value).
 fn par_max_diff<V: PropValue>(a: &[V], b: &[V]) -> f64 {
     assert_eq!(a.len(), b.len());
-    mixen_pool::par_parts(a.len(), |part| {
+    mixen_graph::max_distance(mixen_pool::par_parts(a.len(), |part| {
         mixen_graph::max_diff(&a[part.clone()], &b[part])
-    })
-    .into_iter()
-    .fold(0.0, f64::max)
+    }))
 }
 
 /// Re-stamps a [`GraphError::Numeric`] raised inside an iteration with the

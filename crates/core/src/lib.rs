@@ -50,8 +50,8 @@ pub mod scga;
 pub mod snap;
 pub mod weights;
 
-/// Atomics facade for the concurrency-audited sites (the SCGA claim flags,
-/// the snapshot and scratch cells): under `model-check` these route through
+/// Atomics facade for the concurrency-audited sites (the snapshot and
+/// scratch cells): under `model-check` these route through
 /// the `mixen-check` instrumented types so schedule exploration sees every
 /// access; otherwise they are plain `std::sync::atomic` re-exports and the
 /// compiled code is identical to using std directly.
@@ -67,12 +67,10 @@ pub(crate) mod msync {
 }
 
 /// Model probes (`model-check` feature): handles that let `mixen-check`
-/// tests drive the SCGA write-path claim flags and the engine's scratch
-/// cell through the instrumented facade.
+/// tests drive the engine's scratch cell through the instrumented facade.
 #[cfg(feature = "model-check")]
 pub mod mc {
     pub use crate::engine::mc::ScratchProbe;
-    pub use crate::scga::mc::SegProbe;
 }
 
 pub use bins::BinEncoding;

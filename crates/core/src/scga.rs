@@ -14,7 +14,7 @@
 use mixen_graph::nid;
 use mixen_graph::{GraphError, NodeId, PropValue};
 
-use crate::bins::{plan_codec, BinCodec, DynamicBins};
+use crate::bins::{plan_codec, BinCodec, DynamicBins, TaskBins};
 use crate::block::{entry_dest, entry_step, Block, BlockedSubgraph};
 use crate::obs::Metrics;
 use crate::weights::{Unweighted, WeightRun, Weights};
@@ -158,13 +158,22 @@ pub fn try_scatter_with<V: PropValue>(
     }
     let packed = bins.encoding().is_compressed();
     let rows = blocked.rows();
-    let segs = split_by_rows(x, blocked);
-    let tasks = bins.tasks_mut();
-    debug_assert_eq!(tasks.len(), rows.len());
-    mixen_pool::par_parts_mut(tasks, |first, tasks| {
-        for ((task, xseg), row) in tasks.iter_mut().zip(&segs[first..]).zip(&rows[first..]) {
-            // SAFETY: segments are disjoint sub-slices, one per task.
-            let xseg = unsafe { xseg.as_slice_mut() };
+    // Each task owns its bins and its block-row's source segment.
+    let mut rest = x;
+    let mut work: Vec<(&mut TaskBins<V>, &mut [V])> = bins
+        .tasks_mut()
+        .iter_mut()
+        .zip(rows)
+        .map(|(task, row)| {
+            let len = (row.src_end - row.src_start) as usize;
+            let (xseg, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            (task, xseg)
+        })
+        .collect();
+    debug_assert_eq!(work.len(), rows.len());
+    mixen_pool::par_parts_mut(&mut work, |first, work| {
+        for ((task, xseg), row) in work.iter_mut().zip(&rows[first..]) {
             let cols = &row.nonempty_cols;
             for (i, &j) in cols.iter().enumerate() {
                 if let Some(&ja) = cols.get(i + PREFETCH_AHEAD) {
@@ -590,142 +599,11 @@ pub fn merge_positions(src_ids: &[u32], active: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Disjoint mutable segment handles, one per block-row, shareable across a
-/// parallel region. Constructed from non-overlapping `split_at_mut` pieces.
-pub(crate) struct SegPtr<'a, V> {
-    ptr: *mut V,
-    len: usize,
-    /// Double-materialization guard: `as_slice_mut`'s contract says exactly
-    /// one task may claim the segment; under `debug_assertions` or the
-    /// `race-detector` feature a second claim panics instead of aliasing.
-    /// Routed through [`crate::msync`] so `model-check` builds explore the
-    /// claim protocol itself.
-    #[cfg(any(debug_assertions, feature = "race-detector"))]
-    claimed: crate::msync::atomic::AtomicBool,
-    _marker: std::marker::PhantomData<&'a mut [V]>,
-}
-
-// SAFETY: SegPtr borrows a disjoint sub-slice produced by `split_by_rows`
-// (via split_at_mut), whose lifetime it captures; moving it to another thread
-// moves only the pointer, which is safe whenever `V: Send`.
-unsafe impl<V: Send> Send for SegPtr<'_, V> {}
-// SAFETY: `&SegPtr` exposes mutation only through the `unsafe fn
-// as_slice_mut`, whose contract requires exactly one scatter task (the
-// block-row owner) to materialize the slice — distinct SegPtrs never alias
-// and a single segment is never shared by two tasks.
-unsafe impl<V: Send> Sync for SegPtr<'_, V> {}
-
-impl<V> SegPtr<'_, V> {
-    /// SAFETY: each segment wraps a distinct sub-slice; only the one scatter
-    /// task owning the block-row may call this, and at most once.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn as_slice_mut(&self) -> &mut [V] {
-        #[cfg(any(debug_assertions, feature = "race-detector"))]
-        if self
-            .claimed
-            // ordering: the claim flag is a diagnostic tripwire, not a
-            // synchronization point — the segment memory itself is handed to
-            // the task by the pool's scope machinery, so the swap needs only
-            // same-location atomicity to make a double claim observable.
-            .swap(true, crate::msync::atomic::Ordering::Relaxed)
-        {
-            // lint: allow(panic) reason=race detector turning a double-claimed segment into a diagnosable failure
-            panic!("SegPtr race detected: segment materialized more than once");
-        }
-        std::slice::from_raw_parts_mut(self.ptr, self.len)
-    }
-}
-
-pub(crate) fn split_by_rows<'a, V>(
-    x: &'a mut [V],
-    blocked: &BlockedSubgraph,
-) -> Vec<SegPtr<'a, V>> {
-    let mut segs = Vec::with_capacity(blocked.rows().len());
-    let mut rest: &mut [V] = x;
-    let mut offset = 0u32;
-    for row in blocked.rows() {
-        debug_assert_eq!(row.src_start, offset);
-        let len = (row.src_end - row.src_start) as usize;
-        let (seg, tail) = rest.split_at_mut(len);
-        segs.push(SegPtr {
-            ptr: seg.as_mut_ptr(),
-            len,
-            #[cfg(any(debug_assertions, feature = "race-detector"))]
-            claimed: crate::msync::atomic::AtomicBool::new(false),
-            _marker: std::marker::PhantomData,
-        });
-        rest = tail;
-        offset = row.src_end;
-    }
-    segs
-}
-
-/// Model probes over the SCGA write path, compiled only under `model-check`.
-#[cfg(feature = "model-check")]
-pub mod mc {
-    use super::SegPtr;
-
-    /// A single scatter segment over a leaked buffer, exposing the
-    /// [`SegPtr`] double-materialization guard to `mixen-check` model tests:
-    /// concurrent model threads race `try_claim` and the checker proves
-    /// exactly one can win under every schedule.
-    #[derive(Clone, Copy)]
-    pub struct SegProbe {
-        seg: &'static SegPtr<'static, f32>,
-    }
-
-    impl SegProbe {
-        /// Builds a probe over a fresh leaked `len`-value segment (leaking
-        /// keeps the probe `'static` and trivially shareable across model
-        /// threads; model tests are short-lived processes).
-        pub fn new(len: usize) -> Self {
-            let buf: &'static mut [f32] = Vec::leak(vec![0.0; len]);
-            let seg = Box::leak(Box::new(SegPtr {
-                ptr: buf.as_mut_ptr(),
-                len,
-                #[cfg(any(debug_assertions, feature = "race-detector"))]
-                claimed: crate::msync::atomic::AtomicBool::new(false),
-                _marker: std::marker::PhantomData,
-            }));
-            SegProbe { seg }
-        }
-
-        /// Claims the segment exactly as a scatter task would. Returns
-        /// `true` when this caller is the legitimate first owner and `false`
-        /// when the race detector caught a double claim.
-        pub fn try_claim(&self) -> bool {
-            // SAFETY: the probe materializes the slice only to exercise the
-            // claim guard and drops it immediately; the guard itself ensures
-            // at most one materialization can coexist.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-                let _ = self.seg.as_slice_mut();
-            }))
-            .is_ok()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::MixenOpts;
     use mixen_graph::Csr;
-
-    /// The race detector must catch a segment claimed by two "tasks".
-    #[test]
-    #[cfg(any(debug_assertions, feature = "race-detector"))]
-    #[should_panic(expected = "SegPtr race detected")]
-    fn race_detector_catches_double_claim() {
-        let csr = Csr::from_edges(4, &[(0, 1), (2, 3)]);
-        let b = blocked(&csr, 2);
-        let mut x = vec![0.0f32; 4];
-        let segs = split_by_rows(&mut x, &b);
-        // SAFETY: first claim is the legitimate owner's.
-        let _first = unsafe { segs[0].as_slice_mut() };
-        // SAFETY: deliberately violates the single-claim contract; the
-        // detector must panic before any aliasing mutation happens.
-        let _second = unsafe { segs[0].as_slice_mut() };
-    }
 
     fn blocked(csr: &Csr, c: usize) -> BlockedSubgraph {
         BlockedSubgraph::new(

@@ -551,12 +551,11 @@ mod tests {
 
     #[test]
     fn edge_order_does_not_change_the_result() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut rng = crate::rng::SplitMix64::new(0x5eed);
         for (n_rows, n_cols, mut edges) in shapes() {
             let want = Csr::from_edges_rect(n_rows, n_cols, &edges);
             for _ in 0..3 {
-                edges.shuffle(&mut rng);
+                rng.shuffle(&mut edges);
                 let got =
                     mixen_pool::with_threads(2, || Csr::from_edges_rect(n_rows, n_cols, &edges));
                 assert_eq!(got, want, "{n_rows} x {n_cols}");

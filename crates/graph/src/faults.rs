@@ -11,6 +11,7 @@
 //! [`crate::io`] must return `Err(GraphError)` or succeed — never panic.
 
 use crate::nid;
+use crate::rng::{SplitMix64, GOLDEN};
 use std::io::{self, Read, Write};
 
 /// One scheduled fault.
@@ -64,27 +65,20 @@ impl FaultPlan {
     /// interruptions, one bit flip, and (for odd seeds) truncation somewhere
     /// in the first `stream_len` bytes.
     pub fn from_seed(seed: u64, stream_len: u64) -> Self {
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64::new(seed ^ GOLDEN);
         let len = stream_len.max(1);
         let mut faults = vec![
-            Fault::ShortChunks(1 + (next() % 7) as usize),
+            Fault::ShortChunks(1 + (rng.next_u64() % 7) as usize),
             Fault::Interrupted {
-                count: nid((next() % 4) as usize),
+                count: nid((rng.next_u64() % 4) as usize),
             },
             Fault::BitFlip {
-                offset: next() % len,
-                mask: 1 << (next() % 8),
+                offset: rng.next_u64() % len,
+                mask: 1 << (rng.next_u64() % 8),
             },
         ];
         if seed % 2 == 1 {
-            faults.push(Fault::TruncateAt(next() % len));
+            faults.push(Fault::TruncateAt(rng.next_u64() % len));
         }
         Self::from_faults(faults)
     }

@@ -25,22 +25,20 @@ pub use road::road;
 pub use sampling::AliasTable;
 pub use uniform::uniform;
 
-use crate::nid;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::rng::{SplitMix64, GOLDEN};
+use crate::{nid, NodeId};
 
-/// Creates the crate-standard deterministic RNG from a seed.
-pub(crate) fn rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
+/// A node id drawn uniformly from `0..n`.
+fn node_below(rng: &mut SplitMix64, n: usize) -> NodeId {
+    nid(rng.below(n as u64) as usize)
 }
 
 /// Produces a deterministic pseudo-random permutation of `0..n` used to
 /// scramble generator output, so that downstream relabeling (Mixen's filter
 /// step) has real work to do instead of receiving class-contiguous IDs.
 pub fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
-    use rand::seq::SliceRandom;
     let mut perm: Vec<u32> = (0..nid(n)).collect();
-    perm.shuffle(&mut rng(seed ^ 0x9e37_79b9_7f4a_7c15));
+    SplitMix64::new(seed ^ GOLDEN).shuffle(&mut perm);
     perm
 }
 

@@ -17,11 +17,10 @@
 //! 4. IDs are scrambled by a random permutation so Mixen's relabeling pass
 //!    has real work to do.
 
-use crate::nid;
-use rand::Rng;
-
+use super::node_below;
 use super::sampling::{zipf_weights, AliasTable};
-use crate::{EdgeList, Graph, NodeId};
+use crate::rng::SplitMix64;
+use crate::{nid, EdgeList, Graph, NodeId};
 
 /// Target structure for [`generate_profile`].
 #[derive(Clone, Debug)]
@@ -161,7 +160,7 @@ pub fn generate_profile(spec: &ProfileSpec) -> Graph {
         part.flat_map(|chunk| {
             let lo = chunk * CHUNK;
             let hi = (lo + CHUNK).min(m);
-            let mut rng = super::rng(spec.seed.wrapping_add(0x1357 * chunk as u64 + 11));
+            let mut rng = SplitMix64::new(spec.seed.wrapping_add(0x1357 * chunk as u64 + 11));
             let class_table = class_table.as_ref();
             let reg_in = reg_in.as_ref();
             let reg_out = reg_out.as_ref();
@@ -233,34 +232,34 @@ fn repair_classes(
         out_deg[s as usize] += 1;
         in_deg[d as usize] += 1;
     }
-    let mut rng = super::rng(seed ^ 0x5EED);
+    let mut rng = SplitMix64::new(seed ^ 0x5EED);
     let reg_range = 0..nid(n_reg);
     let seed_range = nid(n_reg)..nid(n_reg + n_seed);
     let sink_range = nid(n_reg + n_seed)..nid(n_reg + n_seed + n_sink);
     // A receiver for dangling out-edges and a sender for missing in-edges.
     // Prefer regular hubs (index 0 region) so repairs reinforce the skew.
-    let pick_receiver = |rng: &mut rand::rngs::StdRng, avoid: u32| -> Option<u32> {
+    let pick_receiver = |rng: &mut SplitMix64, avoid: u32| -> Option<u32> {
         if n_reg > 1 || (n_reg == 1 && avoid != 0) {
-            let mut v = rng.gen_range(0..(nid(n_reg)).clamp(1, 8));
+            let mut v = node_below(rng, n_reg.clamp(1, 8));
             if v == avoid {
                 v = (v + 1) % nid(n_reg);
             }
             Some(v)
         } else if n_sink > 0 {
-            Some(sink_range.start + rng.gen_range(0..nid(n_sink)))
+            Some(sink_range.start + node_below(rng, n_sink))
         } else {
             None
         }
     };
-    let pick_sender = |rng: &mut rand::rngs::StdRng, avoid: u32| -> Option<u32> {
+    let pick_sender = |rng: &mut SplitMix64, avoid: u32| -> Option<u32> {
         if n_reg > 1 || (n_reg == 1 && avoid != 0) {
-            let mut v = rng.gen_range(0..(nid(n_reg)).clamp(1, 8));
+            let mut v = node_below(rng, n_reg.clamp(1, 8));
             if v == avoid {
                 v = (v + 1) % nid(n_reg);
             }
             Some(v)
         } else if n_seed > 0 {
-            Some(seed_range.start + rng.gen_range(0..nid(n_seed)))
+            Some(seed_range.start + node_below(rng, n_seed))
         } else {
             None
         }

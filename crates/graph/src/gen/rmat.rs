@@ -1,8 +1,7 @@
 //! R-MAT and Kronecker generators (Chakrabarti et al., and the GAP benchmark
 //! suite's `kron`), parameterized exactly as the paper's synthetic datasets.
 
-use rand::Rng;
-
+use crate::rng::SplitMix64;
 use crate::{EdgeList, Graph, NodeId};
 
 /// R-MAT quadrant probabilities. The defaults are the GAP/Graph500 values the
@@ -67,7 +66,7 @@ fn rmat_pairs(scale: u32, m: usize, params: RmatParams, seed: u64) -> Vec<(NodeI
         part.flat_map(|chunk| {
             let lo = chunk * CHUNK;
             let hi = (lo + CHUNK).min(m);
-            let mut rng = super::rng(seed.wrapping_add(0x51_7c_c1 * chunk as u64 + 1));
+            let mut rng = SplitMix64::new(seed.wrapping_add(0x51_7c_c1 * chunk as u64 + 1));
             (lo..hi)
                 .map(move |_| sample_edge(scale, params, &mut rng))
                 .collect::<Vec<_>>()
@@ -80,7 +79,7 @@ fn rmat_pairs(scale: u32, m: usize, params: RmatParams, seed: u64) -> Vec<(NodeI
 }
 
 #[inline]
-fn sample_edge<R: Rng>(scale: u32, p: RmatParams, rng: &mut R) -> (NodeId, NodeId) {
+fn sample_edge(scale: u32, p: RmatParams, rng: &mut SplitMix64) -> (NodeId, NodeId) {
     let (mut src, mut dst) = (0u32, 0u32);
     let ab = p.a + p.b;
     let abc = ab + p.c;
@@ -88,7 +87,7 @@ fn sample_edge<R: Rng>(scale: u32, p: RmatParams, rng: &mut R) -> (NodeId, NodeI
     for _ in 0..scale {
         src <<= 1;
         dst <<= 1;
-        let r: f64 = rng.gen();
+        let r = rng.unit_f64();
         if r < p.a {
             // top-left: neither bit set
         } else if r < ab {

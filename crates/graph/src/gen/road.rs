@@ -7,10 +7,8 @@
 //! a serpentine backbone guarantees connectivity and the huge diameter,
 //! while a thinned set of lattice links tunes the average degree.
 
-use crate::nid;
-use rand::Rng;
-
-use crate::{EdgeList, Graph};
+use crate::rng::SplitMix64;
+use crate::{nid, EdgeList, Graph};
 
 /// Generates a `width x height` partial-lattice road network. `keep_prob` is
 /// the probability of retaining each non-backbone lattice edge; the paper's
@@ -20,7 +18,7 @@ pub fn road(width: usize, height: usize, keep_prob: f64, seed: u64) -> Graph {
     assert!(width >= 2 && height >= 1, "lattice too small");
     let n = width * height;
     let id = |x: usize, y: usize| nid(y * width + x);
-    let mut rng = super::rng(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut el = EdgeList::new(n);
     // Serpentine backbone: row-major snake visiting every node once.
     for y in 0..height {
@@ -35,10 +33,10 @@ pub fn road(width: usize, height: usize, keep_prob: f64, seed: u64) -> Graph {
     // Thinned lattice links add local shortcuts (intersections).
     for y in 0..height {
         for x in 0..width {
-            if y + 1 < height && rng.gen::<f64>() < keep_prob {
+            if y + 1 < height && rng.unit_f64() < keep_prob {
                 el.push(id(x, y), id(x, y + 1));
             }
-            if x + 1 < width && y % 2 == 1 && rng.gen::<f64>() < keep_prob {
+            if x + 1 < width && y % 2 == 1 && rng.unit_f64() < keep_prob {
                 el.push(id(x, y), id(x + 1, y));
             }
         }

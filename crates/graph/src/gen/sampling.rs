@@ -6,7 +6,7 @@
 //! preprocessing measurements must not be polluted by slow generation).
 
 use crate::nid;
-use rand::Rng;
+use crate::rng::SplitMix64;
 
 /// Walker alias table for O(1) sampling from a discrete distribution.
 #[derive(Clone, Debug)]
@@ -69,9 +69,9 @@ impl AliasTable {
 
     /// Draws one index according to the weights.
     #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        let i = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f64>() < self.prob[i] {
+    pub fn sample(&self, rng: &mut SplitMix64) -> u32 {
+        let i = rng.below(self.prob.len() as u64) as usize;
+        if rng.unit_f64() < self.prob[i] {
             nid(i)
         } else {
             self.alias[i]
@@ -89,12 +89,11 @@ pub fn zipf_weights(n: usize, theta: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn uniform_weights_sample_uniformly() {
         let t = AliasTable::new(&[1.0; 4]);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         let mut counts = [0usize; 4];
         for _ in 0..40_000 {
             counts[t.sample(&mut rng) as usize] += 1;
@@ -107,7 +106,7 @@ mod tests {
     #[test]
     fn skewed_weights_respected() {
         let t = AliasTable::new(&[8.0, 1.0, 1.0]);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::new(2);
         let mut counts = [0usize; 3];
         for _ in 0..50_000 {
             counts[t.sample(&mut rng) as usize] += 1;
@@ -119,7 +118,7 @@ mod tests {
     #[test]
     fn zero_weight_never_sampled() {
         let t = AliasTable::new(&[1.0, 0.0, 1.0]);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64::new(3);
         for _ in 0..10_000 {
             assert_ne!(t.sample(&mut rng), 1);
         }
@@ -128,7 +127,7 @@ mod tests {
     #[test]
     fn single_outcome() {
         let t = AliasTable::new(&[0.5]);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64::new(4);
         assert_eq!(t.sample(&mut rng), 0);
     }
 

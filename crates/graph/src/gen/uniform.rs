@@ -1,9 +1,7 @@
 //! Uniform-random undirected graph (the paper's *urand*, GAP's `-u`).
 
-use crate::nid;
-use rand::Rng;
-
-use crate::{EdgeList, Graph, NodeId};
+use crate::rng::SplitMix64;
+use crate::{nid, EdgeList, Graph, NodeId};
 
 /// Generates an undirected uniform-random graph with `n` nodes and roughly
 /// `n * degree / 2` undirected edges (each stored in both directions), i.e. a
@@ -19,11 +17,11 @@ pub fn uniform(n: usize, degree: usize, seed: u64) -> Graph {
         part.flat_map(|chunk| {
             let lo = chunk * CHUNK;
             let hi = (lo + CHUNK).min(target);
-            let mut rng = super::rng(seed.wrapping_add(0xA24B * chunk as u64 + 3));
+            let mut rng = SplitMix64::new(seed.wrapping_add(0xA24B * chunk as u64 + 3));
             (lo..hi)
                 .map(move |_| {
-                    let s = rng.gen_range(0..nid(n));
-                    let mut d = rng.gen_range(0..nid(n) - 1);
+                    let s = super::node_below(&mut rng, n);
+                    let mut d = super::node_below(&mut rng, n - 1);
                     if d >= s {
                         d += 1; // avoid self-loops without rejection
                     }

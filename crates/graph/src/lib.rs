@@ -21,6 +21,7 @@
 //!   hardened against hostile inputs.
 //! * [`error`] — the [`GraphError`] type every fallible path returns.
 //! * [`faults`] — deterministic I/O fault injection for robustness tests.
+//! * [`rng`] — the one seeded splitmix64 generator every stream draws from.
 //!
 //! Node identifiers are `u32` (the paper uses 32-bit node IDs); edge offsets
 //! are `usize` so graphs larger than 4 G edges remain representable.
@@ -40,6 +41,7 @@ pub mod gen;
 pub mod graph;
 pub mod io;
 pub mod prop;
+pub mod rng;
 pub mod stats;
 pub mod weighted;
 
@@ -53,7 +55,7 @@ pub use edgelist::EdgeList;
 pub use error::GraphError;
 pub use faults::{Fault, FaultPlan, FaultyReader, FaultyWriter};
 pub use graph::Graph;
-pub use prop::{max_diff, AtomicProp, MinF32, PropValue};
+pub use prop::{max_diff, max_distance, AtomicProp, MinF32, PropValue};
 pub use stats::StructuralStats;
 pub use weighted::WGraph;
 

@@ -125,10 +125,7 @@ impl<const K: usize> PropValue for [f32; K] {
 
     #[inline]
     fn abs_diff(a: Self, b: Self) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, y)| (x as f64 - y as f64).abs())
-            .fold(0.0, f64::max)
+        max_distance(a.iter().zip(b).map(|(&x, y)| (x as f64 - y as f64).abs()))
     }
 
     #[inline]
@@ -258,13 +255,24 @@ impl<const K: usize> AtomicProp for [f32; K] {
     }
 }
 
-/// Maximum `abs_diff` over two equally-long value slices.
+/// The largest of `distances` (0 when empty), reading a NaN as infinitely
+/// far. Every convergence fold goes through this: `f64::max` drops a NaN
+/// argument, so a NaN vector would otherwise look converged.
+#[inline]
+pub fn max_distance(distances: impl IntoIterator<Item = f64>) -> f64 {
+    // `min` drops the NaN instead: NaN.min(∞) is ∞, and the fold stays a
+    // plain (vectorizable) `f64::max` reduction.
+    distances
+        .into_iter()
+        .map(|d| d.min(f64::INFINITY))
+        .fold(0.0, f64::max)
+}
+
+/// Maximum `abs_diff` over two equally-long value slices (infinite when
+/// any pair is NaN, see [`max_distance`]).
 pub fn max_diff<V: PropValue>(a: &[V], b: &[V]) -> f64 {
     assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| V::abs_diff(x, y))
-        .fold(0.0, f64::max)
+    max_distance(a.iter().zip(b).map(|(&x, &y)| V::abs_diff(x, y)))
 }
 
 #[cfg(test)]
@@ -363,5 +371,8 @@ mod tests {
         let a = [1.0f32, 2.0, 3.0];
         let b = [1.0f32, 4.0, 3.5];
         assert_eq!(max_diff(&a, &b), 2.0);
+        let nan = [1.0f32, f32::NAN, 3.0];
+        assert_eq!(max_diff(&a, &nan), f64::INFINITY);
+        assert_eq!(max_diff(&[[f32::NAN; 2]], &[[0.0; 2]]), f64::INFINITY);
     }
 }

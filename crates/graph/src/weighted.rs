@@ -16,6 +16,7 @@
 //! ambiguous under multi-edges.
 
 use crate::csr::prefix_sum;
+use crate::rng::{mix, GOLDEN};
 use crate::{Csr, Graph, NodeId};
 
 /// A directed graph with one `f32` weight per edge.
@@ -78,13 +79,8 @@ impl WGraph {
     /// endpoints — the stand-in for edge attributes of real datasets.
     pub fn with_hash_weights(g: &Graph, lo: f32, hi: f32, seed: u64) -> Self {
         Self::from_graph(g, |u, v| {
-            let mut z = (u as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((v as u64) << 32)
-                .wrapping_add(seed);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
+            let key = (u as u64).wrapping_mul(GOLDEN);
+            let z = mix(key.wrapping_add((v as u64) << 32).wrapping_add(seed));
             lo + (hi - lo) * ((z >> 40) as f32 / (1u64 << 24) as f32)
         })
     }

@@ -1,104 +1,108 @@
-//! Property-based tests of the dataset generators: arbitrary valid
-//! parameters must produce structurally valid graphs whose realized classes
-//! match the requested profile.
+//! Property tests of the dataset generators: arbitrary valid parameters
+//! must produce structurally valid graphs whose realized classes match the
+//! requested profile. Case `seed` draws its parameters from
+//! `SplitMix64::new(seed)` and seeds the generator with `seed`; every
+//! assertion names it.
 
 use mixen_graph::gen::{generate_profile, ProfileSpec};
+use mixen_graph::rng::SplitMix64;
 use mixen_graph::{gen, Classification, NodeClass, StructuralStats};
-use proptest::prelude::*;
 
-/// Arbitrary class mix: four non-negative weights normalized to 1.
-fn arb_fractions() -> impl Strategy<Value = [f64; 4]> {
-    (1u32..100, 0u32..100, 0u32..100, 0u32..100).prop_map(|(a, b, c, d)| {
-        let total = (a + b + c + d) as f64;
-        [
-            a as f64 / total,
-            b as f64 / total,
-            c as f64 / total,
-            d as f64 / total,
-        ]
-    })
+const CASES: u64 = 24;
+
+/// Uniform in `lo..hi`.
+fn draw(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn profile_generator_respects_any_valid_spec(
-        fracs in arb_fractions(),
-        n in 200usize..2000,
-        avg_degree in 1.0f64..12.0,
-        beta in 0.0f64..1.0,
-        in_skew in 0.0f64..1.3,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn profile_generator_respects_any_valid_spec() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        // Arbitrary class mix: four non-negative weights normalized to 1.
+        let weights = [1, 0, 0, 0].map(|lo| draw(&mut rng, lo, 100) as f64);
+        let total: f64 = weights.iter().sum();
+        let fracs = weights.map(|w| w / total);
+        let n = draw(&mut rng, 200, 2000) as usize;
         let spec = ProfileSpec {
             n,
-            avg_degree,
+            avg_degree: 1.0 + 11.0 * rng.unit_f64(),
             frac_regular: fracs[0],
             frac_seed: fracs[1],
             frac_sink: fracs[2],
             frac_isolated: fracs[3],
-            beta,
-            in_skew,
+            beta: rng.unit_f64(),
+            in_skew: 1.3 * rng.unit_f64(),
             out_skew: 0.5,
             seed,
         };
         let g = generate_profile(&spec);
-        prop_assert_eq!(g.n(), n);
+        assert_eq!(g.n(), n, "case seed {seed}");
         g.validate().unwrap();
         let c = Classification::of(&g);
         // Realized class fractions within 5 points of the request.
-        let targets = [fracs[0], fracs[1], fracs[2], fracs[3]];
-        for (class, &target) in NodeClass::ALL.iter().zip(&targets) {
+        for (class, target) in NodeClass::ALL.iter().zip(fracs) {
             let realized = c.count(*class) as f64 / n as f64;
-            prop_assert!(
+            assert!(
                 (realized - target).abs() < 0.05,
-                "{:?}: realized {} vs target {}",
-                class, realized, target
+                "case seed {seed}: {class:?} realized {realized} vs target {target}"
             );
         }
         // No self loops survive.
-        prop_assert_eq!(g.edges().filter(|&(s, d)| s == d).count(), 0);
+        let loops = g.edges().filter(|&(s, d)| s == d).count();
+        assert_eq!(loops, 0, "case seed {seed}");
     }
+}
 
-    #[test]
-    fn rmat_always_valid(scale in 4u32..11, ef in 1usize..16, seed in 0u64..100) {
+#[test]
+fn rmat_always_valid() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let scale = draw(&mut rng, 4, 11) as u32;
+        let ef = draw(&mut rng, 1, 16) as usize;
         let g = gen::rmat(scale, ef, gen::RmatParams::default(), seed);
         g.validate().unwrap();
-        prop_assert_eq!(g.n(), 1usize << scale);
-        prop_assert!(g.m() <= (1usize << scale) * ef);
+        assert_eq!(g.n(), 1usize << scale, "case seed {seed}");
+        assert!(g.m() <= (1usize << scale) * ef, "case seed {seed}");
     }
+}
 
-    #[test]
-    fn kron_always_symmetric(scale in 4u32..10, seed in 0u64..100) {
+#[test]
+fn kron_always_symmetric() {
+    for seed in 0..CASES {
+        let scale = draw(&mut SplitMix64::new(seed), 4, 10) as u32;
         let g = gen::kronecker(scale, 8, seed);
         g.validate().unwrap();
-        prop_assert!(g.is_symmetric());
+        assert!(g.is_symmetric(), "case seed {seed}");
         let s = StructuralStats::of(&g);
-        prop_assert!(s.frac_seed == 0.0 && s.frac_sink == 0.0);
+        assert!(s.frac_seed == 0.0 && s.frac_sink == 0.0, "case seed {seed}");
     }
+}
 
-    #[test]
-    fn road_always_connected_and_regular(
-        w in 3usize..40,
-        h in 3usize..40,
-        keep in 0.0f64..0.5,
-        seed in 0u64..50,
-    ) {
-        let g = gen::road(w, h, keep, seed);
+#[test]
+fn road_always_connected_and_regular() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let w = draw(&mut rng, 3, 40) as usize;
+        let h = draw(&mut rng, 3, 40) as usize;
+        let g = gen::road(w, h, 0.5 * rng.unit_f64(), seed);
         g.validate().unwrap();
         let comps = mixen_graph::weakly_connected_components(&g);
-        prop_assert_eq!(comps.count, 1);
+        assert_eq!(comps.count, 1, "case seed {seed}");
         let c = Classification::of(&g);
-        prop_assert_eq!(c.count(NodeClass::Regular), g.n());
+        assert_eq!(c.count(NodeClass::Regular), g.n(), "case seed {seed}");
     }
+}
 
-    #[test]
-    fn uniform_always_all_regular(n in 10usize..500, deg in 2usize..20, seed in 0u64..50) {
-        let g = gen::uniform(n, deg, seed);
+#[test]
+fn uniform_always_all_regular() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let n = draw(&mut rng, 10, 500) as usize;
+        let g = gen::uniform(n, draw(&mut rng, 2, 20) as usize, seed);
         g.validate().unwrap();
         let c = Classification::of(&g);
-        prop_assert_eq!(c.count(NodeClass::Regular), n);
-        prop_assert!(g.is_symmetric());
+        assert_eq!(c.count(NodeClass::Regular), n, "case seed {seed}");
+        assert!(g.is_symmetric(), "case seed {seed}");
     }
 }

@@ -6,7 +6,7 @@ use mixen_algos::{
     bfs, collaborative_filtering, default_root, hits, indegree, pagerank, salsa, AnyEngine, CfOpts,
     Engine, EngineKind, PageRankOpts, LATENT_DIM,
 };
-use mixen_baselines::ReferenceEngine;
+use mixen_baselines::{PullEngine, ReferenceEngine};
 use mixen_core::{MixenEngine, MixenOpts};
 use mixen_graph::{Dataset, Graph, Scale};
 
@@ -171,4 +171,19 @@ fn bfs_from_many_roots_on_mixed_connectivity() {
             "root {root}"
         );
     }
+}
+
+#[test]
+fn a_nan_vector_never_converges() {
+    // A NaN distance is infinitely far: a run whose values went NaN must
+    // use every iteration it was given, not stop after the first.
+    let g = Dataset::Wiki.generate(Scale::Tiny, 5);
+    let (init, apply) = (|_| 1.0f32, |_, _| f32::NAN);
+    let mixen = MixenEngine::new(&g, MixenOpts::default());
+    let (_, iters) = mixen.iterate_until(init, apply, 1e-6, 7);
+    assert_eq!(iters, 7, "mixen");
+    let (_, iters) = PullEngine::new(&g).iterate_until(init, apply, 1e-6, 7);
+    assert_eq!(iters, 7, "pull");
+    let (_, iters) = ReferenceEngine::new(&g).iterate_until(init, apply, 1e-6, 7);
+    assert_eq!(iters, 7, "reference");
 }

@@ -51,7 +51,7 @@ impl<'g> PartitionedEngine<'g> {
     }
 
     /// Default partition count: the pool's own part count for `n` nodes
-    /// (coarse NUMA-style chunks with a little slack for work stealing).
+    /// (coarse NUMA-style chunks with a little slack for load balance).
     pub fn with_default_partitions(g: &'g Graph) -> Self {
         Self::new(g, mixen_pool::split(g.n()).len())
     }

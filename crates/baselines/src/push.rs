@@ -80,20 +80,24 @@ impl<'g> PushEngine<'g> {
     fn reset_slots<V: AtomicProp>(&self, slots: &[AtomicU32]) {
         let mut id = vec![0u32; V::LANES];
         V::identity().write_lanes(&mut id);
-        mixen_pool::par_range(0..slots.len(), |i| {
-            // ordering: the reset is published by the pool scope before any
-            // push touches the slots.
-            slots[i].store(id[i % V::LANES], Ordering::Relaxed);
+        mixen_pool::par_parts(slots.len(), |part| {
+            for i in part {
+                // ordering: the reset is published by the pool scope before
+                // any push touches the slots.
+                slots[i].store(id[i % V::LANES], Ordering::Relaxed);
+            }
         });
     }
 
     fn push_all<V: AtomicProp>(&self, x: &[V], slots: &[AtomicU32]) {
-        mixen_pool::par_range(0..self.g.n(), |u| {
-            let val = x[u];
-            for &v in self.g.out_neighbors(nid(u)) {
-                let base = v as usize * V::LANES;
-                for lane in 0..V::LANES {
-                    atomic_fold::<V>(&slots[base + lane], val, lane);
+        mixen_pool::par_parts(self.g.n(), |part| {
+            for u in part {
+                let val = x[u];
+                for &v in self.g.out_neighbors(nid(u)) {
+                    let base = v as usize * V::LANES;
+                    for lane in 0..V::LANES {
+                        atomic_fold::<V>(&slots[base + lane], val, lane);
+                    }
                 }
             }
         });

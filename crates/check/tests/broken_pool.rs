@@ -1,12 +1,12 @@
-//! Negative control for the whole approach: a deliberately broken variant
-//! of the pool's park/push protocol — the worker checks for work *before*
-//! taking the sleep lock and then parks without re-checking — must be
-//! caught by the explorer at a small bound, with a replayable schedule.
+//! Negative control for the whole approach: a deliberately broken
+//! park/push protocol — the consumer checks for work *before* taking the
+//! sleep lock and then parks without re-checking — must be caught by the
+//! explorer at a small bound, with a replayable schedule.
 //!
-//! This is the exact bug the re-check loop in the real `worker_main` (and
-//! the push-notify-under-lock in `PoolCore::push`) exists to prevent; if
-//! someone ever "simplifies" that code, the model suite in `pool_model.rs`
-//! deadlocks the same way this fixture does.
+//! The real pool has no such window: its workers check the queue and park
+//! under the one lock `PoolCore::push` notifies under. The fixture keeps
+//! the queue and the parking lot as two locks on purpose, because that is
+//! the shape in which a lost wakeup can be written at all.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -14,9 +14,9 @@ use std::sync::Arc;
 use mixen_check::sync::{Condvar, Mutex};
 use mixen_check::{check, explore, replay, thread, Config, FailureKind};
 
-/// A minimal injector + parking lot, shaped like `PoolCore`'s.
+/// A minimal job queue plus a separate parking lot.
 struct MiniPool {
-    injector: Mutex<VecDeque<u32>>,
+    queue: Mutex<VecDeque<u32>>,
     sleep: Mutex<()>,
     wakeup: Condvar,
 }
@@ -24,34 +24,34 @@ struct MiniPool {
 impl MiniPool {
     fn new() -> Arc<MiniPool> {
         Arc::new(MiniPool {
-            injector: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(VecDeque::new()),
             sleep: Mutex::new(()),
             wakeup: Condvar::new(),
         })
     }
 
-    /// The producer side, exactly as the real pool does it: enqueue, then
-    /// notify while holding the sleep lock.
+    /// The producer side: enqueue, then notify while holding the sleep
+    /// lock.
     fn push(&self, job: u32) {
-        self.injector.lock().unwrap().push_back(job);
+        self.queue.lock().unwrap().push_back(job);
         let _park = self.sleep.lock().unwrap();
         self.wakeup.notify_all();
     }
 
     fn has_work(&self) -> bool {
-        !self.injector.lock().unwrap().is_empty()
+        !self.queue.lock().unwrap().is_empty()
     }
 
     /// The consumer side. `broken` checks for work *outside* the sleep lock
     /// and parks unconditionally — the push/notify can land in the window
     /// between the check and the wait, and the modeled no-timeout `wait`
     /// then sleeps forever. The fixed variant re-checks under the lock in a
-    /// loop, exactly like `worker_main`.
+    /// loop.
     fn consume_one(&self, broken: bool) -> u32 {
         if broken {
             if !self.has_work() {
                 let guard = self.sleep.lock().unwrap();
-                // BUG: no re-check of the injector under the lock.
+                // BUG: no re-check of the queue under the lock.
                 let _ = self.wakeup.wait(guard).unwrap();
             }
         } else {
@@ -61,11 +61,11 @@ impl MiniPool {
             }
             drop(guard);
         }
-        self.injector
+        self.queue
             .lock()
             .unwrap()
             .pop_front()
-            .expect("woken with an empty injector")
+            .expect("woken with an empty queue")
     }
 }
 
@@ -104,7 +104,7 @@ fn park_without_recheck_is_caught_and_replayable() {
     assert_eq!(replayed.kind, FailureKind::Deadlock);
 }
 
-/// The fixed variant — the real pool's shape — explores cleanly.
+/// The fixed variant explores cleanly.
 #[test]
 fn recheck_under_the_lock_is_clean() {
     let report = check("fixed_park_protocol", Config::default(), protocol(false));

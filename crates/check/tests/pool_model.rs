@@ -1,13 +1,14 @@
-//! Model tests pinning the pool's three core concurrency protocols: the
-//! LIFO-owner/FIFO-thief deque claim, the injector push vs. park/unpark
-//! wakeup window (plus the shutdown handshake), and scope panic propagation
-//! and result publication. (Scatter needs no protocol of its own: each task
+//! Model tests pinning the pool's three core concurrency protocols: a
+//! nested scope on the shared queue, the queue push vs. park/unpark wakeup
+//! window (plus the shutdown handshake), and scope panic propagation and
+//! result publication. (Scatter needs no protocol of its own: each task
 //! owns its bins and source segment through `&mut` slices.)
 //!
 //! Every protocol is explored exhaustively at 2–3 model threads with a
 //! small preemption bound; modeled `wait_timeout` never times out, so the
-//! pool's timeout safety nets are stripped and the handshakes themselves
-//! must be airtight — a lost wakeup would surface as a deadlock here.
+//! scope waiter's timeout safety net is stripped and the handshakes
+//! themselves must be airtight — a lost wakeup would surface as a deadlock
+//! here.
 
 use std::sync::Arc;
 
@@ -15,16 +16,15 @@ use mixen_check::sync::atomic::{AtomicUsize, Ordering};
 use mixen_check::{check, Config};
 use mixen_pool::ThreadPool;
 
-/// Protocol 1: the work-stealing deque claim race. A task running on a
-/// worker opens a nested scope, which pushes two jobs onto that worker's
-/// *own* deque: the owner pops LIFO from the back while the other worker
-/// steals FIFO from the front (and the main lane may help via the
-/// injector). Under every interleaving each job must run exactly once and
+/// Protocol 1: a nested scope on the shared queue. A task opens a nested
+/// scope, which pushes two jobs onto the one queue while the nested waiter,
+/// the other worker and the main lane (helping its outer scope) all race to
+/// pop them. Under every interleaving each job must run exactly once and
 /// the nested scope must not return before both did.
 #[test]
-fn deque_claim_race_runs_every_job_exactly_once() {
+fn nested_scope_runs_every_job_exactly_once() {
     let report = check(
-        "deque_claim_race",
+        "nested_scope_on_shared_queue",
         Config {
             preemption_bound: 1,
             max_schedules: 50_000,
@@ -37,9 +37,8 @@ fn deque_claim_race_runs_every_job_exactly_once() {
             pool.scope(|s| {
                 let counter = Arc::clone(&counter);
                 s.spawn(move || {
-                    // On a worker lane this nested scope spawns onto the
-                    // worker's own deque; on the main lane (helping) it goes
-                    // through the injector. Both routes are explored.
+                    // The task may run on a worker or on the main lane
+                    // (helping); both are explored.
                     pool_ref.scope(|inner| {
                         for _ in 0..2 {
                             let c = Arc::clone(&counter);
@@ -58,16 +57,16 @@ fn deque_claim_race_runs_every_job_exactly_once() {
     assert!(report.schedules > 1, "explored {}", report.schedules);
 }
 
-/// Protocol 2: injector push vs. park/unpark. With one worker and no work,
-/// the worker parks on the wakeup condvar; the main lane pushes a job into
-/// the injector and notifies under the sleep lock. The worker's
-/// check-then-wait is closed by re-checking under that same lock — if the
-/// window existed, the modeled no-timeout `wait` would deadlock. The pool
+/// Protocol 2: queue push vs. park/unpark. With one worker and no work,
+/// the worker parks on the wakeup condvar; the main lane pushes a job onto
+/// the queue and notifies under the queue lock. The worker checks the queue
+/// and waits under that same lock, so there is no check-then-wait window —
+/// if there were, the modeled no-timeout `wait` would deadlock. The pool
 /// drop at the end also explores the shutdown-flag/notify/join handshake.
 #[test]
 fn injector_push_never_loses_the_wakeup() {
     let report = check(
-        "injector_push_vs_park",
+        "queue_push_vs_park",
         Config {
             preemption_bound: 2,
             max_schedules: 50_000,
@@ -93,7 +92,7 @@ fn injector_push_never_loses_the_wakeup() {
 #[test]
 fn injector_push_survives_random_schedules() {
     let report = check(
-        "injector_push_fuzz",
+        "queue_push_fuzz",
         Config {
             preemption_bound: 0,
             random_schedules: 64,

@@ -587,7 +587,7 @@ impl<V: PropValue> StaticBin<V> {
 /// that own an edge. Seeds are as skewed as everything else (one seed row can
 /// own most seed edges), so equal row counts would leave one lane the work;
 /// and an accumulator costs `r` values to zero and `r` to combine, so there
-/// is one per lane, not one per stealable part. A pure function of
+/// is one per lane, not one per queued part. A pure function of
 /// `(ptr, lanes)`.
 fn edge_cuts(ptr: &[usize], lanes: usize) -> Vec<std::ops::Range<usize>> {
     let n_rows = ptr.len() - 1;

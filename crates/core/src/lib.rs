@@ -50,19 +50,17 @@ pub mod scga;
 pub mod snap;
 pub mod weights;
 
-/// Atomics facade for the concurrency-audited sites (the snapshot and
-/// scratch cells): under `model-check` these route through
-/// the `mixen-check` instrumented types so schedule exploration sees every
-/// access; otherwise they are plain `std::sync::atomic` re-exports and the
-/// compiled code is identical to using std directly.
+/// Mutex facade for the concurrency-audited sites (the snapshot and
+/// scratch cells): under `model-check` it routes through the `mixen-check`
+/// instrumented type so schedule exploration sees every lock; otherwise it
+/// is the plain `std::sync::Mutex` re-export and the compiled code is
+/// identical to using std directly.
 #[cfg(feature = "model-check")]
 pub(crate) mod msync {
-    pub(crate) use mixen_check::sync::atomic;
     pub(crate) use mixen_check::sync::Mutex;
 }
 #[cfg(not(feature = "model-check"))]
 pub(crate) mod msync {
-    pub(crate) use std::sync::atomic;
     pub(crate) use std::sync::Mutex;
 }
 

@@ -68,10 +68,10 @@ impl EdgeList {
         &self.edges
     }
 
-    /// Parallel sort + removal of duplicate edges (keeps self-loops unless
+    /// Sort + removal of duplicate edges (keeps self-loops unless
     /// [`EdgeList::drop_self_loops`] is also called).
     pub fn dedup(&mut self) {
-        mixen_pool::par_sort_unstable_by(&mut self.edges, Ord::cmp);
+        self.edges.sort_unstable();
         self.edges.dedup();
     }
 

@@ -31,10 +31,11 @@ pub struct WGraph {
 
 impl WGraph {
     /// Builds from `(src, dst, weight)` triples. Duplicate edges are merged
-    /// by *summing* their weights; self-loops are kept.
+    /// by *summing* their weights in input order (the sort is stable), so
+    /// the result is a pure function of `triples`; self-loops are kept.
     pub fn from_triples(n: usize, triples: &[(NodeId, NodeId, f32)]) -> Self {
         let mut sorted: Vec<(NodeId, NodeId, f32)> = triples.to_vec();
-        mixen_pool::par_sort_unstable_by(&mut sorted, |a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        sorted.sort_by_key(|&(s, d, _)| (s, d));
         // Merge duplicates.
         let mut merged: Vec<(NodeId, NodeId, f32)> = Vec::with_capacity(sorted.len());
         for t in sorted {
@@ -176,6 +177,19 @@ mod tests {
         let w = WGraph::from_triples(2, &[(0, 1, 1.0), (0, 1, 2.5)]);
         assert_eq!(w.m(), 1);
         assert_eq!(w.weight(0, 1), Some(3.5));
+        // 4 999 small weights, then a large one: f32 sums in another order
+        // round differently. Duplicates sum in input order, so the bits are
+        // the same at every lane count.
+        let mut triples = vec![(0, 1, 1.0f32); 4_999];
+        triples.push((0, 1, 1e8));
+        let built = |lanes| {
+            mixen_pool::with_threads(lanes, || WGraph::from_triples(2, &triples))
+                .weight(0, 1)
+                .map(f32::to_bits)
+        };
+        let want = triples.iter().fold(0f32, |acc, t| acc + t.2);
+        assert_eq!(built(1), Some(want.to_bits()));
+        assert_eq!(built(4), Some(want.to_bits()));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! `mixen-pool` — a dependency-free fixed thread pool with chunked
-//! work-stealing deques, built on `std::thread`, mutexes and atomics only.
+//! `mixen-pool` — a dependency-free fixed thread pool with one shared FIFO
+//! queue, built on `std::thread`, one mutex, condvars and atomics only.
 //!
 //! This crate is the execution substrate for the whole Mixen workspace and
 //! the only way it runs a data-parallel pass: the Scatter–Cache–Gather–Apply
@@ -10,33 +10,33 @@
 //! # Data-parallel passes
 //!
 //! [`split`] alone decides how a length is cut into tasks: one part on a
-//! single lane, else `min(4 × lanes, len)` contiguous parts. [`par_range`],
-//! [`par_parts`] (ordered per-part map) and [`par_parts_mut`] (disjoint
-//! sub-slices) run one task per part, items ascending inside a part; callers
-//! combine per-part results in part order, so every result — float sums
-//! included — is a pure function of `(input, lanes)`.
-//! [`par_sort_unstable_by`] is a quicksort over [`join`].
+//! single lane, else `min(4 × lanes, len)` contiguous parts. [`par_parts`]
+//! (ordered per-part map), [`par_parts_mut`] (disjoint sub-slices) and
+//! [`par_chunks_mut`] (fixed-size chunks) run one task per part, items
+//! ascending inside a part; callers combine per-part results in part order,
+//! so every result — float sums included — is a pure function of
+//! `(input, lanes)`.
 //!
 //! # Execution model
 //!
 //! A pool with `threads = t` means *total* parallelism `t`: it spawns `t - 1`
 //! background workers and the calling thread participates as the `t`-th lane
-//! while it blocks in [`scope`] or [`join`]. `threads = 1` spawns no workers
-//! at all and every task runs inline on the caller, in spawn order — this is
-//! the bit-for-bit sequential fallback the engine's determinism contract
-//! relies on (float sums are performed in exactly the single-threaded order).
+//! while it blocks in [`scope`]. `threads = 1` spawns no workers at all and
+//! every task runs inline on the caller, in spawn order — this is the
+//! bit-for-bit sequential fallback the engine's determinism contract relies
+//! on (float sums are performed in exactly the single-threaded order).
 //!
-//! Each worker owns a deque protected by a mutex: the owner pops newest-first
-//! (LIFO, cache-friendly for nested splits) while idle workers steal
-//! oldest-first (FIFO, largest-remaining chunks). Tasks submitted from
-//! threads outside the pool land in a shared injector queue. Callers waiting
-//! on a [`Scope`] *help*: they repeatedly pop/steal pending tasks instead of
-//! blocking, so a pool can never deadlock on its own scope.
+//! Every task goes into one FIFO queue behind one mutex; idle workers sleep
+//! on a condvar paired with that same mutex. Handing parts out of one shared
+//! queue is the OpenMP dynamic schedule the paper runs each phase with: a
+//! lane that finishes early takes the next part. Callers waiting on a
+//! [`Scope`] *help*: they pop pending tasks instead of blocking, so a pool
+//! can never deadlock on its own scope, nested scopes included.
 //!
 //! # Which pool runs my task?
 //!
-//! Free functions ([`scope`], [`join`], [`par_parts`], …) resolve the
-//! *ambient* pool in this order:
+//! Free functions ([`scope`], [`par_parts`], …) resolve the *ambient* pool
+//! in this order:
 //!
 //! 1. if the current thread is a pool worker, that worker's own pool;
 //! 2. the innermost [`ThreadPool::install`] / [`with_threads`] override;
@@ -46,7 +46,7 @@
 //!
 //! # Memory ordering
 //!
-//! Task handoff is synchronized by the deque mutexes. Scope completion uses a
+//! Task handoff is synchronized by the queue mutex. Scope completion uses a
 //! `pending` counter: each task's final decrement is `Release` and the
 //! waiter's read of `pending == 0` is `Acquire`, so every write performed by
 //! a task *happens-before* the scope returns. The [`PoolStats`] counters are
@@ -76,13 +76,13 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{thread, Condvar, Mutex};
 
 /// Synchronization facade: with the `model-check` feature every primitive
-/// the pool's protocol relies on (deque/injector/sleep mutexes, the wakeup
-/// and scope condvars, the shutdown/pending atomics, worker spawn/join)
-/// routes through the `mixen-check` instrumented types, so model tests can
+/// the pool's protocol relies on (the queue and scope mutexes, the wakeup
+/// and scope condvars, the pending counter, worker spawn/join) routes
+/// through the `mixen-check` instrumented types, so model tests can
 /// exhaustively explore the pool's schedules. Without the feature these are
 /// plain `std` re-exports and the pool compiles exactly as before.
 ///
@@ -109,11 +109,6 @@ pub(crate) mod sync {
 /// its pending count reaches zero.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// How long a parked worker sleeps before re-checking for work or shutdown.
-/// Wakeups are normally explicit (every push notifies); the timeout is a
-/// belt-and-braces bound on any missed-notify window.
-const PARK_TIMEOUT: Duration = Duration::from_millis(50);
-
 /// How long a scope waiter sleeps when all of its tasks are already running
 /// on other lanes and there is nothing left to help with.
 const HELP_TIMEOUT: Duration = Duration::from_millis(1);
@@ -122,39 +117,42 @@ const HELP_TIMEOUT: Duration = Duration::from_millis(1);
 // Pool core
 // ---------------------------------------------------------------------------
 
+/// What the queue mutex guards: the pending jobs and the shutdown flag, so a
+/// worker reads both under the lock it parks on.
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
+}
+
 struct PoolCore {
-    /// Total parallelism including the caller lane; `queues.len() + 1`.
+    /// Total parallelism including the caller lane; `workers + 1`.
     threads: usize,
-    /// One deque per background worker. Owner pops back, thieves pop front.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Overflow queue for tasks submitted from non-worker threads.
-    injector: Mutex<VecDeque<Job>>,
-    /// Parking lot: workers sleep on `wakeup` holding `sleep`.
-    sleep: Mutex<()>,
-    wakeup: Condvar,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    /// Signalled on every push (under `queue`) and on shutdown.
+    available: Condvar,
     tasks_executed: AtomicU64,
-    steals: AtomicU64,
 }
 
 impl PoolCore {
     fn new(threads: usize) -> Arc<PoolCore> {
-        let workers = threads - 1;
         Arc::new(PoolCore {
             threads,
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            sleep: Mutex::new(()),
-            wakeup: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            available: Condvar::new(),
             tasks_executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
         })
+    }
+
+    fn workers(&self) -> usize {
+        self.threads - 1
     }
 
     /// Spawns the background workers for an already-constructed core.
     fn start_workers(core: &Arc<PoolCore>) -> Vec<thread::JoinHandle<()>> {
-        (0..core.queues.len())
+        (0..core.workers())
             .map(|index| {
                 let core = Arc::clone(core);
                 thread::Builder::new()
@@ -165,59 +163,37 @@ impl PoolCore {
             .collect()
     }
 
-    /// Enqueues a job: onto the submitting worker's own deque when the
-    /// submitter belongs to this pool, otherwise into the shared injector.
-    fn push(self: &Arc<Self>, job: Job) {
-        match local_worker_index(self) {
-            Some(i) => self.queues[i].lock().unwrap().push_back(job),
-            None => self.injector.lock().unwrap().push_back(job),
-        }
-        // Serialize the notify against parked workers' "is there work?"
-        // check so a push cannot slip into their check-then-wait window.
-        let _park = self.sleep.lock().unwrap();
-        self.wakeup.notify_all();
+    /// Enqueues a job and wakes one parked worker. The notify happens under
+    /// the queue lock a worker checks the queue under before it waits, so a
+    /// push can never fall between that check and the wait.
+    fn push(&self, job: Job) {
+        let mut queue = self.queue.lock().unwrap();
+        queue.jobs.push_back(job);
+        self.available.notify_one();
     }
 
-    /// Pops local work (LIFO), then injector work, then steals (FIFO).
-    fn find_work(&self, own_index: Option<usize>) -> Option<Job> {
-        if let Some(i) = own_index {
-            if let Some(job) = self.queues[i].lock().unwrap().pop_back() {
-                return Some(job);
-            }
-        }
-        if let Some(job) = self.injector.lock().unwrap().pop_front() {
-            return Some(job);
-        }
-        let n = self.queues.len();
-        let start = own_index.map_or(0, |i| i + 1);
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if Some(victim) == own_index {
-                continue;
-            }
-            if let Some(job) = self.queues[victim].lock().unwrap().pop_front() {
-                // ordering: statistics counter; readers only need the
-                // scope-completion Release/Acquire pair for exactness.
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn work_available(&self) -> bool {
-        if !self.injector.lock().unwrap().is_empty() {
-            return true;
-        }
-        self.queues.iter().any(|q| !q.lock().unwrap().is_empty())
+    fn pop(&self) -> Option<Job> {
+        self.queue.lock().unwrap().jobs.pop_front()
     }
 
     fn run(&self, job: Job) {
-        // ordering: statistics counter, see PoolCore::find_work.
+        // ordering: statistics counter; readers only need the
+        // scope-completion Release/Acquire pair for exactness.
         self.tasks_executed.fetch_add(1, Ordering::Relaxed);
         // Jobs never unwind: every producer (Scope::spawn) wraps the user
         // closure in catch_unwind and stores the payload in the scope.
         job();
+    }
+
+    fn stats(&self) -> PoolStats {
+        PoolStats {
+            threads: self.threads,
+            workers: self.workers(),
+            // ordering: monotonic statistics read; documented as exact only
+            // after a scope completes (whose Release/Acquire pair orders it).
+            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
+            steals: 0,
+        }
     }
 }
 
@@ -225,26 +201,17 @@ fn worker_main(core: Arc<PoolCore>, index: usize) {
     // Best-effort CPU pinning (lane index + 1; the caller is lane 0).
     // Off by default; see the `affinity` module docs.
     affinity::apply_to_worker(index);
-    WORKER.with(|w| {
-        *w.borrow_mut() = Some(WorkerCtx {
-            core: Arc::clone(&core),
-            index,
-        });
-    });
+    WORKER.with(|w| *w.borrow_mut() = Some(Arc::clone(&core)));
+    let mut queue = core.queue.lock().unwrap();
     loop {
-        while let Some(job) = core.find_work(Some(index)) {
+        if let Some(job) = queue.jobs.pop_front() {
+            drop(queue);
             core.run(job);
-        }
-        let mut park = core.sleep.lock().unwrap();
-        loop {
-            if core.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            if core.work_available() {
-                break;
-            }
-            let (guard, _timeout) = core.wakeup.wait_timeout(park, PARK_TIMEOUT).unwrap();
-            park = guard;
+            queue = core.queue.lock().unwrap();
+        } else if queue.shutdown {
+            return;
+        } else {
+            queue = core.available.wait(queue).unwrap();
         }
     }
 }
@@ -253,29 +220,15 @@ fn worker_main(core: Arc<PoolCore>, index: usize) {
 // Ambient-pool resolution
 // ---------------------------------------------------------------------------
 
-struct WorkerCtx {
-    core: Arc<PoolCore>,
-    index: usize,
-}
-
 thread_local! {
-    /// Set once at worker startup; identifies the worker's pool and deque.
-    static WORKER: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
+    /// Set once at worker startup; identifies the worker's pool.
+    static WORKER: RefCell<Option<Arc<PoolCore>>> = const { RefCell::new(None) };
     /// Stack of `ThreadPool::install` overrides on this thread.
     static OVERRIDE: RefCell<Vec<Arc<PoolCore>>> = const { RefCell::new(Vec::new()) };
 }
 
 static GLOBAL: OnceLock<Arc<PoolCore>> = OnceLock::new();
 static GLOBAL_HANDLES: OnceLock<()> = OnceLock::new();
-
-/// If the current thread is a worker of `core`, its deque index.
-fn local_worker_index(core: &Arc<PoolCore>) -> Option<usize> {
-    WORKER.with(|w| {
-        w.borrow()
-            .as_ref()
-            .and_then(|ctx| Arc::ptr_eq(&ctx.core, core).then_some(ctx.index))
-    })
-}
 
 fn parse_threads_env(value: Option<&str>) -> Option<usize> {
     value
@@ -302,7 +255,7 @@ fn global_core() -> &'static Arc<PoolCore> {
 }
 
 fn current_core() -> Arc<PoolCore> {
-    if let Some(core) = WORKER.with(|w| w.borrow().as_ref().map(|ctx| Arc::clone(&ctx.core))) {
+    if let Some(core) = WORKER.with(|w| w.borrow().clone()) {
         return core;
     }
     if let Some(core) = OVERRIDE.with(|o| o.borrow().last().cloned()) {
@@ -383,29 +336,23 @@ pub struct PoolStats {
     pub workers: usize,
     /// Tasks executed since the pool started (monotonic).
     pub tasks_executed: u64,
-    /// Tasks taken from another worker's deque (monotonic).
+    /// Always 0: every lane takes tasks from the one shared queue, so
+    /// nothing is stolen. Kept while the benchmark still reports
+    /// `pool.steals_per_iter`.
     pub steals: u64,
 }
 
 /// Counters of the ambient pool. Exact for all completed scopes; merely
 /// monotonic while tasks are in flight (the counters are `Relaxed`).
 pub fn stats() -> PoolStats {
-    let core = current_core();
-    PoolStats {
-        threads: core.threads,
-        workers: core.queues.len(),
-        // ordering: monotonic statistics reads; documented as exact only
-        // after a scope completes (whose Release/Acquire pair orders them).
-        tasks_executed: core.tasks_executed.load(Ordering::Relaxed),
-        steals: core.steals.load(Ordering::Relaxed),
-    }
+    current_core().stats()
 }
 
 // ---------------------------------------------------------------------------
 // ThreadPool
 // ---------------------------------------------------------------------------
 
-/// A fixed-size pool of worker threads with per-worker work-stealing deques.
+/// A fixed-size pool of worker threads sharing one FIFO task queue.
 ///
 /// Dropping the pool signals shutdown and joins all workers. The pool cannot
 /// be cloned; share work through [`ThreadPool::install`] or the free
@@ -417,12 +364,11 @@ pub struct ThreadPool {
 
 impl ThreadPool {
     /// Creates a pool with `threads` total lanes: `threads - 1` background
-    /// workers plus the calling thread while it waits inside [`scope`] or
-    /// [`join`]. `threads = 0` is treated as `1` (no workers; every task
-    /// runs inline on the caller in spawn order).
+    /// workers plus the calling thread while it waits inside [`scope`].
+    /// `threads = 0` is treated as `1` (no workers; every task runs inline
+    /// on the caller in spawn order).
     ///
     /// [`scope`]: ThreadPool::scope
-    /// [`join`]: ThreadPool::join
     pub fn new(threads: usize) -> ThreadPool {
         let core = PoolCore::new(threads.max(1));
         let handles = PoolCore::start_workers(&core);
@@ -436,18 +382,12 @@ impl ThreadPool {
 
     /// Number of background worker threads (`threads() - 1`).
     pub fn workers(&self) -> usize {
-        self.core.queues.len()
+        self.core.workers()
     }
 
     /// Lifetime counters for this pool. See [`PoolStats`].
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            threads: self.core.threads,
-            workers: self.core.queues.len(),
-            // ordering: monotonic statistics reads, see the free `stats`.
-            tasks_executed: self.core.tasks_executed.load(Ordering::Relaxed),
-            steals: self.core.steals.load(Ordering::Relaxed),
-        }
+        self.core.stats()
     }
 
     /// Runs `op` with a [`Scope`] that can spawn tasks borrowing from the
@@ -459,19 +399,6 @@ impl ThreadPool {
     /// can still reach it.
     pub fn scope<'scope, R>(&self, op: impl FnOnce(&Scope<'scope>) -> R) -> R {
         scope_on(&self.core, op)
-    }
-
-    /// Runs `a` on the calling thread while `b` is eligible to run on any
-    /// idle lane, and returns both results. With a single-lane pool the two
-    /// closures simply run sequentially, `a` first.
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        join_on(&self.core, a, b)
     }
 
     /// Runs `f` with this pool installed as the ambient pool for the
@@ -493,11 +420,8 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.core.shutdown.store(true, Ordering::Release);
-        {
-            let _park = self.core.sleep.lock().unwrap();
-            self.core.wakeup.notify_all();
-        }
+        self.core.queue.lock().unwrap().shutdown = true;
+        self.core.available.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -541,10 +465,10 @@ impl<'scope> Scope<'scope> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        if self.core.queues.is_empty() {
+        if self.core.threads == 1 {
             // Single-lane pool: run inline. A panic unwinds straight through
             // the scope body, exactly like plain sequential code.
-            // ordering: statistics counter, see PoolCore::find_work.
+            // ordering: statistics counter, see PoolCore::run.
             self.core.tasks_executed.fetch_add(1, Ordering::Relaxed);
             f();
             return;
@@ -617,10 +541,9 @@ fn scope_on<'scope, R>(core: &Arc<PoolCore>, op: impl FnOnce(&Scope<'scope>) -> 
 
 /// Blocks until the scope's pending count reaches zero, running any pool
 /// task it can find in the meantime (the caller "helps" as an extra lane).
-fn wait_scope(core: &Arc<PoolCore>, state: &ScopeState) {
-    let own_index = local_worker_index(core);
+fn wait_scope(core: &PoolCore, state: &ScopeState) {
     while state.pending.load(Ordering::Acquire) != 0 {
-        if let Some(job) = core.find_work(own_index) {
+        if let Some(job) = core.pop() {
             core.run(job);
             continue;
         }
@@ -633,32 +556,6 @@ fn wait_scope(core: &Arc<PoolCore>, state: &ScopeState) {
             return;
         }
         let _ = state.done.wait_timeout(guard, HELP_TIMEOUT).unwrap();
-    }
-}
-
-fn join_on<A, B, RA, RB>(core: &Arc<PoolCore>, a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if core.queues.is_empty() {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    let mut rb: Option<RB> = None;
-    let ra = scope_on(core, |s| {
-        let slot = &mut rb;
-        s.spawn(move || *slot = Some(b()));
-        a()
-    });
-    match rb {
-        Some(rb) => (ra, rb),
-        // The scope returned normally, so `b` ran to completion (a panic in
-        // `b` would have propagated out of `scope_on`).
-        None => unreachable!("mixen-pool join: task b completed without storing a result"),
     }
 }
 
@@ -681,37 +578,9 @@ pub fn scope<'scope, R>(op: impl FnOnce(&Scope<'scope>) -> R) -> R {
     scope_on(&current_core(), op)
 }
 
-/// [`ThreadPool::join`] on the ambient pool.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    join_on(&current_core(), a, b)
-}
-
-/// Calls `f(part_index, chunk)` for consecutive `chunk_size`-sized chunks of
-/// `items` (last chunk may be shorter), in parallel on the ambient pool.
-///
-/// An empty slice spawns no tasks. Panics if `chunk_size == 0`.
-pub fn par_chunks<T, F>(items: &[T], chunk_size: usize, f: F)
-where
-    T: Sync,
-    F: Fn(usize, &[T]) + Sync,
-{
-    assert!(chunk_size > 0, "par_chunks: chunk_size must be non-zero");
-    scope(|s| {
-        for (part, chunk) in items.chunks(chunk_size).enumerate() {
-            let f = &f;
-            s.spawn(move || f(part, chunk));
-        }
-    });
-}
-
-/// Mutable variant of [`par_chunks`]: `f(part_index, chunk)` over disjoint
-/// mutable chunks.
+/// Calls `f(part_index, chunk)` for consecutive `chunk_size`-sized disjoint
+/// mutable chunks of `items` (last chunk may be shorter), in parallel on the
+/// ambient pool.
 ///
 /// An empty slice spawns no tasks. Panics if `chunk_size == 0`.
 pub fn par_chunks_mut<T, F>(items: &mut [T], chunk_size: usize, f: F)
@@ -731,8 +600,8 @@ where
     });
 }
 
-/// Contiguous parts cut per pool lane, so that work-stealing can even out
-/// parts of unequal cost.
+/// Contiguous parts cut per pool lane, so that lanes taking parts from the
+/// shared queue can even out parts of unequal cost.
 const PARTS_PER_LANE: usize = 4;
 
 /// The split rule as a pure function of `(len, lanes)`; see [`split`].
@@ -753,18 +622,6 @@ fn split_on(len: usize, lanes: usize) -> impl ExactSizeIterator<Item = Range<usi
 /// part-ordered float reduction reproducible at a fixed lane count.
 pub fn split(len: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
     split_on(len, current_num_threads())
-}
-
-/// Calls `f(i)` for every `i` in `range`, one task per [`split`] part, each
-/// walking its indices in ascending order.
-pub fn par_range<F>(range: Range<usize>, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let start = range.start;
-    par_parts(range.end.saturating_sub(start), |part| {
-        part.for_each(|i| f(start + i))
-    });
 }
 
 /// Ordered per-part map: calls `f(part)` for every [`split`] part of
@@ -815,77 +672,6 @@ where
     });
 }
 
-/// Below this length (or past the depth limit) the quicksort runs sequentially.
-const SEQ_SORT_CUTOFF: usize = 4096;
-
-/// Unstable sort: quicksort recursing through [`join`], sequential below
-/// `SEQ_SORT_CUTOFF` elements or on a single-lane pool. The recursion depends
-/// on the data only, so every multi-lane pool produces the same order.
-pub fn par_sort_unstable_by<T, F>(v: &mut [T], compare: F)
-where
-    T: Send,
-    F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
-{
-    if current_num_threads() <= 1 {
-        return v.sort_unstable_by(compare);
-    }
-    let depth = 2 * usize::BITS.saturating_sub(v.len().leading_zeros()) + 8;
-    par_quicksort(v, &compare, depth);
-}
-
-fn par_quicksort<T, F>(v: &mut [T], compare: &F, depth: u32)
-where
-    T: Send,
-    F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
-{
-    if v.len() <= SEQ_SORT_CUTOFF || depth == 0 {
-        return v.sort_unstable_by(compare);
-    }
-    let pivot_pos = partition(v, compare);
-    let (lo, rest) = v.split_at_mut(pivot_pos);
-    let hi = &mut rest[1..];
-    join(
-        || par_quicksort(lo, compare, depth - 1),
-        || par_quicksort(hi, compare, depth - 1),
-    );
-}
-
-/// Median-of-three Hoare partition: returns the pivot's final index; every
-/// element left of it compares `<=` pivot and everything right `>=` pivot.
-fn partition<T, F: Fn(&T, &T) -> std::cmp::Ordering>(v: &mut [T], compare: &F) -> usize {
-    use std::cmp::Ordering::{Greater, Less};
-    let len = v.len();
-    let mid = len / 2;
-    if compare(&v[mid], &v[0]) == Less {
-        v.swap(mid, 0);
-    }
-    if compare(&v[len - 1], &v[0]) == Less {
-        v.swap(len - 1, 0);
-    }
-    if compare(&v[len - 1], &v[mid]) == Less {
-        v.swap(len - 1, mid);
-    }
-    v.swap(0, mid); // median-of-three pivot parked at index 0
-    let mut i = 1;
-    let mut j = len - 1;
-    loop {
-        while i <= j && compare(&v[i], &v[0]) == Less {
-            i += 1;
-        }
-        while i <= j && compare(&v[j], &v[0]) == Greater {
-            j -= 1;
-        }
-        if i >= j {
-            break;
-        }
-        v.swap(i, j);
-        i += 1;
-        j -= 1;
-    }
-    v.swap(0, j);
-    j
-}
-
 // ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
@@ -893,21 +679,64 @@ fn partition<T, F: Fn(&T, &T) -> std::cmp::Ordering>(v: &mut [T], compare: &F) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
-    fn fib_join(pool: &ThreadPool, n: u64) -> u64 {
+    fn fib_scope(pool: &ThreadPool, n: u64) -> u64 {
         if n < 2 {
             return n;
         }
-        let (a, b) = pool.join(|| fib_join(pool, n - 1), || fib_join(pool, n - 2));
+        let (mut a, mut b) = (0, 0);
+        pool.scope(|s| {
+            s.spawn(|| a = fib_scope(pool, n - 1));
+            s.spawn(|| b = fib_scope(pool, n - 2));
+        });
         a + b
     }
 
     #[test]
-    fn nested_join_computes_fib() {
+    fn nested_scopes_compute_fib() {
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
-            assert_eq!(fib_join(&pool, 15), 610, "threads={threads}");
+            assert_eq!(fib_scope(&pool, 15), 610, "threads={threads}");
+        }
+    }
+
+    /// One task per lane: the first to start on a worker opens a nested
+    /// scope only once every other lane (the caller included) is spinning
+    /// in a task of the outer scope. No lane but the nested scope's own
+    /// waiter is free, so the nested jobs run only because it helps.
+    #[test]
+    fn a_nested_scope_is_drained_by_its_own_waiter_when_every_other_lane_is_busy() {
+        for threads in [2, 3, 4] {
+            let pool = ThreadPool::new(threads);
+            let (nester, nested_done) = (AtomicBool::new(false), AtomicBool::new(false));
+            let (spinning, ran) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            pool.scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(|| {
+                        let on_worker = WORKER.with(|w| w.borrow().is_some());
+                        if on_worker && !nester.swap(true, Ordering::AcqRel) {
+                            while spinning.load(Ordering::Acquire) < threads - 1 {
+                                std::thread::yield_now();
+                            }
+                            pool.scope(|inner| {
+                                for _ in 0..8 {
+                                    inner.spawn(|| {
+                                        ran.fetch_add(1, Ordering::Relaxed);
+                                    });
+                                }
+                            });
+                            nested_done.store(true, Ordering::Release);
+                        } else {
+                            spinning.fetch_add(1, Ordering::AcqRel);
+                            while !nested_done.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(ran.load(Ordering::Relaxed), 8, "threads={threads}");
         }
     }
 
@@ -937,17 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_in_join_branch_propagates() {
-        for threads in [1, 2] {
-            let pool = ThreadPool::new(threads);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                pool.join(|| 1, || -> i32 { panic!("join boom") })
-            }));
-            assert!(caught.is_err(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn scope_waits_for_tasks_even_when_body_panics() {
         let pool = ThreadPool::new(2);
         let ran = AtomicUsize::new(0);
@@ -970,12 +788,6 @@ mod tests {
     #[test]
     fn par_chunks_handles_empty_input() {
         let calls = AtomicUsize::new(0);
-        let empty: [u8; 0] = [];
-        par_chunks(&empty, 16, |_, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 0);
-
         let mut empty_mut: [u8; 0] = [];
         par_chunks_mut(&mut empty_mut, 16, |_, _| {
             calls.fetch_add(1, Ordering::Relaxed);
@@ -986,7 +798,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk_size must be non-zero")]
     fn par_chunks_rejects_zero_chunk_size() {
-        par_chunks(&[1, 2, 3], 0, |_, _| {});
+        par_chunks_mut(&mut [1, 2, 3], 0, |_, _| {});
     }
 
     #[test]
@@ -1001,17 +813,6 @@ mod tests {
             assert!(data.iter().all(|&v| v >= 1));
             assert_eq!(data[0], 1);
             assert_eq!(data[999], 1000 / 64 + 1);
-        });
-    }
-
-    #[test]
-    fn par_range_visits_every_index_once() {
-        with_threads(3, || {
-            let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-            par_range(0..257, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         });
     }
 
@@ -1127,25 +928,6 @@ mod tests {
     }
 
     #[test]
-    fn par_sort_unstable_by_matches_the_sequential_sort() {
-        for lanes in [1, 4] {
-            with_threads(lanes, || {
-                let mut v: Vec<u64> = (0..60_000u64)
-                    .map(|i| (i * 2_654_435_761) % 100_000)
-                    .collect();
-                let mut want = v.clone();
-                want.sort_unstable();
-                par_sort_unstable_by(&mut v, Ord::cmp);
-                assert_eq!(v, want);
-                // Heavily duplicated keys exercise the equal-element path.
-                let mut dups: Vec<u8> = (0..50_000).map(|i| (i % 3) as u8).collect();
-                par_sort_unstable_by(&mut dups, |a, b| b.cmp(a));
-                assert!(dups.windows(2).all(|w| w[0] >= w[1]));
-            });
-        }
-    }
-
-    #[test]
     fn with_threads_overrides_nest_and_restore() {
         with_threads(2, || {
             assert_eq!(current_num_threads(), 2);
@@ -1191,14 +973,5 @@ mod tests {
         assert_eq!(parse_threads_env(Some("-2")), None);
         assert_eq!(parse_threads_env(Some("many")), None);
         assert_eq!(parse_threads_env(None), None);
-    }
-
-    #[test]
-    fn join_returns_both_results_across_thread_counts() {
-        for threads in [1, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            let (a, b) = pool.join(|| "left".len(), || "right".len());
-            assert_eq!((a, b), (4, 5));
-        }
     }
 }

@@ -172,15 +172,17 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Writes a complete JSON response and flushes. One response per
-/// connection: `Connection: close` is always sent.
-pub fn respond_json(stream: &mut TcpStream, status: u16, body: &Json) -> std::io::Result<()> {
+/// connection: `Connection: close` is always sent. Status line, headers and
+/// body are rendered into one buffer and sent with one `write_all`, so an
+/// unbuffered socket sees one `write` per response, not one per format piece.
+pub fn respond_json(mut stream: impl Write, status: u16, body: &Json) -> std::io::Result<()> {
     let text = body.render();
-    write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{text}",
         reason(status),
         text.len(),
-    )?;
+    );
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -190,4 +192,41 @@ pub fn error_json(status: u16, message: impl Into<String>) -> Json {
         ("status".into(), Json::from_u64(u64::from(status))),
         ("error".into(), Json::Str(message.into())),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts everything and counts the `write` calls it was handed.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_with_unchanged_bytes() {
+        let mut out = CountingWriter::default();
+        respond_json(&mut out, 404, &error_json(404, "no such node")).unwrap();
+        assert_eq!(out.writes, 1);
+        let body = r#"{"status":404,"error":"no such node"}"#;
+        let want = format!(
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        assert_eq!(String::from_utf8(out.bytes).unwrap(), want);
+    }
 }

@@ -1,116 +1,16 @@
-//! The engine abstraction every algorithm is written against.
+//! The engine contract every algorithm is written against, and the runtime
+//! sweep over frameworks.
 //!
-//! An [`Engine`] runs the synchronous propagation recurrence and BFS. The
-//! trait is implemented here for Mixen and all four baselines so algorithm
-//! code never mentions a concrete framework. [`EngineKind`] enumerates them
-//! for benchmark drivers that sweep "all frameworks × all algorithms".
+//! [`Engine`] is defined once, in `mixen-core` beside [`MixenEngine`], and
+//! implemented there and by every baseline; it is re-exported here so
+//! algorithm code never mentions a concrete framework. [`EngineKind`]
+//! enumerates the frameworks for drivers that sweep "all frameworks × all
+//! algorithms", and [`AnyEngine`] holds any one of them.
 
-use mixen_baselines::{BlockEngine, PartitionedEngine, PullEngine, PushEngine, ReferenceEngine};
-use mixen_core::MixenEngine;
-use mixen_graph::{AtomicProp, NodeId};
-
-/// A framework capable of running link analysis and BFS.
-///
-/// The value type is bounded by [`AtomicProp`] (32-bit lanes) because the
-/// pushing-flow baseline combines destinations atomically; all algorithm
-/// value types (`f32`, `[f32; K]`) satisfy it.
-pub trait Engine: Sync {
-    /// Runs `iters` synchronous iterations of
-    /// `x'[v] = apply(v, Σ_{u→v} x[u])`, returning final values by original
-    /// node ID.
-    fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
-    where
-        V: AtomicProp,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync;
-
-    /// Iterates until the max-norm step difference is at most `tol` (or
-    /// `max_iters`); returns values and iterations performed.
-    fn iterate_until<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        tol: f64,
-        max_iters: usize,
-    ) -> (Vec<V>, usize)
-    where
-        V: AtomicProp,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync;
-
-    /// BFS depths from `root` (`-1` = unreachable).
-    fn bfs(&self, root: NodeId) -> Vec<i32>;
-}
-
-macro_rules! delegate_engine {
-    ($ty:ty) => {
-        impl Engine for $ty {
-            fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
-            where
-                V: AtomicProp,
-                FI: Fn(NodeId) -> V + Sync,
-                FA: Fn(NodeId, V) -> V + Sync,
-            {
-                <$ty>::iterate(self, init, apply, iters)
-            }
-
-            fn iterate_until<V, FI, FA>(
-                &self,
-                init: FI,
-                apply: FA,
-                tol: f64,
-                max_iters: usize,
-            ) -> (Vec<V>, usize)
-            where
-                V: AtomicProp,
-                FI: Fn(NodeId) -> V + Sync,
-                FA: Fn(NodeId, V) -> V + Sync,
-            {
-                <$ty>::iterate_until(self, init, apply, tol, max_iters)
-            }
-
-            fn bfs(&self, root: NodeId) -> Vec<i32> {
-                <$ty>::bfs(self, root)
-            }
-        }
-    };
-}
-
-delegate_engine!(MixenEngine);
-delegate_engine!(PullEngine<'_>);
-delegate_engine!(PushEngine<'_>);
-delegate_engine!(PartitionedEngine<'_>);
-delegate_engine!(BlockEngine<'_>);
-
-impl Engine for ReferenceEngine<'_> {
-    fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
-    where
-        V: AtomicProp,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        ReferenceEngine::iterate(self, init, apply, iters)
-    }
-
-    fn iterate_until<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        tol: f64,
-        max_iters: usize,
-    ) -> (Vec<V>, usize)
-    where
-        V: AtomicProp,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        ReferenceEngine::iterate_until(self, init, apply, tol, max_iters)
-    }
-
-    fn bfs(&self, root: NodeId) -> Vec<i32> {
-        ReferenceEngine::bfs(self, root)
-    }
-}
+use mixen_baselines::{BlockEngine, PartitionedEngine, PullEngine, PushEngine};
+pub use mixen_core::Engine;
+use mixen_core::{MixenEngine, MixenOpts};
+use mixen_graph::{AtomicProp, Graph, NodeId};
 
 /// The five frameworks of the paper's Table 3 (plus the serial oracle),
 /// named as the paper names them.
@@ -148,6 +48,15 @@ impl EngineKind {
             EngineKind::GraphMat => "GraphMat",
         }
     }
+
+    /// The kind whose lower-cased [`EngineKind::name`] is `s` (the CLI's
+    /// `--engine` spelling: `mixen`, `gpop`, `ligra`, `polymer`,
+    /// `graphmat`).
+    pub fn parse(s: &str) -> Option<EngineKind> {
+        EngineKind::ALL
+            .into_iter()
+            .find(|k| k.name().to_ascii_lowercase() == s)
+    }
 }
 
 /// A uniformly-typed engine, for drivers that sweep frameworks at runtime
@@ -169,45 +78,19 @@ pub enum AnyEngine<'g> {
 
 impl<'g> AnyEngine<'g> {
     /// Builds the engine of `kind` over `g` with each framework's default
-    /// configuration (Mixen: paper defaults; GPOP: 64 Ki-node blocks;
-    /// Polymer: 4 partitions per thread).
-    pub fn build(kind: EngineKind, g: &'g mixen_graph::Graph) -> Self {
+    /// configuration (GPOP: 64 Ki-node blocks; Polymer: the pool's part
+    /// count). `mixen` configures the Mixen engine only: the baselines have
+    /// no relabel step or bin encoding, so callers that must reject the
+    /// combination do so before building.
+    pub fn build(kind: EngineKind, g: &'g Graph, mixen: MixenOpts) -> Self {
         match kind {
-            EngineKind::Mixen => {
-                AnyEngine::Mixen(Box::new(MixenEngine::new(g, Default::default())))
-            }
+            EngineKind::Mixen => AnyEngine::Mixen(Box::new(MixenEngine::new(g, mixen))),
             EngineKind::Gpop => AnyEngine::Gpop(BlockEngine::with_default_blocks(g)),
             EngineKind::Ligra => AnyEngine::Ligra(PushEngine::new(g)),
             EngineKind::Polymer => {
                 AnyEngine::Polymer(PartitionedEngine::with_default_partitions(g))
             }
             EngineKind::GraphMat => AnyEngine::GraphMat(PullEngine::new(g)),
-        }
-    }
-
-    /// Like [`AnyEngine::build`], but with explicit Mixen preprocessing
-    /// options (the CLI's `--reorder` path). Baseline kinds have no relabel
-    /// step, so `opts` only affects `EngineKind::Mixen`; callers that must
-    /// reject the combination do so before building.
-    pub fn build_with_mixen_opts(
-        kind: EngineKind,
-        g: &'g mixen_graph::Graph,
-        opts: mixen_core::MixenOpts,
-    ) -> Self {
-        match kind {
-            EngineKind::Mixen => AnyEngine::Mixen(Box::new(MixenEngine::new(g, opts))),
-            other => Self::build(other, g),
-        }
-    }
-
-    /// The kind this engine was built as.
-    pub fn kind(&self) -> EngineKind {
-        match self {
-            AnyEngine::Mixen(_) => EngineKind::Mixen,
-            AnyEngine::Gpop(_) => EngineKind::Gpop,
-            AnyEngine::Ligra(_) => EngineKind::Ligra,
-            AnyEngine::Polymer(_) => EngineKind::Polymer,
-            AnyEngine::GraphMat(_) => EngineKind::GraphMat,
         }
     }
 }
@@ -225,28 +108,13 @@ macro_rules! any_dispatch {
 }
 
 impl Engine for AnyEngine<'_> {
-    fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
+    fn run<V, FI, FA>(&self, init: FI, apply: FA, iters: usize, tol: Option<f64>) -> (Vec<V>, usize)
     where
         V: AtomicProp,
         FI: Fn(NodeId) -> V + Sync,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        any_dispatch!(self, e => e.iterate(init, apply, iters))
-    }
-
-    fn iterate_until<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        tol: f64,
-        max_iters: usize,
-    ) -> (Vec<V>, usize)
-    where
-        V: AtomicProp,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        any_dispatch!(self, e => e.iterate_until(init, apply, tol, max_iters))
+        any_dispatch!(self, e => e.run(init, apply, iters, tol))
     }
 
     fn bfs(&self, root: NodeId) -> Vec<i32> {
@@ -257,8 +125,7 @@ impl Engine for AnyEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixen_core::MixenOpts;
-    use mixen_graph::Graph;
+    use mixen_baselines::ReferenceEngine;
 
     fn toy() -> Graph {
         Graph::from_pairs(5, &[(0, 1), (1, 2), (2, 0), (3, 1), (2, 4)])
@@ -302,6 +169,20 @@ mod tests {
     }
 
     #[test]
+    fn parse_takes_the_lower_cased_names_only() {
+        for kind in EngineKind::ALL {
+            assert_eq!(
+                EngineKind::parse(&kind.name().to_ascii_lowercase()),
+                Some(kind)
+            );
+        }
+        assert_eq!(EngineKind::parse("graphmat"), Some(EngineKind::GraphMat));
+        for other in ["GPOP", "Mixen", "pull", ""] {
+            assert_eq!(EngineKind::parse(other), None, "{other}");
+        }
+    }
+
+    #[test]
     fn mixen_opts_build_honors_the_ordering() {
         use mixen_core::RegularOrdering;
         let g = toy();
@@ -309,7 +190,7 @@ mod tests {
             ordering: RegularOrdering::Dbg,
             ..MixenOpts::default()
         };
-        let e = AnyEngine::build_with_mixen_opts(EngineKind::Mixen, &g, opts);
+        let e = AnyEngine::build(EngineKind::Mixen, &g, opts);
         match &e {
             AnyEngine::Mixen(m) => assert_eq!(m.filtered().ordering(), RegularOrdering::Dbg),
             _ => panic!("expected a Mixen engine"),
@@ -326,8 +207,7 @@ mod tests {
         let g = toy();
         let reference = run_engine(&ReferenceEngine::new(&g));
         for kind in EngineKind::ALL {
-            let e = AnyEngine::build(kind, &g);
-            assert_eq!(e.kind(), kind);
+            let e = AnyEngine::build(kind, &g, MixenOpts::default());
             let got = run_engine(&e);
             for (a, b) in got.0.iter().zip(&reference.0) {
                 assert!((a - b).abs() < 1e-4, "{} diverges", kind.name());

@@ -7,10 +7,12 @@
 //! the differences measured by the benchmarks are purely in the engines'
 //! execution strategies.
 //!
-//! All engines share one synchronous contract (`x'[v] = apply(v, Σ_{u→v}
-//! x[u])`), which makes their outputs comparable value-for-value; the
-//! integration tests exploit this to cross-check every engine × algorithm
-//! pair against the serial reference.
+//! [`Engine`] is `mixen_core::Engine`, re-exported: the one synchronous
+//! contract (`x'[v] = apply(v, Σ_{u→v} x[u])` plus BFS) that `MixenEngine`
+//! and every baseline implement directly, with `run` and `bfs` required
+//! and `iterate` / `iterate_until` provided. It makes their outputs
+//! comparable value for value; the integration tests exploit this to
+//! cross-check every engine × algorithm pair against the serial reference.
 
 #![forbid(unsafe_code)]
 

@@ -211,8 +211,10 @@ impl<'a, E: Engine> PageRankStream<'a, E> {
     }
 
     /// Advances `iters` more iterations; returns the max-norm score change
-    /// across the whole batch (an upper bound on the last iteration's
-    /// change, so `residual <= tol` is a conservative convergence test).
+    /// across the whole batch. That is no bound on the last iteration's
+    /// change (on a period-2 component the scores swing back within the
+    /// batch), so a convergence test advances one last iteration on its
+    /// own and reads that call's change.
     pub fn advance(&mut self, iters: usize) -> f64 {
         if iters == 0 {
             return 0.0;

@@ -7,7 +7,7 @@
 //! trick used by connected components. Convergence takes at most
 //! "longest shortest path in hops" rounds.
 
-use mixen_core::{MixenEngine, Weighted};
+use mixen_core::{Engine, MixenEngine, Weighted};
 use mixen_graph::{MinF32, NodeId, PropValue, WGraph};
 
 use mixen_baselines::WPullEngine;

@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicI32, Ordering};
 use std::time::Instant;
 
 use mixen_core::bins::DynamicBins;
-use mixen_core::{scga, BlockedSubgraph, MixenOpts};
-use mixen_graph::{Graph, NodeId, PropValue};
+use mixen_core::{scga, BlockedSubgraph, Engine, MixenOpts};
+use mixen_graph::{map_nodes, AtomicProp, Graph, NodeId};
 
 /// Whole-graph blocking engine (GPOP-like).
 pub struct BlockEngine<'g> {
@@ -54,72 +54,36 @@ impl<'g> BlockEngine<'g> {
     pub fn blocked(&self) -> &BlockedSubgraph {
         &self.blocked
     }
+}
 
-    /// §4.2 task-split metadata of the underlying partition. The GPOP
-    /// baseline shares Mixen's nnz-balanced scheduling and skip lists (they
-    /// live below the filtering layer), so its tasks are bounded the same
-    /// way.
-    pub fn split_stats(&self) -> mixen_core::block::SplitStats {
-        self.blocked.split_stats()
-    }
-
-    /// Synchronous iterations (crate-level contract).
-    pub fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
+impl Engine for BlockEngine<'_> {
+    /// GAS over the whole graph each sweep: Scatter every node, Gather
+    /// fresh sums into the spare buffer, Apply.
+    fn run<V, FI, FA>(&self, init: FI, apply: FA, iters: usize, tol: Option<f64>) -> (Vec<V>, usize)
     where
-        V: PropValue,
+        V: AtomicProp,
         FI: Fn(NodeId) -> V + Sync,
         FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.g.n();
-        let mut x: Vec<V> = crate::map_nodes(n, &init);
-        if iters == 0 {
-            return x;
-        }
-        let mut y: Vec<V> = vec![V::identity(); n];
+        let x = map_nodes(n, &init);
         let mut bins: DynamicBins<V> = DynamicBins::new(&self.blocked);
-        for _ in 0..iters {
-            // GAS: Scatter all nodes, Gather fresh sums, Apply.
-            scga::scatter(&self.blocked, &mut x, &mut bins, None);
+        crate::fixed_point(x, iters, tol, |x, mut y| {
+            scga::try_scatter_with(&self.blocked, x, &mut bins, None, None).unwrap_or_else(|e| {
+                // lint: allow(panic) reason=the GPOP bins are full-width, and full-width Scatter never fails
+                panic!("gpop scatter: {e}")
+            });
+            // The spare is empty on the first sweep.
+            y.resize(n, V::identity());
             mixen_pool::par_parts_mut(&mut y, |_, part| part.fill(V::identity()));
-            scga::gather(&self.blocked, &bins, &mut y, &apply);
-            std::mem::swap(&mut x, &mut y);
-        }
-        x
-    }
-
-    /// Iterates until the max-norm difference is at most `tol`.
-    pub fn iterate_until<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        tol: f64,
-        max_iters: usize,
-    ) -> (Vec<V>, usize)
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        let n = self.g.n();
-        let mut x: Vec<V> = crate::map_nodes(n, &init);
-        let mut y: Vec<V> = vec![V::identity(); n];
-        let mut bins: DynamicBins<V> = DynamicBins::new(&self.blocked);
-        for t in 0..max_iters {
-            scga::scatter(&self.blocked, &mut x, &mut bins, None);
-            mixen_pool::par_parts_mut(&mut y, |_, part| part.fill(V::identity()));
-            scga::gather(&self.blocked, &bins, &mut y, &apply);
-            std::mem::swap(&mut x, &mut y);
-            let diff = mixen_graph::max_diff(&x, &y);
-            if diff <= tol {
-                return (x, t + 1);
-            }
-        }
-        (x, max_iters)
+            scga::gather_with(&self.blocked, &bins, &mut y, &apply, None);
+            y
+        })
     }
 
     /// Blocked BFS: frontier-sparse expansion with a dense fallback, over
     /// the unfiltered block structure (GPOP's approach).
-    pub fn bfs(&self, root: NodeId) -> Vec<i32> {
+    fn bfs(&self, root: NodeId) -> Vec<i32> {
         let n = self.g.n();
         let depth: Vec<AtomicI32> = (0..n).map(|_| AtomicI32::new(-1)).collect();
         // ordering: single-threaded seeding before any parallel level.
@@ -230,7 +194,7 @@ mod tests {
         }
         let g = Graph::from_pairs(8, &edges);
         let e = BlockEngine::new(&g, 2);
-        let stats = e.split_stats();
+        let stats = e.blocked().split_stats();
         assert_eq!(stats.scatter_tasks, e.blocked().rows().len());
         assert!(stats.max_task_nnz() > 0);
         assert!(

@@ -10,12 +10,17 @@
 //! | [`PushEngine`] | Ligra | pushing flow over the CSR with atomic combines; direction-optimizing BFS |
 //! | [`PartitionedEngine`] | Polymer | destination-partitioned pull (the shared-memory analogue of Polymer's NUMA-local partitions); push-only frontier BFS |
 //! | [`BlockEngine`] | GPOP | whole-graph 2-D blocking with Scatter–Gather–Apply and edge compression, no connectivity filtering |
+//! | [`WPullEngine`] | — | weighted dense pull, the oracle for the weighted computations |
 //! | [`ReferenceEngine`] | — | serial pull, the correctness oracle for every test |
 //!
-//! All engines implement the same synchronous semantics as
-//! [`mixen_core::MixenEngine`]: `x'[v] = apply(v, Σ_{u→v} x[u])`, `iters`
-//! times, plus a `bfs` driver — so any engine can be swapped under any
-//! algorithm in `mixen-algos` and cross-checked value-for-value.
+//! Every engine implements [`mixen_core::Engine`], the synchronous
+//! contract [`mixen_core::MixenEngine`] implements too, so any engine can
+//! be swapped under any algorithm in `mixen-algos` and cross-checked value
+//! for value. An engine writes only its sweep (one iteration from `x`) and
+//! its BFS; the parallel engines hand the sweep to one crate-private loop,
+//! `fixed_point`, which owns the iteration count, the two value buffers and
+//! the stop rule. The serial oracle keeps a loop of its own, so it shares
+//! no logic with the engines it judges (DESIGN.md DR-15).
 
 #![forbid(unsafe_code)]
 
@@ -33,17 +38,33 @@ pub use push::PushEngine;
 pub use reference::ReferenceEngine;
 pub use wpull::WPullEngine;
 
-/// `f(v)` for every node `v < n`, in node order: one `Vec` per pool part,
-/// each built inside its task, concatenated on the caller.
-pub(crate) fn map_nodes<V, F>(n: usize, f: F) -> Vec<V>
+use mixen_graph::{max_diff, PropValue};
+
+/// Runs at most `iters` sweeps from `x`, stopping after the first whose
+/// max-norm change is at most `tol` when one is given; returns the values
+/// and the sweeps performed.
+///
+/// `sweep(x, spare)` returns the values one synchronous iteration after
+/// `x`. `spare` is the buffer of the iteration before `x` (empty at first):
+/// an engine that writes in place reuses it, one that builds fresh values
+/// drops it first, so at most two value vectors are live either way.
+pub(crate) fn fixed_point<V, S>(
+    mut x: Vec<V>,
+    iters: usize,
+    tol: Option<f64>,
+    mut sweep: S,
+) -> (Vec<V>, usize)
 where
-    V: Send,
-    F: Fn(mixen_graph::NodeId) -> V + Sync,
+    V: PropValue,
+    S: FnMut(&mut [V], Vec<V>) -> Vec<V>,
 {
-    mixen_pool::par_parts(n, |part| {
-        part.map(|v| f(mixen_graph::nid(v))).collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let mut spare = Vec::new();
+    for t in 0..iters {
+        let y = sweep(&mut x, spare);
+        spare = std::mem::replace(&mut x, y);
+        if tol.is_some_and(|tol| max_diff(&x, &spare) <= tol) {
+            return (x, t + 1);
+        }
+    }
+    (x, iters)
 }

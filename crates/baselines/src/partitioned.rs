@@ -16,7 +16,8 @@
 use mixen_graph::nid;
 use std::sync::atomic::{AtomicI32, Ordering};
 
-use mixen_graph::{Graph, NodeId, PropValue};
+use mixen_core::Engine;
+use mixen_graph::{map_nodes, AtomicProp, Graph, NodeId, PropValue};
 
 /// Destination-partitioned pull engine (Polymer-like).
 pub struct PartitionedEngine<'g> {
@@ -61,48 +62,8 @@ impl<'g> PartitionedEngine<'g> {
         self.bounds.len() - 1
     }
 
-    /// Synchronous iterations (crate-level contract).
-    pub fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        let n = self.g.n();
-        let mut x: Vec<V> = crate::map_nodes(n, &init);
-        for _ in 0..iters {
-            x = self.step(&x, &apply);
-        }
-        x
-    }
-
-    /// Iterates until the max-norm difference is at most `tol`.
-    pub fn iterate_until<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        tol: f64,
-        max_iters: usize,
-    ) -> (Vec<V>, usize)
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        let n = self.g.n();
-        let mut x: Vec<V> = crate::map_nodes(n, &init);
-        for t in 0..max_iters {
-            let y = self.step(&x, &apply);
-            let diff = mixen_graph::max_diff(&y, &x);
-            x = y;
-            if diff <= tol {
-                return (x, t + 1);
-            }
-        }
-        (x, max_iters)
-    }
-
-    fn step<V, FA>(&self, x: &[V], apply: &FA) -> Vec<V>
+    /// One sweep: each partition is one task pulling over its in-edges.
+    fn sweep<V, FA>(&self, x: &[V], apply: &FA) -> Vec<V>
     where
         V: PropValue,
         FA: Fn(NodeId, V) -> V + Sync,
@@ -130,9 +91,24 @@ impl<'g> PartitionedEngine<'g> {
         });
         y
     }
+}
+
+impl Engine for PartitionedEngine<'_> {
+    fn run<V, FI, FA>(&self, init: FI, apply: FA, iters: usize, tol: Option<f64>) -> (Vec<V>, usize)
+    where
+        V: AtomicProp,
+        FI: Fn(NodeId) -> V + Sync,
+        FA: Fn(NodeId, V) -> V + Sync,
+    {
+        let x = map_nodes(self.g.n(), &init);
+        crate::fixed_point(x, iters, tol, |x, spare| {
+            drop(spare);
+            self.sweep(x, &apply)
+        })
+    }
 
     /// Push-only frontier BFS (no direction optimization).
-    pub fn bfs(&self, root: NodeId) -> Vec<i32> {
+    fn bfs(&self, root: NodeId) -> Vec<i32> {
         let n = self.g.n();
         let depth: Vec<AtomicI32> = (0..n).map(|_| AtomicI32::new(-1)).collect();
         // ordering: single-threaded seeding before any parallel level.

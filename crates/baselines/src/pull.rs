@@ -11,13 +11,12 @@
 //! level — the reason GraphMat's road BFS is by far the slowest entry of
 //! Table 3.
 
-use mixen_graph::nid;
-use mixen_graph::{Graph, NodeId, PropValue};
+use mixen_core::Engine;
+use mixen_graph::{map_nodes, nid, pull_sweep, AtomicProp, Graph, NodeId};
 
 /// Dense pull engine (GraphMat-like).
 pub struct PullEngine<'g> {
     g: &'g Graph,
-    build_seconds: f64,
 }
 
 impl<'g> PullEngine<'g> {
@@ -25,74 +24,31 @@ impl<'g> PullEngine<'g> {
     /// is free — the conversion cost GraphMat pays from an edge list is
     /// measured by the preprocessing benchmark instead.
     pub fn new(g: &'g Graph) -> Self {
-        Self {
-            g,
-            build_seconds: 0.0,
-        }
+        Self { g }
     }
 
     /// Framework-internal build time (zero; see [`PullEngine::new`]).
     pub fn build_seconds(&self) -> f64 {
-        self.build_seconds
+        0.0
     }
+}
 
-    /// Synchronous iterations (see crate docs for the shared contract).
-    pub fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
+impl Engine for PullEngine<'_> {
+    fn run<V, FI, FA>(&self, init: FI, apply: FA, iters: usize, tol: Option<f64>) -> (Vec<V>, usize)
     where
-        V: PropValue,
+        V: AtomicProp,
         FI: Fn(NodeId) -> V + Sync,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        let n = self.g.n();
-        let mut x: Vec<V> = crate::map_nodes(n, &init);
-        for _ in 0..iters {
-            x = self.step(&x, &apply);
-        }
-        x
-    }
-
-    /// Iterates until the max-norm difference is at most `tol`.
-    pub fn iterate_until<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        tol: f64,
-        max_iters: usize,
-    ) -> (Vec<V>, usize)
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        let n = self.g.n();
-        let mut x: Vec<V> = crate::map_nodes(n, &init);
-        for t in 0..max_iters {
-            let y = self.step(&x, &apply);
-            let diff = mixen_graph::max_diff(&y, &x);
-            x = y;
-            if diff <= tol {
-                return (x, t + 1);
-            }
-        }
-        (x, max_iters)
-    }
-
-    fn step<V, FA>(&self, x: &[V], apply: &FA) -> Vec<V>
-    where
-        V: PropValue,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        crate::map_nodes(self.g.n(), |v| {
-            let mut sum = V::identity();
-            for &u in self.g.in_neighbors(v) {
-                sum.combine(x[u as usize]);
-            }
-            apply(v, sum)
+        let x = map_nodes(self.g.n(), &init);
+        crate::fixed_point(x, iters, tol, |x, spare| {
+            drop(spare);
+            pull_sweep(self.g, x, &apply)
         })
     }
 
     /// Dense per-level pull BFS.
-    pub fn bfs(&self, root: NodeId) -> Vec<i32> {
+    fn bfs(&self, root: NodeId) -> Vec<i32> {
         let n = self.g.n();
         let mut depth = vec![-1i32; n];
         depth[root as usize] = 0;

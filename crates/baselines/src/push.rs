@@ -13,7 +13,8 @@
 use mixen_graph::nid;
 use std::sync::atomic::{AtomicI32, AtomicU32, Ordering};
 
-use mixen_graph::{AtomicProp, Graph, NodeId};
+use mixen_core::Engine;
+use mixen_graph::{map_nodes, AtomicProp, Graph, NodeId};
 
 /// Push engine with atomic combines (Ligra-like).
 pub struct PushEngine<'g> {
@@ -24,57 +25,6 @@ impl<'g> PushEngine<'g> {
     /// Wraps a graph (the CSR already exists inside [`Graph`]).
     pub fn new(g: &'g Graph) -> Self {
         Self { g }
-    }
-
-    /// Synchronous iterations (crate-level contract); `V` must support
-    /// lane-wise atomic combining.
-    pub fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
-    where
-        V: AtomicProp,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        let n = self.g.n();
-        let mut x: Vec<V> = crate::map_nodes(n, &init);
-        if iters == 0 {
-            return x;
-        }
-        let slots: Vec<AtomicU32> = (0..n * V::LANES).map(|_| AtomicU32::new(0)).collect();
-        for _ in 0..iters {
-            self.reset_slots::<V>(&slots);
-            self.push_all(&x, &slots);
-            x = self.apply_slots(&slots, &apply);
-        }
-        x
-    }
-
-    /// Iterates until the max-norm difference is at most `tol`.
-    pub fn iterate_until<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        tol: f64,
-        max_iters: usize,
-    ) -> (Vec<V>, usize)
-    where
-        V: AtomicProp,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        let n = self.g.n();
-        let mut x: Vec<V> = crate::map_nodes(n, &init);
-        let slots: Vec<AtomicU32> = (0..n * V::LANES).map(|_| AtomicU32::new(0)).collect();
-        for t in 0..max_iters {
-            self.reset_slots::<V>(&slots);
-            self.push_all(&x, &slots);
-            let y = self.apply_slots(&slots, &apply);
-            let diff = mixen_graph::max_diff(&y, &x);
-            x = y;
-            if diff <= tol {
-                return (x, t + 1);
-            }
-        }
-        (x, max_iters)
     }
 
     fn reset_slots<V: AtomicProp>(&self, slots: &[AtomicU32]) {
@@ -108,7 +58,7 @@ impl<'g> PushEngine<'g> {
         V: AtomicProp,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        crate::map_nodes(self.g.n(), |v| {
+        map_nodes(self.g.n(), |v| {
             let base = v as usize * V::LANES;
             let lanes: Vec<u32> = (0..V::LANES)
                 // ordering: push_all's scope already ordered every fold
@@ -118,9 +68,28 @@ impl<'g> PushEngine<'g> {
             apply(v, V::read_lanes(&lanes))
         })
     }
+}
+
+impl Engine for PushEngine<'_> {
+    fn run<V, FI, FA>(&self, init: FI, apply: FA, iters: usize, tol: Option<f64>) -> (Vec<V>, usize)
+    where
+        V: AtomicProp,
+        FI: Fn(NodeId) -> V + Sync,
+        FA: Fn(NodeId, V) -> V + Sync,
+    {
+        let n = self.g.n();
+        let x = map_nodes(n, &init);
+        let slots: Vec<AtomicU32> = (0..n * V::LANES).map(|_| AtomicU32::new(0)).collect();
+        crate::fixed_point(x, iters, tol, |x, spare| {
+            drop(spare);
+            self.reset_slots::<V>(&slots);
+            self.push_all(x, &slots);
+            self.apply_slots(&slots, &apply)
+        })
+    }
 
     /// Direction-optimizing BFS.
-    pub fn bfs(&self, root: NodeId) -> Vec<i32> {
+    fn bfs(&self, root: NodeId) -> Vec<i32> {
         let n = self.g.n();
         let m = self.g.m();
         let depth: Vec<AtomicI32> = (0..n).map(|_| AtomicI32::new(-1)).collect();

@@ -4,8 +4,8 @@
 //! a deterministic (in-neighbour order) float summation. Every other engine
 //! must agree with it within floating-point reassociation tolerance.
 
-use mixen_graph::nid;
-use mixen_graph::{Graph, NodeId, PropValue};
+use mixen_core::Engine;
+use mixen_graph::{nid, AtomicProp, Graph, NodeId};
 
 /// A single-threaded pull engine.
 pub struct ReferenceEngine<'g> {
@@ -17,46 +17,20 @@ impl<'g> ReferenceEngine<'g> {
     pub fn new(g: &'g Graph) -> Self {
         Self { g }
     }
+}
 
-    /// `iters` synchronous iterations of `x'[v] = apply(v, Σ_{u→v} x[u])`.
-    pub fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
+impl Engine for ReferenceEngine<'_> {
+    /// The oracle's own loop, serial and in in-neighbour order: it shares
+    /// no code with the engines it judges.
+    fn run<V, FI, FA>(&self, init: FI, apply: FA, iters: usize, tol: Option<f64>) -> (Vec<V>, usize)
     where
-        V: PropValue,
-        FI: Fn(NodeId) -> V,
-        FA: Fn(NodeId, V) -> V,
+        V: AtomicProp,
+        FI: Fn(NodeId) -> V + Sync,
+        FA: Fn(NodeId, V) -> V + Sync,
     {
         let n = self.g.n();
         let mut x: Vec<V> = (0..nid(n)).map(&init).collect();
-        for _ in 0..iters {
-            x = (0..nid(n))
-                .map(|v| {
-                    let mut sum = V::identity();
-                    for &u in self.g.in_neighbors(v) {
-                        sum.combine(x[u as usize]);
-                    }
-                    apply(v, sum)
-                })
-                .collect();
-        }
-        x
-    }
-
-    /// Iterates until the max-norm step difference is at most `tol`.
-    pub fn iterate_until<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        tol: f64,
-        max_iters: usize,
-    ) -> (Vec<V>, usize)
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V,
-        FA: Fn(NodeId, V) -> V,
-    {
-        let n = self.g.n();
-        let mut x: Vec<V> = (0..nid(n)).map(&init).collect();
-        for t in 0..max_iters {
+        for t in 0..iters {
             let y: Vec<V> = (0..nid(n))
                 .map(|v| {
                     let mut sum = V::identity();
@@ -66,17 +40,17 @@ impl<'g> ReferenceEngine<'g> {
                     apply(v, sum)
                 })
                 .collect();
-            let diff = mixen_graph::max_diff(&y, &x);
+            let done = tol.is_some_and(|tol| mixen_graph::max_diff(&y, &x) <= tol);
             x = y;
-            if diff <= tol {
+            if done {
                 return (x, t + 1);
             }
         }
-        (x, max_iters)
+        (x, iters)
     }
 
     /// Textbook queue BFS; depths in original IDs, `-1` unreachable.
-    pub fn bfs(&self, root: NodeId) -> Vec<i32> {
+    fn bfs(&self, root: NodeId) -> Vec<i32> {
         let mut depth = vec![-1i32; self.g.n()];
         depth[root as usize] = 0;
         let mut queue = std::collections::VecDeque::from([root]);

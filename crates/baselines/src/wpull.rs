@@ -2,7 +2,10 @@
 //! (general-semiring) computations: `x'[v] = apply(v, ⊕ x[u] ⊗ w(u,v))`
 //! over the weighted CSC, parallel over destinations.
 
-use mixen_graph::{NodeId, PropValue, WGraph};
+use mixen_core::Engine;
+use mixen_graph::{map_nodes, AtomicProp, NodeId, PropValue, WGraph};
+
+use crate::PullEngine;
 
 /// Dense weighted pull engine.
 pub struct WPullEngine<'g> {
@@ -15,59 +18,39 @@ impl<'g> WPullEngine<'g> {
         Self { wg }
     }
 
-    /// Synchronous weighted iterations.
-    pub fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        let n = self.wg.n();
-        let mut x: Vec<V> = crate::map_nodes(n, &init);
-        for _ in 0..iters {
-            x = self.step(&x, &apply);
-        }
-        x
-    }
-
-    /// Iterates until the max-norm step difference is at most `tol`.
-    pub fn iterate_until<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        tol: f64,
-        max_iters: usize,
-    ) -> (Vec<V>, usize)
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        let n = self.wg.n();
-        let mut x: Vec<V> = crate::map_nodes(n, &init);
-        for t in 0..max_iters {
-            let y = self.step(&x, &apply);
-            let diff = mixen_graph::max_diff(&y, &x);
-            x = y;
-            if diff <= tol {
-                return (x, t + 1);
-            }
-        }
-        (x, max_iters)
-    }
-
-    fn step<V, FA>(&self, x: &[V], apply: &FA) -> Vec<V>
+    /// One weighted sweep, parallel over destinations.
+    fn sweep<V, FA>(&self, x: &[V], apply: &FA) -> Vec<V>
     where
         V: PropValue,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        crate::map_nodes(self.wg.n(), |v| {
+        map_nodes(self.wg.n(), |v| {
             let mut sum = V::identity();
             for (u, w) in self.wg.in_edges(v) {
                 sum.combine(x[u as usize].scale_edge(w));
             }
             apply(v, sum)
         })
+    }
+}
+
+impl Engine for WPullEngine<'_> {
+    fn run<V, FI, FA>(&self, init: FI, apply: FA, iters: usize, tol: Option<f64>) -> (Vec<V>, usize)
+    where
+        V: AtomicProp,
+        FI: Fn(NodeId) -> V + Sync,
+        FA: Fn(NodeId, V) -> V + Sync,
+    {
+        let x = map_nodes(self.wg.n(), &init);
+        crate::fixed_point(x, iters, tol, |x, spare| {
+            drop(spare);
+            self.sweep(x, &apply)
+        })
+    }
+
+    /// BFS ignores weights: the dense pull over the topology.
+    fn bfs(&self, root: NodeId) -> Vec<i32> {
+        PullEngine::new(self.wg.topology()).bfs(root)
     }
 }
 
@@ -83,6 +66,16 @@ mod tests {
         let y = e.iterate::<f32, _, _>(|v| (v + 1) as f32, |_, s| s, 1);
         // y[1] = 2*1 + 0.5*3 = 3.5; y[2] = 3*2 = 6.
         assert_eq!(y, vec![0.0, 3.5, 6.0]);
+    }
+
+    #[test]
+    fn bfs_ignores_weights() {
+        let wg = WGraph::from_triples(4, &[(0, 1, 9.0), (1, 2, 0.5), (0, 3, 2.0)]);
+        let e = WPullEngine::new(&wg);
+        let r = crate::ReferenceEngine::new(wg.topology());
+        for root in 0..4 {
+            assert_eq!(e.bfs(root), r.bfs(root), "root {root}");
+        }
     }
 
     #[test]

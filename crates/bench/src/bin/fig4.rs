@@ -30,7 +30,7 @@ fn main() {
         // Execution time per PageRank iteration.
         let mut times = Vec::new();
         for kind in [EngineKind::Mixen, EngineKind::Gpop, EngineKind::GraphMat] {
-            let engine = AnyEngine::build(kind, &g);
+            let engine = AnyEngine::build(kind, &g, MixenOpts::default());
             let secs = time_per_iter(opts.iters, |n| {
                 std::hint::black_box(pagerank(&g, &engine, PageRankOpts::default(), n));
             });

@@ -9,7 +9,7 @@ use mixen_algos::{
     EngineKind, PageRankOpts,
 };
 use mixen_bench::{geomean, time_per_iter, timed, BenchOpts};
-use mixen_core::Json;
+use mixen_core::{Json, MixenOpts};
 use mixen_graph::Graph;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -90,7 +90,7 @@ fn main() {
         for kind in EngineKind::ALL {
             let mut row = Vec::new();
             for (name, g) in &graphs {
-                let (engine, build) = timed(|| AnyEngine::build(kind, g));
+                let (engine, build) = timed(|| AnyEngine::build(kind, g, MixenOpts::default()));
                 let secs = run(algo, g, &engine, opts.iters);
                 eprintln!(
                     "[table3] {} {} {}: {:.4}s/iter (build {:.2}s)",

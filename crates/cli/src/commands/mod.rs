@@ -93,14 +93,9 @@ pub fn build_engine<'g>(
     bin_encoding: Option<BinEncoding>,
     g: &'g Graph,
 ) -> Result<AnyEngine<'g>, CliError> {
-    let kind = match s.unwrap_or("mixen") {
-        "mixen" => EngineKind::Mixen,
-        "gpop" => EngineKind::Gpop,
-        "ligra" => EngineKind::Ligra,
-        "polymer" => EngineKind::Polymer,
-        "graphmat" => EngineKind::GraphMat,
-        other => return Err(CliError::usage(format!("unknown engine '{other}'"))),
-    };
+    let name = s.unwrap_or("mixen");
+    let kind = EngineKind::parse(name)
+        .ok_or_else(|| CliError::usage(format!("unknown engine '{name}'")))?;
     if kind != EngineKind::Mixen {
         if reorder.is_some() {
             return Err(CliError::usage(
@@ -112,10 +107,6 @@ pub fn build_engine<'g>(
                 "--bin-encoding applies to the mixen engine only; drop --engine or --bin-encoding",
             ));
         }
-        return Ok(AnyEngine::build(kind, g));
-    }
-    if reorder.is_none() && bin_encoding.is_none() {
-        return Ok(AnyEngine::build(kind, g));
     }
     let mut opts = MixenOpts::default();
     if let Some(choice) = reorder {
@@ -124,5 +115,5 @@ pub fn build_engine<'g>(
     if let Some(enc) = bin_encoding {
         opts.bin_encoding = enc;
     }
-    Ok(AnyEngine::build_with_mixen_opts(kind, g, opts))
+    Ok(AnyEngine::build(kind, g, opts))
 }

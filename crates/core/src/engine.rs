@@ -39,7 +39,7 @@ use mixen_graph::nid;
 use std::any::Any;
 use std::sync::atomic::{AtomicI32, Ordering};
 
-use mixen_graph::{Graph, GraphError, NodeId, PropValue, WGraph};
+use mixen_graph::{AtomicProp, Graph, GraphError, NodeId, PropValue, WGraph};
 
 use crate::bins::{BinEncoding, DynamicBins, StaticBin};
 use crate::block::BlockedSubgraph;
@@ -48,6 +48,64 @@ use crate::msync::Mutex;
 use crate::obs::{Json, Metrics, Span};
 use crate::opts::MixenOpts;
 use crate::weights::{Unweighted, WeightRun, Weighted, Weights};
+
+/// The synchronous contract every engine implements, Mixen and each
+/// baseline alike (§6.1): `x'[v] = apply(v, ⊕_{u→v} x[u])` from
+/// `x[v] = init(v)`, plus BFS. Closures receive original node IDs and
+/// results come back in original-ID order. `V` is bounded by [`AtomicProp`]
+/// because the pushing-flow baseline combines destinations atomically.
+///
+/// **Stop rule.** With `tol` given, a run stops after the first iteration
+/// whose max-norm change is at most `tol` (a NaN change never is). The
+/// baselines measure that change over every node; Mixen over its regular
+/// nodes only, since seeds and isolated nodes sit at a fixed point and
+/// sinks are finished once in the Post-Phase. The two can therefore stop
+/// at different iterations on the same input (DESIGN.md DR-15).
+pub trait Engine: Sync {
+    /// At most `iters` iterations, stopping early under the stop rule when
+    /// `tol` is given (no change is computed when it is not). Returns the
+    /// values and the iterations performed.
+    fn run<V, FI, FA>(
+        &self,
+        init: FI,
+        apply: FA,
+        iters: usize,
+        tol: Option<f64>,
+    ) -> (Vec<V>, usize)
+    where
+        V: AtomicProp,
+        FI: Fn(NodeId) -> V + Sync,
+        FA: Fn(NodeId, V) -> V + Sync;
+
+    /// BFS depths from `root` in original-ID order (`-1` = unreachable).
+    fn bfs(&self, root: NodeId) -> Vec<i32>;
+
+    /// Exactly `iters` synchronous iterations.
+    fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
+    where
+        V: AtomicProp,
+        FI: Fn(NodeId) -> V + Sync,
+        FA: Fn(NodeId, V) -> V + Sync,
+    {
+        self.run(init, apply, iters, None).0
+    }
+
+    /// At most `max_iters` iterations under the stop rule.
+    fn iterate_until<V, FI, FA>(
+        &self,
+        init: FI,
+        apply: FA,
+        tol: f64,
+        max_iters: usize,
+    ) -> (Vec<V>, usize)
+    where
+        V: AtomicProp,
+        FI: Fn(NodeId) -> V + Sync,
+        FA: Fn(NodeId, V) -> V + Sync,
+    {
+        self.run(init, apply, max_iters, Some(tol))
+    }
+}
 
 /// Wall-clock breakdown of one [`MixenEngine::iterate_with_stats`] run,
 /// following the paper's phase vocabulary (§4.3).
@@ -300,24 +358,11 @@ impl<W: Weights> MixenEngine<W> {
         &self.metrics
     }
 
-    /// Runs `iters` synchronous iterations of
-    /// `x'[v] = apply(v, ⊕_{u→v} x[u] ⊗ w(u,v))` and returns the final
-    /// values in original-ID order. `init` provides iteration-0 values;
-    /// both closures receive original node IDs.
+    /// [`Engine::iterate`] that also returns the per-phase wall-clock
+    /// breakdown.
     ///
     /// Panics if a compressed bin encoding rejects the value range;
     /// fallible callers use [`MixenEngine::try_run`].
-    pub fn iterate<V, FI, FA>(&self, init: FI, apply: FA, iters: usize) -> Vec<V>
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        self.run(init, apply, iters, None).0
-    }
-
-    /// Like [`MixenEngine::iterate`], additionally returning the per-phase
-    /// wall-clock breakdown.
     pub fn iterate_with_stats<V, FI, FA>(
         &self,
         init: FI,
@@ -329,46 +374,7 @@ impl<W: Weights> MixenEngine<W> {
         FI: Fn(NodeId) -> V + Sync,
         FA: Fn(NodeId, V) -> V + Sync,
     {
-        self.run(init, apply, iters, None)
-    }
-
-    /// Iterates until the regular nodes' values change by at most `tol`
-    /// (max-norm) or `max_iters` is reached. Returns the values and the
-    /// number of iterations performed.
-    pub fn iterate_until<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        tol: f64,
-        max_iters: usize,
-    ) -> (Vec<V>, usize)
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        let (vals, stats) = self.run(init, apply, max_iters, Some(tol));
-        (vals, stats.iterations)
-    }
-
-    /// [`MixenEngine::try_run`] for the infallible fronts.
-    fn run<V, FI, FA>(
-        &self,
-        init: FI,
-        apply: FA,
-        max_iters: usize,
-        tol: Option<f64>,
-    ) -> (Vec<V>, PhaseStats)
-    where
-        V: PropValue,
-        FI: Fn(NodeId) -> V + Sync,
-        FA: Fn(NodeId, V) -> V + Sync,
-    {
-        self.try_run(init, apply, max_iters, tol)
-            .unwrap_or_else(|e| {
-                // lint: allow(panic) reason=infallible under the default F32 bins; compressed encodings surface budget violations through try_run
-                panic!("mixen run: {e}")
-            })
+        infallible(self.try_run(init, apply, iters, None))
     }
 
     /// The one Pre→Main→Post driver: at most `max_iters` iterations,
@@ -614,13 +620,29 @@ impl<W: Weights> MixenEngine<W> {
         });
         out
     }
+}
+
+impl<W: Weights> Engine for MixenEngine<W> {
+    /// [`MixenEngine::try_run`], with the stop rule measured over the
+    /// regular nodes.
+    ///
+    /// Panics if a compressed bin encoding rejects the value range.
+    fn run<V, FI, FA>(&self, init: FI, apply: FA, iters: usize, tol: Option<f64>) -> (Vec<V>, usize)
+    where
+        V: AtomicProp,
+        FI: Fn(NodeId) -> V + Sync,
+        FA: Fn(NodeId, V) -> V + Sync,
+    {
+        let (vals, stats) = infallible(self.try_run(init, apply, iters, tol));
+        (vals, stats.iterations)
+    }
 
     /// Breadth-first search from `root`, returning depths in original-ID
     /// order (`-1` = unreachable). Runs frontier-sparse blocked propagation
     /// with a dense fallback for fat frontiers; seeds can only start a
     /// traversal and sinks can only end one, so they are handled in the
     /// Pre-/Post-Phase positions just like link analysis.
-    pub fn bfs(&self, root: NodeId) -> Vec<i32> {
+    fn bfs(&self, root: NodeId) -> Vec<i32> {
         let f = &self.filtered;
         let n = f.n();
         assert!((root as usize) < n, "root out of range");
@@ -858,6 +880,15 @@ fn par_max_diff<V: PropValue>(a: &[V], b: &[V]) -> f64 {
     mixen_graph::max_distance(mixen_pool::par_parts(a.len(), |part| {
         mixen_graph::max_diff(&a[part.clone()], &b[part])
     }))
+}
+
+/// A run under the default `F32` bins cannot fail; compressed encodings
+/// surface a violated accuracy budget through [`MixenEngine::try_run`].
+fn infallible<T>(run: Result<T, GraphError>) -> T {
+    run.unwrap_or_else(|e| {
+        // lint: allow(panic) reason=infallible under the default F32 bins; compressed encodings surface budget violations through try_run
+        panic!("mixen run: {e}")
+    })
 }
 
 /// Re-stamps a [`GraphError::Numeric`] raised inside an iteration with the

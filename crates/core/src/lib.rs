@@ -26,7 +26,7 @@
 //! # Quick start
 //!
 //! ```
-//! use mixen_core::{MixenEngine, MixenOpts};
+//! use mixen_core::{Engine, MixenEngine, MixenOpts};
 //! use mixen_graph::Graph;
 //!
 //! // 0,1 regular; 2 seed; 3 sink.
@@ -73,7 +73,7 @@ pub mod mc {
 
 pub use bins::BinEncoding;
 pub use block::BlockedSubgraph;
-pub use engine::{MixenEngine, PhaseStats};
+pub use engine::{Engine, MixenEngine, PhaseStats};
 pub use filter::FilteredGraph;
 pub use model::PerfModel;
 pub use obs::{Json, Metrics, MetricsSnapshot, Span};

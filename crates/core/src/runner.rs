@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use mixen_graph::ckpt::{Checkpoint, CkptValue};
 use mixen_graph::io::graph_checksum;
-use mixen_graph::{max_diff, Graph, GraphError, NodeId, PropValue};
+use mixen_graph::{max_diff, pull_sweep, Graph, GraphError, NodeId, PropValue};
 
 use crate::engine::{stamp_iteration, MixenEngine, PhaseStats};
 use crate::obs::{Json, MetricsSnapshot};
@@ -369,7 +369,7 @@ impl RobustRunner {
     }
 
     /// Runs `iters` supervised synchronous iterations of
-    /// `x'[v] = apply(v, Σ_{u→v} x[u])`; see [`MixenEngine::iterate`] for
+    /// `x'[v] = apply(v, Σ_{u→v} x[u])`; see [`crate::Engine::iterate`] for
     /// the closure contract. Values are health-checked after every
     /// iteration.
     pub fn run<V, FI, FA>(
@@ -580,7 +580,7 @@ impl RobustRunner {
                     report.absorb(stats);
                     vals
                 }
-                None => pull_iterate(g, cur, apply),
+                None => pull_sweep(g, cur, apply),
             };
             if let Some(fault) = scan(&next) {
                 return Err(numeric_error(done, fault));
@@ -635,30 +635,6 @@ fn dur_ms(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
-/// One synchronous pull iteration over the in-CSC — the fallback when
-/// [`MixenEngine::try_new`] fails: same semantics as the Mixen engine, none
-/// of its machinery.
-fn pull_iterate<V, FA>(g: &Graph, x: &[V], apply: &FA) -> Vec<V>
-where
-    V: PropValue,
-    FA: Fn(NodeId, V) -> V + Sync,
-{
-    mixen_pool::par_parts(g.n(), |part| {
-        part.map(|v| {
-            let v = nid(v);
-            let mut sum = V::identity();
-            for &u in g.in_csc().neighbors(v) {
-                sum.combine(x[u as usize]);
-            }
-            apply(v, sum)
-        })
-        .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 fn scan<V: ValueCheck>(vals: &[V]) -> Option<(usize, NumericIssue)> {
     vals.iter()
         .enumerate()
@@ -675,6 +651,7 @@ fn numeric_error(iteration: usize, (node, issue): (usize, NumericIssue)) -> Grap
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
 
     fn mixed_graph() -> Graph {
         Graph::from_pairs(

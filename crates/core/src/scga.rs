@@ -110,23 +110,7 @@ impl<V: PropValue> BinRead<V> for PackedRead<'_> {
 /// Scatter step: stream each block-row's source values into its dynamic
 /// bins (one value per compressed message slot). If `prime` is given, the
 /// now-dead source segment is overwritten with the corresponding slice of
-/// `prime` afterwards — Mixen's Cache step.
-///
-/// Panics if the bins use a compressed encoding and `x` violates the
-/// accuracy budget; fallible callers use [`try_scatter_with`].
-pub fn scatter<V: PropValue>(
-    blocked: &BlockedSubgraph,
-    x: &mut [V],
-    bins: &mut DynamicBins<V>,
-    prime: Option<&[V]>,
-) {
-    try_scatter_with(blocked, x, bins, prime, None).unwrap_or_else(|e| {
-        // lint: allow(panic) reason=infallible for full-width bins; compressed encodings surface budget violations through try_scatter_with
-        panic!("scatter: {e}")
-    });
-}
-
-/// Fallible [`scatter`] with optional metrics. Under a compressed bin
+/// `prime` afterwards — Mixen's Cache step. Under a compressed bin
 /// encoding the round's codec is planned against `x` first ([`plan_codec`])
 /// and a violated accuracy budget surfaces as [`GraphError::Numeric`]
 /// before anything is streamed; full-width bins never fail.
@@ -269,15 +253,8 @@ fn stream_block_packed<V: PropValue>(blk: &Block, xseg: &[V], out: &mut [u16], c
 /// (which the caller pre-initializes — to the identity for plain GAS, or to
 /// the static-bin contents for Mixen), then map every destination through
 /// `finish(new_id, accumulated)` in the same parallel region.
-pub fn gather<V, F>(blocked: &BlockedSubgraph, bins: &DynamicBins<V>, y: &mut [V], finish: F)
-where
-    V: PropValue,
-    F: Fn(NodeId, V) -> V + Sync,
-{
-    gather_with(blocked, bins, y, finish, None);
-}
-
-/// [`gather`] with optional metrics: advances `edges_gathered` by the
+///
+/// `metrics`, if given, advances `edges_gathered` by the
 /// subgraph's edge count (every compressed message fans out to all of its
 /// destinations, so the drained-edge total per call is exact) and
 /// `bin_bytes_streamed` by the compressed slot bytes drained — the counter
@@ -625,8 +602,8 @@ mod tests {
         let mut bins: DynamicBins<f32> = DynamicBins::new(&b);
         let mut x: Vec<f32> = (0..6).map(|i| (i + 1) as f32).collect();
         let mut y = vec![0.0f32; 6];
-        scatter(&b, &mut x, &mut bins, None);
-        gather(&b, &bins, &mut y, |_, s| s);
+        try_scatter_with(&b, &mut x, &mut bins, None, None).unwrap();
+        gather_with(&b, &bins, &mut y, |_, s| s, None);
         // In-sums: node 0 <- {1,2} = 2+3=5; 1 <- {3} = 4; 3 <- {0} = 1;
         // 4 <- {0} = 1; 5 <- {5} = 6.
         assert_eq!(y, vec![5.0, 4.0, 0.0, 1.0, 1.0, 6.0]);
@@ -641,7 +618,7 @@ mod tests {
         let mut bins: DynamicBins<f32> = DynamicBins::new(&b);
         let mut x = vec![1.0f32, 2.0, 3.0, 4.0];
         let prime = vec![9.0f32, 8.0, 7.0, 6.0];
-        scatter(&b, &mut x, &mut bins, Some(&prime));
+        try_scatter_with(&b, &mut x, &mut bins, Some(&prime), None).unwrap();
         assert_eq!(x, prime);
     }
 
@@ -652,8 +629,8 @@ mod tests {
         let mut bins: DynamicBins<f32> = DynamicBins::new(&b);
         let mut x = vec![5.0f32, 0.0, 0.0];
         let mut y = vec![0.0f32; 3];
-        scatter(&b, &mut x, &mut bins, None);
-        gather(&b, &bins, &mut y, |v, s| s + v as f32 * 100.0);
+        try_scatter_with(&b, &mut x, &mut bins, None, None).unwrap();
+        gather_with(&b, &bins, &mut y, |v, s| s + v as f32 * 100.0, None);
         assert_eq!(y, vec![0.0, 100.0, 205.0]);
     }
 
@@ -673,8 +650,8 @@ mod tests {
         let mut bins: DynamicBins<f32> = DynamicBins::new(&b);
         let mut xv = x.to_vec();
         let mut y = vec![0.0f32; csr.n_cols()];
-        scatter(&b, &mut xv, &mut bins, None);
-        gather(&b, &bins, &mut y, |_, s| s);
+        try_scatter_with(&b, &mut xv, &mut bins, None, None).unwrap();
+        gather_with(&b, &bins, &mut y, |_, s| s, None);
         y
     }
 
@@ -835,7 +812,7 @@ mod tests {
                 let mut bins: DynamicBins<f32> = DynamicBins::with_encoding(&b, enc);
                 let mut y = vec![0.0f32; n];
                 try_scatter_with(&b, &mut x.clone(), &mut bins, None, None).unwrap();
-                gather(&b, &bins, &mut y, |_, s| s);
+                gather_with(&b, &bins, &mut y, |_, s| s, None);
                 assert_eq!(y, spmv_reference(&csr, &streamed), "{name}, {}", enc.name());
             }
         }
@@ -901,7 +878,7 @@ mod tests {
         let mut xv = x.to_vec();
         let mut y = vec![0.0f32; csr.n_cols()];
         try_scatter_with(&b, &mut xv, &mut bins, None, None)?;
-        gather(&b, &bins, &mut y, |_, s| s);
+        gather_with(&b, &bins, &mut y, |_, s| s, None);
         Ok(y)
     }
 

@@ -8,7 +8,7 @@
 //! 3. each policy is bit-for-bit deterministic at a fixed lane count,
 //! 4. the auto-selected policy is visible in the observability counters.
 
-use mixen_core::{MixenEngine, MixenOpts, PerfModel, RegularOrdering, ReorderChoice};
+use mixen_core::{Engine, MixenEngine, MixenOpts, PerfModel, RegularOrdering, ReorderChoice};
 use mixen_graph::{nid, Classification, Dataset, Graph, Scale};
 
 fn engine_with(g: &Graph, ordering: RegularOrdering) -> MixenEngine {

@@ -7,7 +7,7 @@
 //! feature the file is empty.
 #![cfg(feature = "strict-invariants")]
 
-use mixen_core::{MixenEngine, MixenOpts, RegularOrdering};
+use mixen_core::{Engine, MixenEngine, MixenOpts, RegularOrdering};
 use mixen_graph::gen::{kronecker, uniform};
 use mixen_graph::{Graph, WGraph};
 

@@ -55,7 +55,7 @@ pub use edgelist::EdgeList;
 pub use error::GraphError;
 pub use faults::{Fault, FaultPlan, FaultyReader, FaultyWriter};
 pub use graph::Graph;
-pub use prop::{max_diff, max_distance, AtomicProp, MinF32, PropValue};
+pub use prop::{map_nodes, max_diff, max_distance, pull_sweep, AtomicProp, MinF32, PropValue};
 pub use stats::StructuralStats;
 pub use weighted::WGraph;
 

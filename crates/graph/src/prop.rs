@@ -11,6 +11,8 @@
 //! * `f32` with `min`/`+inf` — BFS-style distance relaxation (via
 //!   [`MinF32`]).
 
+use crate::{nid, Graph, NodeId};
+
 /// A value that can be propagated along edges and combined at destinations.
 ///
 /// The combine operation must be commutative and associative with
@@ -273,6 +275,37 @@ pub fn max_distance(distances: impl IntoIterator<Item = f64>) -> f64 {
 pub fn max_diff<V: PropValue>(a: &[V], b: &[V]) -> f64 {
     assert_eq!(a.len(), b.len());
     max_distance(a.iter().zip(b).map(|(&x, &y)| V::abs_diff(x, y)))
+}
+
+/// `f(v)` for every node `v < n`, in node order: one `Vec` per pool part,
+/// each built inside its task, concatenated on the caller.
+pub fn map_nodes<V, F>(n: usize, f: F) -> Vec<V>
+where
+    V: Send,
+    F: Fn(NodeId) -> V + Sync,
+{
+    mixen_pool::par_parts(n, |part| part.map(|v| f(nid(v))).collect::<Vec<_>>())
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// One synchronous pull iteration over the in-CSC,
+/// `y[v] = apply(v, Σ_{u→v} x[u])`, built through [`map_nodes`]: the
+/// GraphMat-style baseline's sweep, and the supervised runner's fallback
+/// when the Mixen engine cannot be built.
+pub fn pull_sweep<V, FA>(g: &Graph, x: &[V], apply: &FA) -> Vec<V>
+where
+    V: PropValue,
+    FA: Fn(NodeId, V) -> V + Sync,
+{
+    map_nodes(g.n(), |v| {
+        let mut sum = V::identity();
+        for &u in g.in_neighbors(v) {
+            sum.combine(x[u as usize]);
+        }
+        apply(v, sum)
+    })
 }
 
 #[cfg(test)]

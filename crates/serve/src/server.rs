@@ -51,7 +51,8 @@ pub struct ServeOpts {
     pub refresh_iters: usize,
     /// Total iteration cap for the resident ranking.
     pub max_iters: usize,
-    /// Convergence tolerance on the per-batch max-norm residual.
+    /// Convergence tolerance on the max-norm score change of each refresh
+    /// batch's last iteration.
     pub tol: f64,
     /// PageRank damping factor.
     pub damping: f32,

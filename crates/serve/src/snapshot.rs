@@ -23,7 +23,7 @@ pub struct RankSnapshot {
     pub scores: Vec<f32>,
     /// Total PageRank iterations folded into these scores.
     pub iterations: usize,
-    /// Max-norm score change of the last refresh batch.
+    /// Max-norm score change of the last iteration of the refresh batch.
     pub residual: f64,
     /// Whether the residual fell to the configured tolerance.
     pub converged: bool,
@@ -78,7 +78,11 @@ pub(crate) fn ranking_loop(shared: &Shared, graph: &Arc<Graph>, cell: &SnapCell<
             continue;
         }
         let batch = refresh.min(max_iters - stream.iterations());
-        let residual = stream.advance(batch);
+        // A batch's change is no bound on its last step's (a period-2
+        // component swings back and forth within one batch), so the stop
+        // rule reads the last step alone.
+        stream.advance(batch - 1);
+        let residual = stream.advance(1);
         converged = residual <= opts.tol;
         cell.publish(Arc::new(RankSnapshot {
             scores: stream.scores(),

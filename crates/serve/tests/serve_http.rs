@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mixen_core::Json;
-use mixen_graph::{Dataset, Scale};
+use mixen_graph::{Dataset, Graph, Scale};
 use mixen_serve::{http_get, http_request, run_load, LoadOpts, ServeOpts, Server, ServerHandle};
 
 fn start_server(opts: ServeOpts) -> (SocketAddr, ServerHandle) {
@@ -266,5 +266,29 @@ fn snapshot_versions_do_not_regress_under_refresh() {
         last = v;
     }
     assert!(last >= 1);
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn convergence_is_read_from_the_last_iteration_of_a_batch() {
+    // The star 0 <-> {1, 2, 3} is a period-2 component: the scores swing
+    // back and forth, so a four-iteration batch can change less than its
+    // last iteration did. At tol 0.05 the batch ending at iteration 12
+    // changes by 2.99e-2 while its last step moves 7.11e-2; the first batch
+    // whose last step is within tol ends at iteration 16 (3.71e-2).
+    let star = Graph::from_pairs(4, &[(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]);
+    let opts = ServeOpts {
+        workers: 1,
+        refresh_iters: 4,
+        tol: 0.05,
+        ..ServeOpts::default()
+    };
+    let handle = Server::start(Arc::new(star), opts).expect("server start");
+    let addr = handle.addr();
+    wait_converged(addr);
+    let (_, health) = get_json(addr, "/healthz");
+    assert_eq!(health.get("iterations").and_then(Json::as_u64), Some(16));
+    let residual = health.get("residual").and_then(Json::as_f64).unwrap();
+    assert!(residual <= 0.05, "residual {residual}");
     handle.shutdown_and_join();
 }

@@ -6,7 +6,7 @@ use mixen_algos::{
     bfs, collaborative_filtering, default_root, hits, indegree, pagerank, salsa, AnyEngine, CfOpts,
     Engine, EngineKind, PageRankOpts, LATENT_DIM,
 };
-use mixen_baselines::{PullEngine, ReferenceEngine};
+use mixen_baselines::ReferenceEngine;
 use mixen_core::{MixenEngine, MixenOpts};
 use mixen_graph::{Dataset, Graph, Scale};
 
@@ -32,7 +32,7 @@ fn check_dataset(d: Dataset) {
     let want_bfs = bfs(&reference, root);
 
     for kind in EngineKind::ALL {
-        let engine = AnyEngine::build(kind, &g);
+        let engine = AnyEngine::build(kind, &g, MixenOpts::default());
         let name = kind.name();
 
         let ind = indegree(&engine);
@@ -179,11 +179,42 @@ fn a_nan_vector_never_converges() {
     // use every iteration it was given, not stop after the first.
     let g = Dataset::Wiki.generate(Scale::Tiny, 5);
     let (init, apply) = (|_| 1.0f32, |_, _| f32::NAN);
-    let mixen = MixenEngine::new(&g, MixenOpts::default());
-    let (_, iters) = mixen.iterate_until(init, apply, 1e-6, 7);
-    assert_eq!(iters, 7, "mixen");
-    let (_, iters) = PullEngine::new(&g).iterate_until(init, apply, 1e-6, 7);
-    assert_eq!(iters, 7, "pull");
+    for kind in EngineKind::ALL {
+        let engine = AnyEngine::build(kind, &g, MixenOpts::default());
+        let (_, iters) = engine.iterate_until(init, apply, 1e-6, 7);
+        assert_eq!(iters, 7, "{}", kind.name());
+    }
     let (_, iters) = ReferenceEngine::new(&g).iterate_until(init, apply, 1e-6, 7);
     assert_eq!(iters, 7, "reference");
+}
+
+#[test]
+fn a_zero_tolerance_runs_every_iteration_and_matches_iterate() {
+    // No iteration of this recurrence leaves every value unchanged, so at
+    // `tol` 0 the stop rule never fires: `iterate_until` performs exactly
+    // `k` iterations and is `iterate(k)` bit for bit. Ligra's atomic float
+    // adds follow the schedule, so its bits may differ between two runs;
+    // it is compared within tolerance instead.
+    let init = |v: u32| (v % 5) as f32;
+    let apply = |_, s: f32| 0.25 * s + 1.0;
+    for d in [Dataset::Wiki, Dataset::Weibo, Dataset::Pld] {
+        let g = d.generate(Scale::Tiny, 11);
+        for kind in EngineKind::ALL {
+            let engine = AnyEngine::build(kind, &g, MixenOpts::default());
+            let name = format!("{}/{}", kind.name(), d.name());
+            for k in [0usize, 1, 3] {
+                let (until, iters) = engine.iterate_until(init, apply, 0.0, k);
+                assert_eq!(iters, k, "{name}: k = {k}");
+                let fixed = engine.iterate(init, apply, k);
+                if kind == EngineKind::Ligra {
+                    for (a, b) in until.iter().zip(&fixed) {
+                        assert!(close(*a, *b, 1e-5), "{name}: k = {k}: {a} vs {b}");
+                    }
+                } else {
+                    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&until), bits(&fixed), "{name}: k = {k}");
+                }
+            }
+        }
+    }
 }

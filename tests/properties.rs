@@ -4,7 +4,7 @@
 //! so a failing case replays from that one number.
 
 use mixen_baselines::{BlockEngine, PullEngine, PushEngine, ReferenceEngine};
-use mixen_core::{FilteredGraph, MixenEngine, MixenOpts};
+use mixen_core::{Engine, FilteredGraph, MixenEngine, MixenOpts};
 use mixen_graph::rng::SplitMix64;
 use mixen_graph::{Classification, Graph, NodeClass, StructuralStats};
 

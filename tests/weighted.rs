@@ -4,7 +4,7 @@
 
 use mixen_algos::{dijkstra, sssp, sssp_pull, weighted_spmv};
 use mixen_baselines::WPullEngine;
-use mixen_core::{BinEncoding, MixenEngine, MixenOpts, RegularOrdering};
+use mixen_core::{BinEncoding, Engine, MixenEngine, MixenOpts, RegularOrdering};
 use mixen_graph::{Dataset, Graph, GraphError, MinF32, NodeId, PropValue, Scale, WGraph};
 
 fn weighted(d: Dataset, seed: u64) -> WGraph {

@@ -48,6 +48,9 @@ impl<'g> PartitionedEngine<'g> {
             bounds.push(n);
         }
         bounds.push(n);
+        // Every sweep pulls over in-edges: build the in-CSC here, not in the
+        // first iteration.
+        g.in_csc();
         Self { g, bounds }
     }
 
@@ -68,6 +71,7 @@ impl<'g> PartitionedEngine<'g> {
         V: PropValue,
         FA: Fn(NodeId, V) -> V + Sync,
     {
+        let csc = self.g.in_csc();
         let mut y = vec![V::identity(); self.g.n()];
         let mut segs: Vec<&mut [V]> = Vec::with_capacity(self.partitions());
         let mut rest: &mut [V] = &mut y;
@@ -82,7 +86,7 @@ impl<'g> PartitionedEngine<'g> {
                 for (off, slot) in seg.iter_mut().enumerate() {
                     let v = nid(lo + off);
                     let mut sum = V::identity();
-                    for &u in self.g.in_neighbors(v) {
+                    for &u in csc.neighbors(v) {
                         sum.combine(x[u as usize]);
                     }
                     *slot = apply(v, sum);

@@ -11,25 +11,34 @@
 //! level — the reason GraphMat's road BFS is by far the slowest entry of
 //! Table 3.
 
+use std::time::Instant;
+
 use mixen_core::Engine;
 use mixen_graph::{map_nodes, nid, pull_sweep, AtomicProp, Graph, NodeId};
 
 /// Dense pull engine (GraphMat-like).
 pub struct PullEngine<'g> {
     g: &'g Graph,
+    build_seconds: f64,
 }
 
 impl<'g> PullEngine<'g> {
-    /// Wraps a graph. The CSC already exists inside [`Graph`], so "building"
-    /// is free — the conversion cost GraphMat pays from an edge list is
-    /// measured by the preprocessing benchmark instead.
+    /// Wraps a graph and builds the in-CSC the sweeps read, unless the graph
+    /// already holds it: [`Graph`] builds it on first use, and Mixen never
+    /// asks for it, so this engine pays for its own transpose.
     pub fn new(g: &'g Graph) -> Self {
-        Self { g }
+        let t0 = Instant::now();
+        g.in_csc();
+        Self {
+            g,
+            build_seconds: t0.elapsed().as_secs_f64(),
+        }
     }
 
-    /// Framework-internal build time (zero; see [`PullEngine::new`]).
+    /// Wall-clock time [`PullEngine::new`] spent building the in-CSC (near
+    /// zero if another consumer of the same graph built it first).
     pub fn build_seconds(&self) -> f64 {
-        0.0
+        self.build_seconds
     }
 }
 
@@ -53,13 +62,13 @@ impl Engine for PullEngine<'_> {
         let mut depth = vec![-1i32; n];
         depth[root as usize] = 0;
         let mut level = 0i32;
+        let csc = self.g.in_csc();
         loop {
             let next: Vec<(usize, i32)> = mixen_pool::par_parts(n, |part| {
                 part.filter(|&v| depth[v] < 0)
                     .filter_map(|v| {
-                        let hit = self
-                            .g
-                            .in_neighbors(nid(v))
+                        let hit = csc
+                            .neighbors(nid(v))
                             .iter()
                             .any(|&u| depth[u as usize] == level);
                         hit.then_some((v, level + 1))
@@ -101,6 +110,15 @@ mod tests {
                 (2, 6),
             ],
         )
+    }
+
+    #[test]
+    fn new_builds_the_in_csc_and_times_it() {
+        let g = mixed();
+        assert!(!g.has_in_csc());
+        let e = PullEngine::new(&g);
+        assert!(g.has_in_csc());
+        assert!(e.build_seconds() > 0.0);
     }
 
     #[test]

@@ -101,14 +101,14 @@ impl Engine for PushEngine<'_> {
             let frontier_edges: usize = frontier.iter().map(|&u| self.g.out_degree(u)).sum();
             frontier = if frontier_edges * 20 > m.max(1) {
                 // Bottom-up: every unvisited node scans its in-neighbours.
+                let csc = self.g.in_csc();
                 mixen_pool::par_parts(n, |part| {
                     // ordering: depths ≤ level were published by previous
                     // levels' scopes; this level writes only unvisited slots.
                     part.filter(|&v| depth[v].load(Ordering::Relaxed) < 0)
                         .filter_map(|v| {
-                            let hit = self
-                                .g
-                                .in_neighbors(nid(v))
+                            let hit = csc
+                                .neighbors(nid(v))
                                 .iter()
                                 // ordering: same argument as the filter above.
                                 .any(|&u| depth[u as usize].load(Ordering::Relaxed) == level);

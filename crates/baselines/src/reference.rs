@@ -3,11 +3,17 @@
 //! Computes the synchronous recurrence with no parallelism, no blocking and
 //! a deterministic (in-neighbour order) float summation. Every other engine
 //! must agree with it within floating-point reassociation tolerance.
+//!
+//! It reads only the out-CSR: walking sources in ascending order adds into
+//! each destination's sum in the order of its sorted in-neighbours, the same
+//! sums a pull over the in-CSC computes, without building that CSC. So the
+//! oracle leaves the graph's in-CSC to the engines it judges
+//! (`PullEngine::new` times building it).
 
 use mixen_core::Engine;
 use mixen_graph::{nid, AtomicProp, Graph, NodeId};
 
-/// A single-threaded pull engine.
+/// A single-threaded engine over the out-CSR.
 pub struct ReferenceEngine<'g> {
     g: &'g Graph,
 }
@@ -31,15 +37,13 @@ impl Engine for ReferenceEngine<'_> {
         let n = self.g.n();
         let mut x: Vec<V> = (0..nid(n)).map(&init).collect();
         for t in 0..iters {
-            let y: Vec<V> = (0..nid(n))
-                .map(|v| {
-                    let mut sum = V::identity();
-                    for &u in self.g.in_neighbors(v) {
-                        sum.combine(x[u as usize]);
-                    }
-                    apply(v, sum)
-                })
-                .collect();
+            let mut sums = vec![V::identity(); n];
+            for u in 0..nid(n) {
+                for &v in self.g.out_neighbors(u) {
+                    sums[v as usize].combine(x[u as usize]);
+                }
+            }
+            let y: Vec<V> = (0..nid(n)).zip(sums).map(|(v, s)| apply(v, s)).collect();
             let done = tol.is_some_and(|tol| mixen_graph::max_diff(&y, &x) <= tol);
             x = y;
             if done {
@@ -84,6 +88,31 @@ mod tests {
         let e = ReferenceEngine::new(&g);
         assert_eq!(e.bfs(0), vec![0, 1, 2, 1]);
         assert_eq!(e.bfs(2), vec![-1, -1, 0, -1]);
+    }
+
+    #[test]
+    fn sums_are_the_in_csc_pull_sums_bit_for_bit_and_leave_it_unbuilt() {
+        // Duplicates, self-loops and a hub: the out-CSR walk must add in
+        // exactly the order of each sorted in-neighbour row.
+        let mut rng = mixen_graph::rng::SplitMix64::new(11);
+        let mut pairs: Vec<(NodeId, NodeId)> = (0..400)
+            .map(|_| (nid(rng.below(60) as usize), nid(rng.below(60) as usize)))
+            .collect();
+        pairs.extend([(3, 3), (3, 3), (7, 0), (7, 0)]);
+        pairs.extend((0..60).map(|u| (u, 5)));
+        let g = Graph::from_pairs(60, &pairs);
+        let init = |v: NodeId| 1.0 / (v as f32 + 3.0);
+        let apply = |v: NodeId, s: f32| 0.15 / (v as f32 + 1.0) + 0.85 * s;
+        let got = ReferenceEngine::new(&g).iterate::<f32, _, _>(init, apply, 3);
+        assert!(!g.has_in_csc());
+        let mut want: Vec<f32> = (0..60).map(init).collect();
+        for _ in 0..3 {
+            want = mixen_graph::pull_sweep(&g, &want, &apply);
+        }
+        assert_eq!(
+            got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

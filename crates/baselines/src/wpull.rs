@@ -24,9 +24,11 @@ impl<'g> WPullEngine<'g> {
         V: PropValue,
         FA: Fn(NodeId, V) -> V + Sync,
     {
+        let (csc, win) = (self.wg.topology().in_csc(), self.wg.in_weights());
         map_nodes(self.wg.n(), |v| {
+            let edges = csc.ptr()[v as usize]..csc.ptr()[v as usize + 1];
             let mut sum = V::identity();
-            for (u, w) in self.wg.in_edges(v) {
+            for (&u, &w) in csc.idx()[edges.clone()].iter().zip(&win[edges]) {
                 sum.combine(x[u as usize].scale_edge(w));
             }
             apply(v, sum)

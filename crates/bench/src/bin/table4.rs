@@ -26,6 +26,8 @@ fn main() {
 
         let (_, ligra) = timed(|| {
             let converted = Graph::from_edge_list(&EdgeList::from_pairs(n, pairs.clone()));
+            // Ligra keeps both directions (its bottom-up BFS pulls).
+            converted.in_csc();
             let e = PushEngine::new(&converted);
             std::hint::black_box(&e);
             converted

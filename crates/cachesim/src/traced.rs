@@ -72,6 +72,7 @@ pub fn trace_pull(g: &Graph, cfg: &CacheConfig) -> TraceReport {
     let y = layout.array(n, 4);
     let mut sim = CacheSim::new(cfg);
     sim.set_regions(layout.region_bases());
+    let csc = g.in_csc();
     for pass in 0..2 {
         if pass == 1 {
             sim.reset_stats();
@@ -79,7 +80,7 @@ pub fn trace_pull(g: &Graph, cfg: &CacheConfig) -> TraceReport {
         let mut edge = 0usize;
         for v in 0..n as u32 {
             sim.read(ptr.addr(v as usize), 8);
-            for &u in g.in_neighbors(v) {
+            for &u in csc.neighbors(v) {
                 sim.read(idx.addr(edge), 4);
                 sim.read(x.addr(u as usize), 4);
                 edge += 1;

@@ -13,8 +13,11 @@
 //!
 //! Every edge of the original graph lands in exactly one of the three
 //! sub-structures (verified by tests), so no redundant pointer entries for
-//! zero-degree directions are ever scanned again during iteration.
+//! zero-degree directions are ever scanned again during iteration. All three
+//! come from the out-CSR and the in-degrees alone: filtering never builds the
+//! graph's in-CSC (DESIGN.md DR-16).
 
+use mixen_graph::csr::prefix_sum;
 use mixen_graph::nid;
 use mixen_graph::{Classification, Csr, Graph, GraphError, NodeClass, NodeId};
 
@@ -126,9 +129,8 @@ impl FilteredGraph {
             inv[new as usize] = nid(old);
         }
         let r = nid(num_regular);
-        let seed_end = nid(num_regular + num_seed);
 
-        // Sub-structure extraction straight from the existing CSR/CSC.
+        // Sub-structure extraction straight from the out-CSR.
         let reg_csr = Csr::from_row_fn(num_regular, num_regular, |u_new, out| {
             let old = inv[u_new as usize];
             out.extend(
@@ -147,16 +149,32 @@ impl FilteredGraph {
                     .filter(|&v| v < r),
             );
         });
-        let sink_csc = Csr::from_row_fn(num_sink, num_regular + num_seed, |k_local, out| {
-            let old = inv[num_regular + num_seed + k_local as usize];
-            out.extend(
-                g.in_neighbors(old)
-                    .iter()
-                    .map(|&v| perm[v as usize])
-                    .inspect(|&v| {
-                        debug_assert!(v < seed_end, "sink in-neighbor must be regular/seed")
-                    }),
-            );
+        // Sink rows from the out-CSR: a sink's row length is its in-degree,
+        // so the pointers need no count pass, and DR-11's fill places each
+        // source's new ID in the sink rows its out-edges reach. Sinks keep
+        // their original relative order, so a task's sink rows are one range
+        // of old IDs, found in each sorted out-row by `partition_point`
+        // (sinks and isolated nodes have empty out-rows).
+        let sink_base = num_regular + num_seed;
+        let sink_ptr = prefix_sum(
+            &inv[sink_base..sink_base + num_sink]
+                .iter()
+                .map(|&old| g.in_degree(old))
+                .collect::<Vec<_>>(),
+        );
+        let sink_csc = Csr::from_fill(sink_base, sink_ptr, |rows, cursors, idx| {
+            let (lo, hi) = (inv[sink_base + rows.start], inv[sink_base + rows.end - 1]);
+            for src in 0..nid(n) {
+                let row = g.out_neighbors(src);
+                let run = row.partition_point(|&v| v < lo)..row.partition_point(|&v| v <= hi);
+                for &v in &row[run] {
+                    let k = (perm[v as usize] as usize).wrapping_sub(sink_base + rows.start);
+                    if let Some(c) = cursors.get_mut(k) {
+                        idx[*c] = perm[src as usize];
+                        *c += 1;
+                    }
+                }
+            }
         });
 
         let mut out_degree = vec![0u32; n];
@@ -627,6 +645,56 @@ mod tests {
                 f.memory_bytes(),
                 g.memory_bytes()
             );
+        }
+    }
+
+    #[test]
+    fn filtering_never_builds_the_in_csc_and_does_not_depend_on_it() {
+        use mixen_graph::{Dataset, Scale};
+        let mut graphs: Vec<(String, Graph)> = Dataset::ALL
+            .iter()
+            .map(|d| (d.name().to_string(), d.generate(Scale::Tiny, 5)))
+            .collect();
+        for (name, n, pairs) in [
+            ("empty", 0, &[][..]),
+            ("all-sink", 6, &[(0, 1), (0, 2), (0, 5), (3, 5)]),
+            ("self-loop", 4, &[(0, 0), (1, 1), (1, 2), (3, 3), (3, 0)]),
+            (
+                "duplicate-edge",
+                5,
+                &[(0, 3), (0, 3), (1, 3), (2, 0), (0, 2), (1, 4), (1, 4)],
+            ),
+        ] {
+            graphs.push((name.to_string(), Graph::from_pairs(n, pairs)));
+        }
+        for (name, cold) in &graphs {
+            for ordering in RegularOrdering::ALL {
+                for lanes in [1, 3] {
+                    let g = cold.clone();
+                    let f = mixen_pool::with_threads(lanes, || {
+                        FilteredGraph::with_ordering(&g, ordering)
+                    });
+                    assert!(!g.has_in_csc(), "{name}: filtering built the in-CSC");
+                    g.in_csc();
+                    let warm = FilteredGraph::with_ordering(&g, ordering);
+                    let at = format!("{name}, {ordering:?}, {lanes} lanes");
+                    assert_eq!(f.perm(), warm.perm(), "{at}");
+                    assert_eq!(f.inv(), warm.inv(), "{at}");
+                    assert_eq!(f.reg_csr(), warm.reg_csr(), "{at}");
+                    assert_eq!(f.seed_csr(), warm.seed_csr(), "{at}");
+                    assert_eq!(f.sink_csc(), warm.sink_csc(), "{at}");
+                    assert_eq!(f.out_degrees(), warm.out_degrees(), "{at}");
+                    // The rows the in-CSC gives: each sink's in-neighbours,
+                    // relabeled and sorted by new ID.
+                    let base = f.num_regular() + f.num_seed();
+                    let want = Csr::from_row_fn(f.num_sink(), base, |k, out| {
+                        let old = f.to_old(nid(base) + k);
+                        out.extend(g.in_neighbors(old).iter().map(|&u| f.to_new(u)));
+                    });
+                    assert_eq!(f.sink_csc(), &want, "{at}");
+                    f.debug_validate().unwrap();
+                }
+            }
         }
     }
 

@@ -10,7 +10,11 @@
 //! contiguous range of *output* rows, receives that range's counters and
 //! entries as `&mut` chunks, and scans the whole input for what lands there.
 //! Entries are placed in input order, so the result is a pure function of the
-//! input — whatever the lane count or the schedule.
+//! input — whatever the lane count or the schedule. The transpose's two
+//! halves are separate steps (`transpose_ptr`, `transpose_fill`), so a
+//! [`crate::Graph`] can hold in-degrees without the in-CSC (DESIGN.md DR-16),
+//! and [`Csr::from_fill`] lends the fill step to callers that count their
+//! rows themselves.
 
 use std::ops::Range;
 
@@ -63,28 +67,56 @@ impl Csr {
         if ptr[n_rows] != edges.len() {
             edges.iter().for_each(check);
         }
-        let mut idx = vec![0 as NodeId; edges.len()].into_boxed_slice();
-        // The input is unordered, so each task sorts the rows it placed. No
-        // value rides along: the per-entry payload is a slice of `()`.
+        // The input is unordered, so [`Csr::from_fill`] sorts each row after
+        // the task that owns it has placed it.
+        Self::from_fill(n_cols, ptr, |rows, cursors, idx| {
+            for &(s, d) in edges {
+                if let Some(c) = cursors.get_mut((s as usize).wrapping_sub(rows.start)) {
+                    idx[*c] = d;
+                    *c += 1;
+                }
+            }
+        })
+    }
+
+    /// DR-11's fill step as a constructor, for a caller that has already
+    /// counted its rows: `ptr` holds the row pointers, and `fill(rows,
+    /// cursors, idx)` runs once per pool lane on a contiguous range of rows
+    /// cut at near-equal entry counts. `idx` is that range's entries and
+    /// `cursors[r - rows.start]` the next free index into `idx` of row `r`.
+    /// The fill must place exactly `ptr[r + 1] - ptr[r]` entries below
+    /// `n_cols` in every row `r` of its range, in any order: each row is
+    /// sorted afterwards, by the task that placed it. `ptr` must be a row
+    /// pointer array (`ptr[0] == 0`, non-decreasing); entries are checked
+    /// against `n_cols` in debug builds only.
+    pub fn from_fill(
+        n_cols: usize,
+        ptr: Vec<usize>,
+        fill: impl Fn(Range<usize>, &mut [usize], &mut [NodeId]) + Sync,
+    ) -> Self {
+        let nnz = ptr.last().copied().unwrap_or(0);
+        let mut idx = vec![0 as NodeId; nnz].into_boxed_slice();
+        // No value rides along: the per-entry payload is a slice of `()`.
         par_fill(
             &ptr,
             &mut idx,
-            &mut vec![(); edges.len()],
+            &mut vec![(); nnz],
             |rows, cursors, idx, _| {
-                let base = ptr[rows.start];
-                for &(s, d) in edges {
-                    if let Some(c) = cursors.get_mut((s as usize).wrapping_sub(rows.start)) {
-                        idx[*c - base] = d;
-                        *c += 1;
-                    }
-                }
+                fill(rows.clone(), cursors, idx);
+                let (first, base) = (rows.start, ptr[rows.start]);
                 for r in rows {
+                    debug_assert_eq!(
+                        cursors[r - first],
+                        ptr[r + 1] - base,
+                        "row {r} left unfilled"
+                    );
                     idx[ptr[r] - base..ptr[r + 1] - base].sort_unstable();
                 }
             },
         );
+        debug_assert!(idx.iter().all(|&v| (v as usize) < n_cols));
         Self {
-            n_rows,
+            n_rows: ptr.len() - 1,
             n_cols,
             ptr: ptr.into_boxed_slice(),
             idx,
@@ -223,39 +255,46 @@ impl Csr {
 
     /// [`Csr::transpose`] carrying one value per entry (`vals[e]` belongs to
     /// `idx[e]`) to the entry's place in the transpose.
-    ///
-    /// A task owns a range of columns. Rows are sorted, so what a row holds of
-    /// that range is one sub-slice found by `partition_point`, and walking the
-    /// rows in order emits every output row already sorted.
     pub(crate) fn transpose_with<T>(&self, vals: &[T]) -> (Self, Box<[T]>)
     where
         T: Copy + Default + Send + Sync,
     {
-        assert_eq!(vals.len(), self.nnz());
-        // Entry positions of row `u` whose column lies in `cols`.
-        let run = |u: usize, cols: &Range<usize>| {
-            let lo = self.ptr[u];
-            let row = &self.idx[lo..self.ptr[u + 1]];
-            lo + row.partition_point(|&v| (v as usize) < cols.start)
-                ..lo + row.partition_point(|&v| (v as usize) < cols.end)
-        };
-        let ptr = par_count(self.n_cols, |first, counts| {
+        self.transpose_fill(self.transpose_ptr(), vals)
+    }
+
+    /// The count half of the transpose: the row pointers of the transpose,
+    /// which are the prefix-summed column counts of `self` (in-degrees, when
+    /// `self` is an out-CSR).
+    ///
+    /// A task owns a range of columns. Rows are sorted, so what a row holds of
+    /// that range is one sub-slice found by `partition_point`.
+    pub(crate) fn transpose_ptr(&self) -> Vec<usize> {
+        par_count(self.n_cols, |first, counts| {
             let cols = first..first + counts.len();
             for u in 0..self.n_rows {
-                for &v in &self.idx[run(u, &cols)] {
+                for &v in &self.idx[self.col_run(u, &cols)] {
                     counts[v as usize - first] += 1;
                 }
             }
-        });
+        })
+    }
+
+    /// The fill half of the transpose, given its row pointers `ptr` (from
+    /// [`Csr::transpose_ptr`]). Walking the rows in order emits every output
+    /// row already sorted.
+    pub(crate) fn transpose_fill<T>(&self, ptr: Vec<usize>, vals: &[T]) -> (Self, Box<[T]>)
+    where
+        T: Copy + Default + Send + Sync,
+    {
+        assert_eq!(vals.len(), self.nnz());
         let mut idx = vec![0 as NodeId; self.nnz()].into_boxed_slice();
         let mut out = vec![T::default(); self.nnz()].into_boxed_slice();
         par_fill(&ptr, &mut idx, &mut out, |cols, cursors, idx, out| {
-            let base = ptr[cols.start];
             for u in 0..self.n_rows {
-                for e in run(u, &cols) {
+                for e in self.col_run(u, &cols) {
                     let c = &mut cursors[self.idx[e] as usize - cols.start];
-                    idx[*c - base] = nid(u);
-                    out[*c - base] = vals[e];
+                    idx[*c] = nid(u);
+                    out[*c] = vals[e];
                     *c += 1;
                 }
             }
@@ -267,6 +306,14 @@ impl Csr {
             idx,
         };
         (t, out)
+    }
+
+    /// Entry positions of row `u` whose column lies in `cols`.
+    fn col_run(&self, u: usize, cols: &Range<usize>) -> Range<usize> {
+        let lo = self.ptr[u];
+        let row = &self.idx[lo..self.ptr[u + 1]];
+        lo + row.partition_point(|&v| (v as usize) < cols.start)
+            ..lo + row.partition_point(|&v| (v as usize) < cols.end)
     }
 
     /// Checks every structural invariant; reports the first violation as a
@@ -326,9 +373,9 @@ fn par_count(n: usize, count: impl Fn(usize, &mut [usize]) + Sync) -> Vec<usize>
 /// entries begin at or after `nnz · p / lanes`, as `bins::edge_cuts` in
 /// `mixen-core` cuts seed rows — one hub column must not be one lane's whole
 /// share) and runs `fill(rows, cursors, idx, vals)` on each range that owns
-/// an entry. `cursors[r - rows.start]` starts at `ptr[r]`, the next free slot
-/// of row `r`; `idx` and `vals` are the range's entries, so slot `s` is at
-/// `s - ptr[rows.start]`.
+/// an entry. `idx` and `vals` are the range's entries, and
+/// `cursors[r - rows.start]` starts at `ptr[r] - ptr[rows.start]`, the index
+/// in them of the next free slot of row `r`.
 fn par_fill<T: Send>(
     ptr: &[usize],
     idx: &mut [NodeId],
@@ -348,14 +395,17 @@ fn par_fill<T: Send>(
     let (mut cursors, mut idx, mut vals) = (&mut cursors[..], idx, vals);
     mixen_pool::scope(|s| {
         for rows in (0..lanes).map(|p| cut(p)..cut(p + 1)) {
-            let len = ptr[rows.end] - ptr[rows.start];
+            let (base, len) = (ptr[rows.start], ptr[rows.end] - ptr[rows.start]);
             let (c, i, v);
             (c, cursors) = std::mem::take(&mut cursors).split_at_mut(rows.len());
             (i, idx) = std::mem::take(&mut idx).split_at_mut(len);
             (v, vals) = std::mem::take(&mut vals).split_at_mut(len);
             if len > 0 {
                 let fill = &fill;
-                s.spawn(move || fill(rows, c, i, v));
+                s.spawn(move || {
+                    c.iter_mut().for_each(|c| *c -= base);
+                    fill(rows, c, i, v)
+                });
             }
         }
     });

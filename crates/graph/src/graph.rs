@@ -1,41 +1,50 @@
 //! The directed graph type shared by every engine.
 //!
-//! A [`Graph`] owns both the out-edge CSR and the in-edge CSC (stored as the
-//! CSR of the transpose), mirroring the paper's assumption (§6.5) that
-//! frameworks ingest a prebuilt CSR binary. Keeping both directions around is
-//! what lets Mixen extract its mixed CSR/CSC representation without a format
-//! conversion (§4.1).
+//! A [`Graph`] owns the out-edge CSR, mirroring the paper's assumption (§6.5)
+//! that frameworks ingest a prebuilt CSR binary, and the in-CSC's row
+//! pointers, so in-degrees cost one subtraction. The in-CSC itself (the CSR
+//! of the transpose) is filled on first use (DESIGN.md DR-16): Mixen extracts
+//! its mixed CSR/CSC representation from the out-CSR and the in-degrees
+//! alone (§4.1), so only a consumer that walks in-edges — a pull baseline,
+//! the reverse graph of HITS/SALSA — pays for the transpose.
+
+use std::sync::OnceLock;
 
 use crate::nid;
 use crate::{Csr, EdgeList, GraphError, NodeId};
 
-/// A directed graph with `n` nodes, holding out- and in-adjacency.
+/// A directed graph with `n` nodes: out-adjacency, in-degrees, and
+/// in-adjacency on demand.
 #[derive(Clone, Debug)]
 pub struct Graph {
     out: Csr,
-    inn: Csr,
+    /// Row pointers of the in-CSC: the count half of the transpose.
+    in_ptr: Box<[usize]>,
+    /// The in-CSC, filled by the first [`Graph::in_csc`].
+    inn: OnceLock<Csr>,
 }
 
 impl Graph {
-    /// Builds a graph from an edge list (the CSC is derived by transposition).
+    /// Builds a graph from an edge list.
     pub fn from_edge_list(edges: &EdgeList) -> Self {
-        let out = Csr::from_edges(edges.n(), edges.pairs());
-        let inn = out.transpose();
-        Self { out, inn }
+        Self::from_csr(Csr::from_edges(edges.n(), edges.pairs()))
     }
 
     /// Builds directly from pairs without normalization.
     pub fn from_pairs(n: usize, pairs: &[(NodeId, NodeId)]) -> Self {
-        let out = Csr::from_edges(n, pairs);
-        let inn = out.transpose();
-        Self { out, inn }
+        Self::from_csr(Csr::from_edges(n, pairs))
     }
 
-    /// Wraps an existing out-CSR (the in-CSC is derived).
+    /// Wraps an existing out-CSR. Counts in-degrees; the in-CSC is built on
+    /// first use.
     pub fn from_csr(out: Csr) -> Self {
         assert_eq!(out.n_rows(), out.n_cols(), "adjacency must be square");
-        let inn = out.transpose();
-        Self { out, inn }
+        let in_ptr = out.transpose_ptr().into_boxed_slice();
+        Self {
+            out,
+            in_ptr,
+            inn: OnceLock::new(),
+        }
     }
 
     /// Wraps both directions. Panics if they are not transposes of each
@@ -44,7 +53,11 @@ impl Graph {
         assert_eq!(out.n_rows(), inn.n_rows());
         assert_eq!(out.nnz(), inn.nnz());
         debug_assert_eq!(inn, out.transpose(), "inn must be the transpose of out");
-        Self { out, inn }
+        Self {
+            out,
+            in_ptr: inn.ptr().into(),
+            inn: OnceLock::from(inn),
+        }
     }
 
     /// Number of nodes.
@@ -74,10 +87,19 @@ impl Graph {
         &self.out
     }
 
-    /// In-edge CSC (CSR of the transpose).
-    #[inline]
+    /// In-edge CSC (CSR of the transpose), built by the first call. A
+    /// consumer that walks in-edges in a loop resolves this once, outside
+    /// the loop.
     pub fn in_csc(&self) -> &Csr {
-        &self.inn
+        self.inn.get_or_init(|| {
+            let unit = vec![(); self.m()];
+            self.out.transpose_fill(self.in_ptr.to_vec(), &unit).0
+        })
+    }
+
+    /// Whether the in-CSC has been built.
+    pub fn has_in_csc(&self) -> bool {
+        self.inn.get().is_some()
     }
 
     /// Out-degree of `u`.
@@ -89,7 +111,7 @@ impl Graph {
     /// In-degree of `u`.
     #[inline]
     pub fn in_degree(&self, u: NodeId) -> usize {
-        self.inn.degree(u)
+        self.in_ptr[u as usize + 1] - self.in_ptr[u as usize]
     }
 
     /// Out-neighbours of `u` (sorted).
@@ -98,10 +120,10 @@ impl Graph {
         self.out.neighbors(u)
     }
 
-    /// In-neighbours of `u` (sorted).
+    /// In-neighbours of `u` (sorted). Builds the in-CSC on first use.
     #[inline]
     pub fn in_neighbors(&self, u: NodeId) -> &[NodeId] {
-        self.inn.neighbors(u)
+        self.in_csc().neighbors(u)
     }
 
     /// Iterates all edges in row-major order of the out-CSR.
@@ -110,32 +132,50 @@ impl Graph {
     }
 
     /// Heap bytes of both adjacency structures (the CSR + CSC a
-    /// conventional framework keeps resident).
+    /// conventional framework keeps resident), counted whether or not the
+    /// in-CSC has been built: its size is known from the in-degrees.
     pub fn memory_bytes(&self) -> usize {
-        self.out.memory_bytes() + self.inn.memory_bytes()
+        self.out.memory_bytes()
+            + self.in_ptr.len() * std::mem::size_of::<usize>()
+            + self.m() * std::mem::size_of::<NodeId>()
     }
 
-    /// The reverse graph: every edge `u -> v` becomes `v -> u`. Cheap — the
-    /// two internal CSRs just swap roles. Used by algorithms that propagate
-    /// in both directions (HITS, SALSA).
+    /// The reverse graph: every edge `u -> v` becomes `v -> u`. The two
+    /// directions swap roles, so this builds the in-CSC if nothing has yet.
+    /// Used by algorithms that propagate in both directions (HITS, SALSA).
     pub fn reversed(&self) -> Graph {
         Graph {
-            out: self.inn.clone(),
-            inn: self.out.clone(),
+            out: self.in_csc().clone(),
+            in_ptr: self.out.ptr().into(),
+            inn: OnceLock::from(self.out.clone()),
         }
     }
 
     /// True when for every `u -> v` the edge `v -> u` is also present.
     pub fn is_symmetric(&self) -> bool {
-        (0..nid(self.n())).all(|u| self.out.neighbors(u) == self.inn.neighbors(u))
+        let inn = self.in_csc();
+        (0..nid(self.n())).all(|u| self.out.neighbors(u) == inn.neighbors(u))
     }
 
-    /// Structural validation of both directions.
+    /// Structural validation: the out-CSR, the in-degrees against it, and
+    /// the in-CSC if it has been built.
     pub fn validate(&self) -> Result<(), GraphError> {
         self.out.validate()?;
-        self.inn.validate()?;
-        if self.out.nnz() != self.inn.nnz() {
-            return Err(GraphError::Invariant("out/in edge counts differ".into()));
+        if self.in_ptr.len() != self.n() + 1
+            || self.in_ptr.last() != Some(&self.m())
+            || self.in_ptr.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err(GraphError::Invariant(
+                "in-degrees do not sum to the edge count".into(),
+            ));
+        }
+        if let Some(inn) = self.inn.get() {
+            inn.validate()?;
+            if inn.ptr() != &*self.in_ptr {
+                return Err(GraphError::Invariant(
+                    "in-CSC row pointers differ from the in-degrees".into(),
+                ));
+            }
         }
         Ok(())
     }
@@ -196,6 +236,41 @@ mod tests {
         assert_eq!(r.m(), g.m());
         let rr = r.reversed();
         assert_eq!(rr.out_csr(), g.out_csr());
+    }
+
+    #[test]
+    fn the_in_csc_is_built_on_first_use_only() {
+        let g = toy();
+        assert!(!g.has_in_csc());
+        let degrees: Vec<usize> = (0..5).map(|u| g.in_degree(u)).collect();
+        let bytes = g.memory_bytes();
+        g.validate().unwrap();
+        assert!(
+            !g.has_in_csc(),
+            "degrees, memory_bytes and validate read no in-edge"
+        );
+        assert_eq!(g.in_csc(), &g.out_csr().transpose());
+        assert!(g.has_in_csc());
+        let built: Vec<usize> = (0..5).map(|u| g.in_csc().degree(u)).collect();
+        assert_eq!(degrees, built);
+        assert_eq!(bytes, g.memory_bytes());
+        g.validate().unwrap();
+        // A clone keeps whatever was built.
+        assert!(g.clone().has_in_csc());
+        assert!(!toy().clone().has_in_csc());
+    }
+
+    #[test]
+    fn from_parts_and_reversed_hold_both_directions() {
+        let g = toy();
+        let both = Graph::from_parts(g.out_csr().clone(), g.in_csc().clone());
+        assert!(both.has_in_csc());
+        assert_eq!(both.in_degree(2), 2);
+        let r = toy().reversed();
+        assert!(r.has_in_csc());
+        assert_eq!(r.in_csc(), g.out_csr());
+        assert_eq!(r.in_degree(0), g.out_degree(0));
+        r.validate().unwrap();
     }
 
     #[test]

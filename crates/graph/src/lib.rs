@@ -8,8 +8,9 @@
 //!   transposition in safe Rust, each task owning a contiguous range of
 //!   the output (no atomics). A CSC is simply the [`Csr`] of the transposed
 //!   graph.
-//! * [`Graph`] — a directed graph holding both the out-edge CSR and the
-//!   in-edge CSC, the unit every engine is built from.
+//! * [`Graph`] — a directed graph holding the out-edge CSR and in-degrees,
+//!   with the in-edge CSC built on first use; the unit every engine is
+//!   built from.
 //! * [`classify`] — connectivity classification (regular / seed / sink /
 //!   isolated) and hub detection, per §2.1 of the paper.
 //! * [`stats`] — structural statistics reproducing Table 1 and Table 2.

@@ -299,9 +299,10 @@ where
     V: PropValue,
     FA: Fn(NodeId, V) -> V + Sync,
 {
+    let csc = g.in_csc();
     map_nodes(g.n(), |v| {
         let mut sum = V::identity();
-        for &u in g.in_neighbors(v) {
+        for &u in csc.neighbors(v) {
             sum.combine(x[u as usize]);
         }
         apply(v, sum)

@@ -113,9 +113,9 @@ impl WGraph {
 
     /// In-neighbours of `v` with their weights.
     pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f32)> + '_ {
-        let lo = self.g.in_csc().ptr()[v as usize];
-        let hi = self.g.in_csc().ptr()[v as usize + 1];
-        self.g.in_csc().idx()[lo..hi]
+        let csc = self.g.in_csc();
+        let (lo, hi) = (csc.ptr()[v as usize], csc.ptr()[v as usize + 1]);
+        csc.idx()[lo..hi]
             .iter()
             .zip(&self.win[lo..hi])
             .map(|(&u, &w)| (u, w))

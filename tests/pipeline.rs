@@ -2,11 +2,37 @@
 //! analyze, plus consistency between the analytic model, the structural
 //! statistics and the cache-simulator twins.
 
-use mixen_algos::{pagerank, PageRankOpts};
-use mixen_baselines::ReferenceEngine;
+use mixen_algos::{collaborative_filtering, pagerank, pagerank_until, top_k, CfOpts, PageRankOpts};
+use mixen_baselines::{PullEngine, ReferenceEngine};
 use mixen_cachesim::{trace_mixen, trace_pull, CacheConfig};
 use mixen_core::{MixenEngine, MixenOpts, PerfModel};
 use mixen_graph::{io, Dataset, Scale, StructuralStats};
+
+#[test]
+fn the_cold_mixen_path_never_builds_the_in_csc() {
+    let dir = std::env::temp_dir().join("mixen_pipeline_lazy_csc");
+    std::fs::create_dir_all(&dir).unwrap();
+    for d in [Dataset::Pld, Dataset::Weibo, Dataset::Urand] {
+        let path = dir.join(format!("{}.mxg", d.name()));
+        io::save(&d.generate(Scale::Tiny, 13), &path).unwrap();
+        let g = io::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let engine = MixenEngine::new(&g, MixenOpts::default());
+        let (scores, _) = pagerank_until(&g, &engine, PageRankOpts::default(), 1e-6, 50);
+        let top = top_k(&scores, 10);
+        let cf = collaborative_filtering(&g, &engine, CfOpts::default());
+        assert_eq!(top.len(), 10.min(g.n()));
+        assert_eq!(cf.len(), g.n());
+        assert!(
+            !g.has_in_csc(),
+            "{}: the Mixen path built the in-CSC",
+            d.name()
+        );
+        // The pull baseline pays for it, once.
+        let pull = PullEngine::new(&g);
+        assert!(g.has_in_csc() && pull.build_seconds() > 0.0, "{}", d.name());
+    }
+}
 
 #[test]
 fn save_load_analyze_roundtrip() {

@@ -358,10 +358,10 @@ impl<V: PropValue> DynamicBins<V> {
             encoding,
             codec: BinCodec::identity(),
         };
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         if let Err(e) = bins.debug_validate(blocked) {
-            // lint: allow(panic) reason=strict-invariants mode turns violated bin metadata into loud failures
-            panic!("strict-invariants: {e}");
+            // lint: allow(panic) reason=debug builds turn violated bin metadata into loud failures
+            panic!("invariant violated at bin allocation: {e}");
         }
         bins
     }
@@ -418,8 +418,8 @@ impl<V: PropValue> DynamicBins<V> {
     /// Validates the bin metadata against the partition it was allocated
     /// for: one task per block-row, one stream per block-column, and every
     /// stream (in the representation the encoding selects) sized to its
-    /// block's compressed message count. Used by the `strict-invariants`
-    /// feature and callable directly from tests.
+    /// block's compressed message count. Bin allocation runs it in debug
+    /// builds; tests call it directly.
     pub fn debug_validate(&self, blocked: &BlockedSubgraph) -> Result<(), GraphError> {
         let invariant = |msg: String| Err(GraphError::Invariant(msg));
         if self.per_task.len() != blocked.rows().len() {

@@ -195,22 +195,25 @@ impl MixenEngine {
             let _span = Span::new(&mut filter_seconds);
             FilteredGraph::with_ordering(g, opts.ordering)
         };
+        // The blocks are cut straight from the out-CSR through `perm`: no
+        // regular CSR is written (DESIGN.md DR-17).
         let mut partition_seconds = 0.0;
-        let blocked = {
+        let (blocked, rows) = {
             let _span = Span::new(&mut partition_seconds);
-            BlockedSubgraph::with_hub_domain(filtered.reg_csr(), &opts, threads, filtered.num_hub())
+            let rows = filtered.regular_rows();
+            let blocked =
+                BlockedSubgraph::with_hub_domain(&rows, &opts, threads, filtered.num_hub());
+            (blocked, rows)
         };
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
+        if let Err(e) = filtered
+            .debug_validate()
+            .and_then(|()| blocked.debug_validate(&rows, &opts))
         {
-            if let Err(e) = filtered.debug_validate() {
-                // lint: allow(panic) reason=strict-invariants mode turns violated preprocessing invariants into loud failures
-                panic!("strict-invariants: {e}");
-            }
-            if let Err(e) = blocked.debug_validate(filtered.reg_csr(), &opts) {
-                // lint: allow(panic) reason=strict-invariants mode turns violated partition invariants into loud failures
-                panic!("strict-invariants: {e}");
-            }
+            // lint: allow(panic) reason=debug builds turn violated preprocessing invariants into loud failures
+            panic!("invariant violated at engine construction: {e}");
         }
+        drop(rows);
         let engine = Self {
             filtered,
             blocked,
@@ -315,11 +318,11 @@ impl<W: Weights> MixenEngine<W> {
             }
             seen[old] = true;
         }
-        if self.blocked.nnz() != f.reg_csr().nnz() {
+        if self.blocked.nnz() != f.reg_nnz() {
             return Err(GraphError::Invariant(format!(
-                "blocked subgraph holds {} edges, regular CSR has {}",
+                "blocked subgraph holds {} edges, the regular subgraph has {}",
                 self.blocked.nnz(),
-                f.reg_csr().nnz()
+                f.reg_nnz()
             )));
         }
         Ok(())
@@ -1136,7 +1139,7 @@ mod tests {
     fn metrics_track_kernels_and_static_bin_usage() {
         let g = mixed_graph();
         let e = MixenEngine::new(&g, small_opts());
-        let reg_nnz = e.filtered().reg_csr().nnz() as u64;
+        let reg_nnz = e.filtered().reg_nnz() as u64;
         let iters = 4usize;
         let _ = e.iterate::<f32, _, _>(|_| 1.0, |_, s| 0.5 * s, iters);
         let snap = e.metrics().snapshot();
@@ -1314,7 +1317,7 @@ mod tests {
         let plain = e.iterate::<f32, _, _>(|v| (v + 1) as f32, |_, s| s, 3);
         assert_eq!(vals, plain);
         let snap = e.metrics().snapshot();
-        let reg_nnz = e.filtered().reg_csr().nnz() as u64;
+        let reg_nnz = e.filtered().reg_nnz() as u64;
         // Two runs of 3 iterations each hit the gather kernel 6 times.
         assert_eq!(snap.get("edges_gathered"), 6 * reg_nnz);
         assert_eq!(snap.get("edges_scattered"), 6 * reg_nnz);

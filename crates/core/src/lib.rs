@@ -72,9 +72,9 @@ pub mod mc {
 }
 
 pub use bins::BinEncoding;
-pub use block::BlockedSubgraph;
+pub use block::{BlockedSubgraph, RowSource};
 pub use engine::{Engine, MixenEngine, PhaseStats};
-pub use filter::FilteredGraph;
+pub use filter::{FilteredGraph, RegularRows};
 pub use model::PerfModel;
 pub use obs::{Json, Metrics, MetricsSnapshot, Span};
 pub use opts::{MixenOpts, RegularOrdering};

@@ -773,8 +773,7 @@ mod tests {
         let runner = small_runner();
         let reg_nnz = MixenEngine::new(&g, runner.opts().mixen)
             .filtered()
-            .reg_csr()
-            .nnz() as u64;
+            .reg_nnz() as u64;
         assert!(reg_nnz > 0);
         for iters in [1usize, 3, 5] {
             let (_, report) = runner

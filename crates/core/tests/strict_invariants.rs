@@ -1,11 +1,10 @@
-//! End-to-end exercise of the `strict-invariants` feature: every engine
-//! constructed here runs `FilteredGraph::debug_validate` and
-//! `BlockedSubgraph::debug_validate` internally and panics on any violated
-//! preprocessing invariant, so these tests simply have to build engines over
-//! a spread of graph shapes, orderings, and block sides and produce correct
-//! results. Compiled only with `--features strict-invariants`; without the
-//! feature the file is empty.
-#![cfg(feature = "strict-invariants")]
+//! End-to-end exercise of the construction-time validators: in a debug
+//! build (the test profile) every engine constructed here runs
+//! `FilteredGraph::debug_validate` and `BlockedSubgraph::debug_validate`
+//! internally, and every bin allocation the bin-metadata check, and panics on
+//! any violated preprocessing invariant, so these tests simply have to build
+//! engines over a spread of graph shapes, orderings, and block sides and
+//! produce correct results.
 
 use mixen_core::{Engine, MixenEngine, MixenOpts, RegularOrdering};
 use mixen_graph::gen::{kronecker, uniform};

@@ -41,7 +41,7 @@ fn main() {
         engine.filtered().num_regular(),
         g.n(),
         engine.filtered().alpha(),
-        engine.filtered().reg_csr().nnz(),
+        engine.filtered().reg_nnz(),
         g.m(),
         engine.filtered().beta()
     );

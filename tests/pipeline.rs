@@ -35,6 +35,36 @@ fn the_cold_mixen_path_never_builds_the_in_csc() {
 }
 
 #[test]
+fn the_cold_mixen_path_never_builds_reg_csr() {
+    let dir = std::env::temp_dir().join("mixen_pipeline_lazy_reg");
+    std::fs::create_dir_all(&dir).unwrap();
+    for d in [Dataset::Pld, Dataset::Weibo, Dataset::Urand] {
+        let path = dir.join(format!("{}.mxg", d.name()));
+        io::save(&d.generate(Scale::Tiny, 13), &path).unwrap();
+        let g = io::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let engine = MixenEngine::new(&g, MixenOpts::default());
+        let (scores, _) = pagerank_until(&g, &engine, PageRankOpts::default(), 1e-6, 50);
+        let top = top_k(&scores, 10);
+        let cf = collaborative_filtering(&g, &engine, CfOpts::default());
+        engine.validate().unwrap();
+        assert_eq!(top.len(), 10.min(g.n()));
+        assert_eq!(cf.len(), g.n());
+        let f = engine.filtered();
+        assert!(
+            !f.has_reg_csr(),
+            "{}: the Mixen path built the regular CSR",
+            d.name()
+        );
+        // The blocks hold exactly the count the filter recorded; asking for
+        // the CSR builds it, once, with that many edges.
+        assert_eq!(engine.blocked().nnz(), f.reg_nnz(), "{}", d.name());
+        assert_eq!(f.reg_csr().nnz(), f.reg_nnz(), "{}", d.name());
+        assert!(f.has_reg_csr(), "{}", d.name());
+    }
+}
+
+#[test]
 fn save_load_analyze_roundtrip() {
     let g = Dataset::Track.generate(Scale::Tiny, 31);
     let dir = std::env::temp_dir().join("mixen_pipeline_test");
